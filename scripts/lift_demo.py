@@ -14,8 +14,8 @@ import argparse
 import sys
 from dataclasses import dataclass
 
-from nclift import (DEFAULT_MODULUS, DEFAULT_SEED, LiftParams, decode_circuit,
-                    encode_stages, expand, hadamard_witness, build_decoder,
+from nclift import (DEFAULT_MODULUS, DEFAULT_SEED, LiftParams, build_decoder,
+                    encode_stages, expand, hadamard_circuit, hadamard_witness,
                     lift_report, sample_family)
 
 
@@ -53,7 +53,7 @@ def run(cfg: DemoConfig) -> int:
             return 0
         dec = build_decoder(m, modulus=cfg.modulus)
         print(hadamard_witness(current, dec).line())
-        current = decode_circuit(current, m)
+        current = hadamard_circuit(current, dec, name=current.name)
         want = expand(stages[k - 1])
         got = expand(current)
         status = "ok" if got == want else "MISMATCH"

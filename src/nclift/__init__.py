@@ -16,7 +16,7 @@ from .circuits import (AddNode, Circuit, CircuitBuilder, ConstNode,
                        InputNode, MulNode, SizeReport, circuit_from_poly,
                        eval_matrix, eval_scalar, expand, format_circuit,
                        parse_circuit, substitute_inputs)
-from .config import DEFAULT_SEED, SessionConfig, modulus_from_env
+from .config import DEFAULT_SEED, modulus_from_env
 from .errors import BudgetError, FormatError, NCLiftError
 from .hadamard import (HadamardWitness, hadamard_circuit, hadamard_eval,
                        hadamard_poly, hadamard_witness)
@@ -39,7 +39,7 @@ __all__ = [
     "ConstNode", "DEFAULT_MODULUS", "DEFAULT_SEED", "EquivVerdict",
     "FormatError", "HadamardWitness", "InputNode", "LiftParams",
     "LiftReport", "MatrixPoint", "MulNode", "NCLiftError", "NCPolynomial",
-    "SampleFamily", "Scalar", "SessionConfig", "SizeReport", "SquareMatrix",
+    "SampleFamily", "Scalar", "SizeReport", "SquareMatrix",
     "Transition", "Weight", "WeightedAutomaton", "Word", "build_decoder",
     "build_one_shot_decoder", "circuit_equiv_brute", "circuit_equiv_random",
     "circuit_from_poly", "decode_circuit", "encode_circuit", "encode_poly",

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 from .automata import (Transition, Weight, WeightedAutomaton, build_decoder,
                        build_one_shot_decoder, one_shot_nominal_states,
                        one_shot_state_count, series_truncate)
-from .circuits import (AddNode, Circuit, CircuitBuilder, ConstNode,
-                       InputNode, eval_matrix, expand)
+from .circuits import Circuit, CircuitBuilder, eval_matrix, expand, replay
 from .config import DEFAULT_SEED
 from .hadamard import (HadamardWitness, hadamard_circuit, hadamard_eval,
                        hadamard_witness)
@@ -343,23 +342,16 @@ class AcceptanceSuite:
                       automaton: WeightedAutomaton) -> NCPolynomial:
         """hadamard_eval with the product operand order deliberately
         reversed at every mul gate."""
-        mats = automaton.transition_matrices()
-        zero = NCPolynomial.zero(automaton.x_alphabet, circuit.modulus)
-        q = automaton.num_states
-        vals = []
-        for node in circuit.nodes:
-            if isinstance(node, InputNode):
-                vals.append(mats[node.var])
-            elif isinstance(node, ConstNode):
-                c = NCPolynomial.constant(node.value,
-                                          automaton.x_alphabet,
-                                          circuit.modulus)
-                vals.append(SquareMatrix.scalar_diag(q, c, zero))
-            elif isinstance(node, AddNode):
-                vals.append(vals[node.lhs] + vals[node.rhs])
-            else:
-                vals.append(vals[node.rhs] * vals[node.lhs])
-        return vals[circuit.output].entry(automaton.start, automaton.accept)
+        x, p = automaton.x_alphabet, circuit.modulus
+        zero = NCPolynomial.zero(x, p)
+
+        def const(c: int) -> SquareMatrix:
+            return SquareMatrix.scalar_diag(
+                automaton.num_states, NCPolynomial.constant(c, x, p), zero)
+
+        value = replay(circuit, automaton.transition_matrices().__getitem__,
+                       const, lambda a, b: a + b, lambda a, b: b * a)
+        return value.entry(automaton.start, automaton.accept)
 
     def check_mutation_sensitivity(self) -> CheckResult:
         p = self.modulus

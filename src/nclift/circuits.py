@@ -10,7 +10,7 @@ them.  Gate counts (add/mul) are reported separately from leaf counts
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import BudgetError, FormatError
 from .matrices import SquareMatrix
@@ -123,17 +123,8 @@ class Circuit:
 
     def degree_bound(self) -> int:
         """Syntactic degree: input 1, const 0, add max, mul sum."""
-        degs: list[int] = []
-        for node in self.nodes:
-            if isinstance(node, InputNode):
-                degs.append(1)
-            elif isinstance(node, ConstNode):
-                degs.append(0)
-            elif isinstance(node, AddNode):
-                degs.append(max(degs[node.lhs], degs[node.rhs]))
-            else:
-                degs.append(degs[node.lhs] + degs[node.rhs])
-        return degs[self.output]
+        return replay(self, lambda v: 1, lambda c: 0, max,
+                      lambda a, b: a + b)
 
     def used_vars(self) -> set[int]:
         return {node.var for node in self.nodes
@@ -235,11 +226,33 @@ class CircuitBuilder:
 # ---------------------------------------------------------------------------
 # Evaluation and expansion.
 
-def _assignment_residue(assignment, var: int, p: int) -> int:
+def replay(circuit: Circuit, var: Callable, const: Callable,
+           add: Callable, mul: Callable):
+    """Evaluate a circuit gate by gate in any algebra; return the output.
+
+    Each node's value is var(index) for an input, const(value) for a
+    constant, and add(lhs, rhs) or mul(lhs, rhs) of its children's
+    values for a gate, operands always in gate order.  A BudgetError a
+    callback raises is re-raised as `node <i>: <message>`.
+    """
+    vals: list = []
+    push = vals.append
     try:
-        a = assignment[var]
-    except (KeyError, IndexError) as exc:
-        raise ValueError(f"variable x{var} has no assigned value") from exc
+        for i, node in enumerate(circuit.nodes):
+            if isinstance(node, InputNode):
+                push(var(node.var))
+            elif isinstance(node, ConstNode):
+                push(const(node.value))
+            elif isinstance(node, AddNode):
+                push(add(vals[node.lhs], vals[node.rhs]))
+            else:
+                push(mul(vals[node.lhs], vals[node.rhs]))
+    except BudgetError as exc:
+        raise BudgetError(f"node {i}: {exc}") from exc
+    return vals[circuit.output]
+
+
+def _residue(a, p: int) -> int:
     if isinstance(a, Scalar):
         if a.modulus != p:
             raise ValueError(f"modulus mismatch: {p} vs {a.modulus}")
@@ -247,20 +260,21 @@ def _assignment_residue(assignment, var: int, p: int) -> int:
     return a % p
 
 
+def _assignment_residue(assignment, var: int, p: int) -> int:
+    try:
+        a = assignment[var]
+    except (KeyError, IndexError) as exc:
+        raise ValueError(f"variable x{var} has no assigned value") from exc
+    return _residue(a, p)
+
+
 def eval_scalar(circuit: Circuit, assignment) -> Scalar:
     """Evaluate at scalars; assignment is a sequence or map var -> value."""
     p = circuit.modulus
-    vals: list[int] = []
-    for node in circuit.nodes:
-        if isinstance(node, InputNode):
-            vals.append(_assignment_residue(assignment, node.var, p))
-        elif isinstance(node, ConstNode):
-            vals.append(node.value % p)
-        elif isinstance(node, AddNode):
-            vals.append((vals[node.lhs] + vals[node.rhs]) % p)
-        else:
-            vals.append(vals[node.lhs] * vals[node.rhs] % p)
-    return Scalar(vals[circuit.output], p)
+    value = replay(circuit, lambda v: _assignment_residue(assignment, v, p),
+                   lambda c: c % p, lambda a, b: (a + b) % p,
+                   lambda a, b: a * b % p)
+    return Scalar(value, p)
 
 
 def eval_matrix_residues(circuit: Circuit,
@@ -268,87 +282,58 @@ def eval_matrix_residues(circuit: Circuit,
                          dim: int, p: int) -> list[list[int]]:
     """Fast kernel: evaluate at integer matrices mod p, naive cubic muls."""
     rng = range(dim)
-    vals: list[list[list[int]]] = []
-    for node in circuit.nodes:
-        if isinstance(node, InputNode):
-            if node.var not in mats:
-                raise ValueError(f"variable x{node.var} has no assigned "
-                                 f"matrix")
-            m = mats[node.var]
-            vals.append([[m[i][j] % p for j in rng] for i in rng])
-        elif isinstance(node, ConstNode):
-            c = node.value % p
-            vals.append([[c if i == j else 0 for j in rng] for i in rng])
-        elif isinstance(node, AddNode):
-            a, b = vals[node.lhs], vals[node.rhs]
-            vals.append([[(a[i][j] + b[i][j]) % p for j in rng] for i in rng])
-        else:
-            a, b = vals[node.lhs], vals[node.rhs]
-            out = [[0] * dim for _ in rng]
-            for i in rng:
-                arow = a[i]
-                orow = out[i]
-                for k in rng:
-                    aik = arow[k]
-                    if aik:
-                        brow = b[k]
-                        for j in rng:
-                            orow[j] = (orow[j] + aik * brow[j]) % p
-            vals.append(out)
-    return vals[circuit.output]
+
+    def var(v: int) -> list[list[int]]:
+        if v not in mats:
+            raise ValueError(f"variable x{v} has no assigned matrix")
+        m = mats[v]
+        return [[m[i][j] % p for j in rng] for i in rng]
+
+    def const(c: int) -> list[list[int]]:
+        c %= p
+        return [[c if i == j else 0 for j in rng] for i in rng]
+
+    def add(a, b) -> list[list[int]]:
+        return [[(a[i][j] + b[i][j]) % p for j in rng] for i in rng]
+
+    def mul(a, b) -> list[list[int]]:
+        out = [[0] * dim for _ in rng]
+        for i in rng:
+            arow = a[i]
+            orow = out[i]
+            for k in rng:
+                aik = arow[k]
+                if aik:
+                    brow = b[k]
+                    for j in rng:
+                        orow[j] = (orow[j] + aik * brow[j]) % p
+        return out
+
+    return replay(circuit, var, const, add, mul)
 
 
 def eval_matrix(circuit: Circuit, point: Mapping[int, SquareMatrix],
                 *, dim: int | None = None) -> SquareMatrix:
-    """Evaluate at square matrices; products keep the gate's operand order.
+    """Evaluate at Scalar matrices; products keep the gate's operand order.
 
     Constants become c * I.  All matrices must share one dimension and
-    one entry ring (Scalar or NCPolynomial).  For a circuit with no
-    inputs pass dim explicitly; entries then default to Scalar.
+    hold Scalar entries mod the circuit's modulus.  For a circuit with
+    no inputs pass dim explicitly.
     """
     p = circuit.modulus
-    mats = dict(point)
-    sample = None
-    for m in mats.values():
+    raw = {}
+    for v, m in point.items():
         if dim is None:
             dim = m.dim
         elif m.dim != dim:
             raise ValueError(f"dimension mismatch: {dim} vs {m.dim}")
-        e = m.entry(0, 0)
-        if sample is None:
-            sample = e
-        elif type(e) is not type(sample):
-            raise ValueError("matrices mix entry rings")
+        if not all(isinstance(e, Scalar) for row in m.rows for e in row):
+            raise ValueError(f"matrix for x{v} has non-Scalar entries")
+        raw[v] = [[_residue(e, p) for e in row] for row in m.rows]
     if dim is None:
         raise ValueError("dim is required when no matrices are given")
-
-    if sample is None or isinstance(sample, Scalar):
-        raw = {v: [[m.entry(i, j).value for j in range(dim)]
-                   for i in range(dim)] for v, m in mats.items()}
-        rows = eval_matrix_residues(circuit, raw, dim, p)
-        return SquareMatrix([[Scalar(e, p) for e in row] for row in rows])
-
-    if not isinstance(sample, NCPolynomial):
-        raise ValueError(f"unsupported matrix entry ring: {type(sample)!r}")
-    if sample.modulus != p:
-        raise ValueError(f"modulus mismatch: {p} vs {sample.modulus}")
-    zero = NCPolynomial.zero(sample.alphabet, p)
-
-    vals: list[SquareMatrix] = []
-    for node in circuit.nodes:
-        if isinstance(node, InputNode):
-            if node.var not in mats:
-                raise ValueError(f"variable x{node.var} has no assigned "
-                                 f"matrix")
-            vals.append(mats[node.var])
-        elif isinstance(node, ConstNode):
-            c = NCPolynomial.constant(node.value, sample.alphabet, p)
-            vals.append(SquareMatrix.scalar_diag(dim, c, zero))
-        elif isinstance(node, AddNode):
-            vals.append(vals[node.lhs] + vals[node.rhs])
-        else:
-            vals.append(vals[node.lhs] * vals[node.rhs])
-    return vals[circuit.output]
+    rows = eval_matrix_residues(circuit, raw, dim, p)
+    return SquareMatrix([[Scalar(e, p) for e in row] for row in rows])
 
 
 def expand(circuit: Circuit, max_degree: int = DEFAULT_MAX_DEGREE,
@@ -361,32 +346,30 @@ def expand(circuit: Circuit, max_degree: int = DEFAULT_MAX_DEGREE,
     """
     circuit.validate()
     p = circuit.modulus
-    vals: list[dict] = []
-    for i, node in enumerate(circuit.nodes):
-        if isinstance(node, InputNode):
-            t = {(node.var,): 1}
-        elif isinstance(node, ConstNode):
-            c = node.value % p
-            t = {(): c} if c else {}
-        elif isinstance(node, AddNode):
-            t = add_maps(vals[node.lhs], vals[node.rhs], p)
-        else:
-            a, b = vals[node.lhs], vals[node.rhs]
-            if len(a) * len(b) > _MAX_PRODUCT_PAIRS:
-                raise BudgetError(f"node {i}: product of {len(a)} x {len(b)} "
-                                  f"terms exceeds the convolution budget")
-            t = mul_maps(a, b, p)
+
+    def checked(t: dict) -> dict:
         if t:
             deg = max(map(len, t))
             if deg > max_degree:
-                raise BudgetError(f"node {i}: degree {deg} exceeds budget "
+                raise BudgetError(f"degree {deg} exceeds budget "
                                   f"{max_degree}")
         if len(t) > max_terms:
-            raise BudgetError(f"node {i}: {len(t)} terms exceed budget "
-                              f"{max_terms}")
-        vals.append(t)
-    return NCPolynomial(circuit.alphabet, p, vals[circuit.output],
-                        _trusted=True)
+            raise BudgetError(f"{len(t)} terms exceed budget {max_terms}")
+        return t
+
+    def const(c: int) -> dict:
+        c %= p
+        return checked({(): c} if c else {})
+
+    def mul(a: dict, b: dict) -> dict:
+        if len(a) * len(b) > _MAX_PRODUCT_PAIRS:
+            raise BudgetError(f"product of {len(a)} x {len(b)} terms "
+                              f"exceeds the convolution budget")
+        return checked(mul_maps(a, b, p))
+
+    terms = replay(circuit, lambda v: checked({(v,): 1}), const,
+                   lambda a, b: checked(add_maps(a, b, p)), mul)
+    return NCPolynomial(circuit.alphabet, p, terms, _trusted=True)
 
 
 def substitute_inputs(circuit: Circuit,

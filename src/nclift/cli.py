@@ -22,8 +22,7 @@ from .circuits import Circuit, expand, format_circuit, parse_circuit
 from .config import DEFAULT_SEED, modulus_from_env
 from .errors import BudgetError, FormatError
 from .hadamard import hadamard_circuit, hadamard_witness
-from .lifting import (LiftParams, decode_circuit, encode_stages, lift_report,
-                      one_shot_decode_circuit, sample_family)
+from .lifting import LiftParams, encode_stages, lift_report, sample_family
 from .polynomials import NCPolynomial, format_poly, parse_poly
 from .scalars import require_prime_modulus
 from .verify import (DISTINCT, EQUAL, MatrixPoint, circuit_equiv_brute,
@@ -132,7 +131,7 @@ def cmd_decode(args) -> int:
         decoder = build_one_shot_decoder(args.n, args.d,
                                          modulus=circuit.modulus)
         print(hadamard_witness(circuit, decoder).line())
-        result = one_shot_decode_circuit(circuit, args.n, args.d)
+        result = hadamard_circuit(circuit, decoder, name=circuit.name)
     else:
         n, d = _stage_params(args, circuit)
         if circuit.alphabet.size != n:
@@ -140,10 +139,10 @@ def cmd_decode(args) -> int:
                              f"circuit has {circuit.alphabet.size}")
         result = circuit
         for _ in range(d):
-            m = result.alphabet.size
-            decoder = build_decoder(m, modulus=circuit.modulus)
+            decoder = build_decoder(result.alphabet.size,
+                                    modulus=circuit.modulus)
             print(hadamard_witness(result, decoder).line())
-            result = decode_circuit(result, m)
+            result = hadamard_circuit(result, decoder, name=result.name)
     _save(args.out, result)
     return 0
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 from .scalars import DEFAULT_MODULUS, require_prime_modulus
 
@@ -22,21 +21,3 @@ def modulus_from_env(default: int = DEFAULT_MODULUS) -> int:
         raise ValueError(f"{MODULUS_ENV}={raw!r} is not an integer") from exc
     return require_prime_modulus(value)
 
-
-@dataclass(frozen=True)
-class SessionConfig:
-    """One run's knobs: ring, seed, and hard budgets (never truncation)."""
-
-    modulus: int = DEFAULT_MODULUS
-    seed: int = DEFAULT_SEED
-    max_degree: int = 64
-    max_terms: int = 200_000
-    max_states: int = 50_000
-
-    def __post_init__(self) -> None:
-        require_prime_modulus(self.modulus)
-        for label, value in (("max_degree", self.max_degree),
-                             ("max_terms", self.max_terms),
-                             ("max_states", self.max_states)):
-            if value < 1:
-                raise ValueError(f"{label} must be positive, got {value}")

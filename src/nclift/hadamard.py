@@ -23,8 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .automata import WeightedAutomaton
-from .circuits import (AddNode, Circuit, CircuitBuilder, ConstNode,
-                       InputNode, MulNode)
+from .circuits import Circuit, CircuitBuilder, replay
 from .polynomials import NCPolynomial, add_maps, mul_maps
 from .scalars import Scalar
 
@@ -95,36 +94,34 @@ def hadamard_eval(circuit: Circuit, automaton: WeightedAutomaton,
                                       if cur else {key: c})
         mats[letter] = rows
 
-    vals: list[list[list[dict]]] = []
     rng = range(q)
-    for node in circuit.nodes:
-        if isinstance(node, InputNode):
-            vals.append(mats[node.var])
-        elif isinstance(node, ConstNode):
-            c = node.value % p
-            vals.append([[({(): c} if c and i == j else empty)
-                          for j in rng] for i in rng])
-        elif isinstance(node, AddNode):
-            a, b = vals[node.lhs], vals[node.rhs]
-            vals.append([[add_maps(a[i][j], b[i][j], p) for j in rng]
-                         for i in rng])
-        else:
-            a, b = vals[node.lhs], vals[node.rhs]
-            out = [[empty] * q for _ in rng]
-            for i in rng:
-                arow = a[i]
-                orow = out[i]
-                for k in rng:
-                    aik = arow[k]
-                    if aik:
-                        brow = b[k]
-                        for j in rng:
-                            bkj = brow[j]
-                            if bkj:
-                                orow[j] = add_maps(orow[j],
-                                                   mul_maps(aik, bkj, p), p)
-            vals.append(out)
-    terms = vals[circuit.output][automaton.start][automaton.accept]
+
+    def const(c: int) -> list[list[dict]]:
+        c %= p
+        return [[({(): c} if c and i == j else empty) for j in rng]
+                for i in rng]
+
+    def add(a, b) -> list[list[dict]]:
+        return [[add_maps(a[i][j], b[i][j], p) for j in rng] for i in rng]
+
+    def mul(a, b) -> list[list[dict]]:
+        out = [[empty] * q for _ in rng]
+        for i in rng:
+            arow = a[i]
+            orow = out[i]
+            for k in rng:
+                aik = arow[k]
+                if aik:
+                    brow = b[k]
+                    for j in rng:
+                        bkj = brow[j]
+                        if bkj:
+                            orow[j] = add_maps(orow[j],
+                                               mul_maps(aik, bkj, p), p)
+        return out
+
+    value = replay(circuit, mats.__getitem__, const, add, mul)
+    terms = value[automaton.start][automaton.accept]
     return NCPolynomial(automaton.x_alphabet, p, dict(terms), _trusted=True)
 
 
@@ -240,25 +237,18 @@ def hadamard_circuit(circuit: Circuit, automaton: WeightedAutomaton, *,
             block[(src, tgt)] = _weight_node(b, coeff, var)
         letter_blocks[letter] = block
 
+    def const(c: int) -> dict:
+        c %= p
+        if not c:
+            return {}
+        nid = b.const(c)
+        return {(i, i): nid for i in range(automaton.num_states)}
+
     cache: dict = {}
-    vals: list[dict] = []
-    for node in circuit.nodes:
-        if isinstance(node, InputNode):
-            vals.append(letter_blocks[node.var])
-        elif isinstance(node, ConstNode):
-            c = node.value % p
-            if c:
-                nid = b.const(c)
-                vals.append({(i, i): nid
-                             for i in range(automaton.num_states)})
-            else:
-                vals.append({})
-        elif isinstance(node, AddNode):
-            vals.append(_block_add(b, vals[node.lhs], vals[node.rhs]))
-        else:
-            vals.append(_block_mul(b, vals[node.lhs], vals[node.rhs],
-                                   cache))
-    out = vals[circuit.output].get((automaton.start, automaton.accept))
+    value = replay(circuit, letter_blocks.__getitem__, const,
+                   lambda x, y: _block_add(b, x, y),
+                   lambda x, y: _block_mul(b, x, y, cache))
+    out = value.get((automaton.start, automaton.accept))
     if out is None:
         out = b.const(0)
     return b.finish(out, prune=True)
@@ -285,6 +275,12 @@ class HadamardWitness:
                 f"ok={int(self.ok)}")
 
 
+def hadamard_bound(q: int, gates: int, leaves: int) -> int:
+    """Prefold node budget of a synthesis on q states: 2q^3 per gate of
+    the source circuit plus q^2 per leaf."""
+    return 2 * q ** 3 * gates + q * q * leaves
+
+
 def hadamard_witness(circuit: Circuit,
                      automaton: WeightedAutomaton) -> HadamardWitness:
     _check_compatible(circuit, automaton)
@@ -293,5 +289,5 @@ def hadamard_witness(circuit: Circuit,
     leaves = r.inputs + r.consts
     pre = (q ** 3 * r.muls + q * q * (q - 1) * r.muls + q * q * r.adds
            + q * q * leaves)
-    bound = 2 * q ** 3 * r.gates + q * q * leaves
+    bound = hadamard_bound(q, r.gates, leaves)
     return HadamardWitness(q, r.gates, pre, bound, pre <= bound)

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 from .automata import build_decoder, build_one_shot_decoder, index_to_word
 from .circuits import (Circuit, CircuitBuilder, circuit_from_poly,
                        substitute_inputs)
-from .hadamard import hadamard_circuit
+from .hadamard import hadamard_bound, hadamard_circuit
 from .polynomials import Alphabet, Letters, NCPolynomial
 from .scalars import DEFAULT_MODULUS, require_prime_modulus
 
@@ -186,8 +186,7 @@ class LiftParams:
             raise ValueError(f"stage {k} outside 0..{self.d}")
         if k == self.d:
             return 1
-        q = 2 * self.alphabet_sizes[k + 1] + 1
-        return 2 * q ** 3 + q * q
+        return hadamard_bound(2 * self.alphabet_sizes[k + 1] + 1, 1, 1)
 
 
 @dataclass(frozen=True)

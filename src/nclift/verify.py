@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain
 
 from .circuits import (Circuit, DEFAULT_MAX_DEGREE, DEFAULT_MAX_TERMS,
                        eval_matrix_residues, expand)
@@ -67,10 +68,12 @@ def circuit_equiv_brute(c1: Circuit, c2: Circuit,
         f2 = expand(c2, max_degree, max_terms)
     except BudgetError:
         return EquivVerdict(MODE_BRUTE, INCONCLUSIVE)
-    diff = f1 - f2
-    if diff.is_zero():
+    if f1 == f2:
         return EquivVerdict(MODE_BRUTE, EQUAL)
-    witness = min(diff.support(), key=lambda w: length_lex_key(w.letters))
+    t1, t2 = f1.terms, f2.terms
+    differ = chain((w for w, c in t1.items() if t2.get(w) != c),
+                   (w for w in t2 if w not in t1))
+    witness = Word(f1.alphabet, min(differ, key=length_lex_key))
     return EquivVerdict(MODE_BRUTE, DISTINCT, witness)
 
 

@@ -7,6 +7,7 @@ from nclift import (DEFAULT_MODULUS, AddNode, Alphabet, BudgetError, Circuit,
                     NCPolynomial, Scalar, SquareMatrix, circuit_from_poly,
                     eval_matrix, eval_scalar, expand, matrix_value_of_poly,
                     substitute_inputs)
+from nclift.circuits import replay
 from nclift.randcircuits import random_circuit
 
 from helpers import poly_substitute, random_poly
@@ -91,16 +92,40 @@ def test_eval_matrix_needs_dim_for_constant_circuits():
     assert got == SquareMatrix.scalar_diag(2, Scalar(9, P), Scalar.zero(P))
 
 
+def test_eval_matrix_rejects_foreign_modulus():
+    b = CircuitBuilder(X3, P)
+    c = b.finish(b.var(0))
+    with pytest.raises(ValueError, match="^modulus mismatch: "):
+        eval_matrix(c, {0: SquareMatrix([[Scalar(3, 7)]])})
+
+
 def test_expand_budgets():
     b = CircuitBuilder(X3, P)
     sq = b.mul(b.var(0), b.var(0))
     c = b.finish(b.mul(sq, sq))
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError, match=r"^node 2: degree 4 exceeds "):
         expand(c, max_degree=3)
     b2 = CircuitBuilder(X3, P)
     c2 = b2.finish(b2.add(b2.var(0), b2.var(1)))
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError, match=r"^node 2: 2 terms exceed "):
         expand(c2, max_terms=1)
+
+
+def test_replay_order_and_children_in_a_free_algebra():
+    nodes = (InputNode(0), InputNode(1), ConstNode(5), MulNode(1, 0),
+             AddNode(2, 3), MulNode(4, 1), MulNode(0, 4))
+    algebra = (lambda v: f"x{v}", str, lambda a, b: f"({a}+{b})",
+               lambda a, b: f"({a}*{b})")
+    for output, want in ((5, "((5+(x1*x0))*x1)"), (6, "(x0*(5+(x1*x0)))"),
+                         (3, "(x1*x0)")):
+        c = Circuit("r", X3, P, nodes, output)
+        assert replay(c, *algebra) == want
+
+    def over_budget(a, b):
+        raise BudgetError("too big")
+    c = Circuit("r", X3, P, nodes, 6)
+    with pytest.raises(BudgetError, match=r"^node 3: too big$"):
+        replay(c, *algebra[:3], over_budget)
 
 
 def test_substitute_then_expand_commutes(rng):

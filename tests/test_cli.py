@@ -1,18 +1,23 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from nclift import (Alphabet, CircuitBuilder, build_decoder, format_automaton,
-                    format_circuit, format_poly, parse_poly)
+                    format_circuit, format_poly, iterate_decoder,
+                    iterate_encoder, one_shot_decode_circuit, parse_poly)
 
 P = 1_000_000_007
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(*args, env_extra=None, cwd=None):
-    import os
     env = dict(os.environ)
     env.pop("NCLIFT_MODULUS", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [SRC, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "nclift.cli", *args],
@@ -69,6 +74,28 @@ def test_encode_decode_round_trip(tmp_path, circuit_file):
                 "--right", str(back))
     assert r.returncode == 0
     assert r.stdout == "equal\n"
+
+
+@pytest.mark.parametrize("flags, lines, decode", [
+    ((), ["hadamard q=5 in_gates=19 out_gates=4300 bound=4975 ok=1",
+          "hadamard q=17 in_gates=9 out_gates=78030 bound=89879 ok=1"],
+     iterate_decoder),
+    (("--one-shot",),
+     ["hadamard q=61 in_gates=19 out_gates=8141548 bound=8658767 ok=1"],
+     one_shot_decode_circuit),
+])
+def test_decode_chain_witnesses_and_output(tmp_path, flags, lines, decode):
+    b = CircuitBuilder(Alphabet("X", 512), P, name="g")
+    c = b.finish(b.add(b.mul(b.var(5), b.var(300)),
+                       b.mul(b.const(3), b.var(511))))
+    enc = iterate_encoder(c, 2, 2)
+    src, out = tmp_path / "enc.circ", tmp_path / "dec.circ"
+    src.write_text(format_circuit(enc))
+    r = run_cli("decode", *flags, "--n", "2", "--d", "2", "--in", str(src),
+                "--out", str(out))
+    assert r.returncode == 0
+    assert r.stdout.splitlines() == lines
+    assert out.read_text() == format_circuit(decode(enc, 2, 2))
 
 
 def test_encode_poly_output(tmp_path, poly_file):
