@@ -16,7 +16,8 @@ from .errors import BudgetError, FormatError
 from .matrices import SquareMatrix
 from .polynomials import (Alphabet, NCPolynomial, add_maps, check_name,
                           length_lex_key, mul_maps)
-from .scalars import Scalar, require_prime_modulus
+from .scalars import (Scalar, assigned_residue, require_prime_modulus,
+                      residue)
 
 DEFAULT_MAX_DEGREE = 64
 DEFAULT_MAX_TERMS = 200_000
@@ -252,26 +253,10 @@ def replay(circuit: Circuit, var: Callable, const: Callable,
     return vals[circuit.output]
 
 
-def _residue(a, p: int) -> int:
-    if isinstance(a, Scalar):
-        if a.modulus != p:
-            raise ValueError(f"modulus mismatch: {p} vs {a.modulus}")
-        a = a.value
-    return a % p
-
-
-def _assignment_residue(assignment, var: int, p: int) -> int:
-    try:
-        a = assignment[var]
-    except (KeyError, IndexError) as exc:
-        raise ValueError(f"variable x{var} has no assigned value") from exc
-    return _residue(a, p)
-
-
 def eval_scalar(circuit: Circuit, assignment) -> Scalar:
     """Evaluate at scalars; assignment is a sequence or map var -> value."""
     p = circuit.modulus
-    value = replay(circuit, lambda v: _assignment_residue(assignment, v, p),
+    value = replay(circuit, lambda v: assigned_residue(assignment, v, p),
                    lambda c: c % p, lambda a, b: (a + b) % p,
                    lambda a, b: a * b % p)
     return Scalar(value, p)
@@ -329,7 +314,7 @@ def eval_matrix(circuit: Circuit, point: Mapping[int, SquareMatrix],
             raise ValueError(f"dimension mismatch: {dim} vs {m.dim}")
         if not all(isinstance(e, Scalar) for row in m.rows for e in row):
             raise ValueError(f"matrix for x{v} has non-Scalar entries")
-        raw[v] = [[_residue(e, p) for e in row] for row in m.rows]
+        raw[v] = [[residue(e, p) for e in row] for row in m.rows]
     if dim is None:
         raise ValueError("dim is required when no matrices are given")
     rows = eval_matrix_residues(circuit, raw, dim, p)

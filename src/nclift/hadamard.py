@@ -12,7 +12,9 @@ an x-polynomial.  Three routes with one answer:
   * hadamard_eval     evaluates f's circuit at the automaton's q x q
     transition matrices, no x specialised, and reads one entry;
   * hadamard_circuit  synthesises an x-circuit by replaying f's gates
-    on sparse q x q blocks of node ids, one block per gate.
+    on sparse q x q blocks of node ids, one block per gate.  A boolean
+    support pass and a reverse demand pass come first, so each block
+    builds only the cells that the (start, accept) output reads.
 
 The synthesis costs at most 2 q^3 nodes per gate of f plus q^2 per leaf
 before constant folding; hadamard_witness records that accounting.
@@ -23,9 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .automata import WeightedAutomaton
-from .circuits import Circuit, CircuitBuilder, replay
+from .circuits import AddNode, Circuit, CircuitBuilder, MulNode, replay
 from .polynomials import NCPolynomial, add_maps, mul_maps
-from .scalars import Scalar
+from .scalars import assigned_residue
 
 
 def _check_compatible(circuit: Circuit, automaton: WeightedAutomaton) -> None:
@@ -52,20 +54,6 @@ def hadamard_poly(f: NCPolynomial,
     return acc
 
 
-def _point_residue(point, letter: int, p: int) -> int:
-    if point is None:
-        return 1
-    try:
-        a = point[letter]
-    except (KeyError, IndexError) as exc:
-        raise ValueError(f"letter y{letter} has no assigned value") from exc
-    if isinstance(a, Scalar):
-        if a.modulus != p:
-            raise ValueError(f"modulus mismatch: {p} vs {a.modulus}")
-        a = a.value
-    return a % p
-
-
 def hadamard_eval(circuit: Circuit, automaton: WeightedAutomaton,
                   point=None) -> NCPolynomial:
     """Evaluate the product by matrix substitution.
@@ -82,7 +70,8 @@ def hadamard_eval(circuit: Circuit, automaton: WeightedAutomaton,
     empty: dict = {}
     mats: dict[int, list[list[dict]]] = {}
     for letter in range(circuit.alphabet.size):
-        scale = _point_residue(point, letter, p)
+        scale = (1 if point is None
+                 else assigned_residue(point, letter, p, "letter y"))
         rows = [[empty] * q for _ in range(q)]
         if scale:
             for src, tgt, coeff, var in automaton.steps(letter):
@@ -188,16 +177,21 @@ def _block_add(b: CircuitBuilder, x: dict, y: dict) -> dict:
     return out
 
 
-def _block_mul(b: CircuitBuilder, x: dict, y: dict, cache: dict) -> dict:
+def _block_mul(b: CircuitBuilder, x: dict, y: dict, cache: dict,
+               want: list[int]) -> dict:
+    """The cells of x y that `want` (row bitmasks) asks for."""
     rows: dict[int, list[tuple[int, int]]] = {}
     for (k, j), nid in y.items():
         rows.setdefault(k, []).append((j, nid))
     out: dict = {}
     for (i, k), left in x.items():
         row = rows.get(k)
-        if not row:
+        cols = want[i]
+        if not row or not cols:
             continue
         for j, right in row:
+            if not cols >> j & 1:
+                continue
             prod = _node_product(b, left, right, cache)
             if prod is None:
                 continue
@@ -214,6 +208,104 @@ def _block_mul(b: CircuitBuilder, x: dict, y: dict, cache: dict) -> dict:
     return out
 
 
+def _restrict(block: dict, want: list[int]) -> dict:
+    return {key: nid for key, nid in block.items()
+            if want[key[0]] >> key[1] & 1}
+
+
+def _supports(circuit: Circuit, automaton: WeightedAutomaton) -> list:
+    """Per node, the block cells that may be nonzero, as q row bitmasks.
+
+    Letters give their transition pattern, a nonzero constant the
+    identity; add ORs rows and mul takes the boolean row product.  A
+    cell can be absent from the synthesised block (its constants
+    cancelled) but never present outside its support.
+    """
+    q = automaton.num_states
+    p = circuit.modulus
+    letters = []
+    for letter in range(circuit.alphabet.size):
+        rows = [0] * q
+        for src, tgt, _, _ in automaton.steps(letter):
+            rows[src] |= 1 << tgt
+        letters.append(tuple(rows))
+    ident = tuple(1 << i for i in range(q))
+    zero = (0,) * q
+    sups: list = []
+    products: dict = {}     # encoded inputs repeat a few letter products
+
+    def keep(rows: tuple) -> tuple:
+        sups.append(rows)
+        return rows
+
+    def mul(a: tuple, b: tuple) -> tuple:
+        out = products.get((a, b))
+        if out is None:
+            acc = []
+            for ks in a:
+                row = 0
+                while ks:
+                    low = ks & -ks
+                    row |= b[low.bit_length() - 1]
+                    ks ^= low
+                acc.append(row)
+            out = products[(a, b)] = tuple(acc)
+        return keep(out)
+
+    replay(circuit, lambda v: keep(letters[v]),
+           lambda c: keep(ident if c % p else zero),
+           lambda a, b: keep(tuple(x | y for x, y in zip(a, b))), mul)
+    return sups
+
+
+def _demands(circuit: Circuit, sups: list, cell: tuple[int, int]) -> list:
+    """Per node, the cells its parents read (row bitmasks), None if none.
+
+    Walks parents before children from the output's `cell`.  An add
+    passes its demand to both children within their supports; a mul
+    that wants (i, j) wants (i, k) of its left child and (k, j) of its
+    right child for every k their supports connect.
+    """
+    nodes = circuit.nodes
+    q = len(sups[0])
+    dem: list = [None] * len(nodes)
+
+    def merge(child: int, rows: list[int]) -> None:
+        if any(rows):
+            cur = dem[child]
+            dem[child] = (rows if cur is None
+                          else [a | b for a, b in zip(cur, rows)])
+
+    i, j = cell
+    root = [0] * q
+    root[i] = sups[circuit.output][i] & 1 << j
+    merge(circuit.output, root)
+    for v in range(len(nodes) - 1, -1, -1):
+        want = dem[v]
+        if want is None:
+            continue
+        node = nodes[v]
+        if isinstance(node, AddNode):
+            for child in (node.lhs, node.rhs):
+                merge(child, [w & s for w, s in zip(want, sups[child])])
+        elif isinstance(node, MulNode):
+            left, right = sups[node.lhs], sups[node.rhs]
+            lwant, rwant = [0] * q, [0] * q
+            for r, cols in enumerate(want):
+                ks = left[r] if cols else 0
+                while ks:
+                    low = ks & -ks
+                    k = low.bit_length() - 1
+                    ks ^= low
+                    hit = right[k] & cols
+                    if hit:
+                        lwant[r] |= low
+                        rwant[k] |= hit
+            merge(node.lhs, lwant)
+            merge(node.rhs, rwant)
+    return dem
+
+
 def hadamard_circuit(circuit: Circuit, automaton: WeightedAutomaton, *,
                      name: str | None = None) -> Circuit:
     """Synthesise an x-circuit computing the Hadamard product.
@@ -222,32 +314,64 @@ def hadamard_circuit(circuit: Circuit, automaton: WeightedAutomaton, *,
     cells are node ids in the output circuit: letters load their
     transition-matrix block, constants load c times the identity, adds
     union cells, muls take block products.  The output is the block
-    cell (start, accept).  Cells multiply through shared constant
-    nodes, so paths of weight 1 cost nothing after folding; the result
-    is pruned to what the output reaches.
+    cell (start, accept), and only the cells it reads are built, in
+    three passes:
+
+      * support (forward): the cells of each block that may be
+        nonzero, as boolean matrices;
+      * demand (reverse): from (start, accept) at the output, the
+        cells each node's parents read, within its support;
+      * emission (forward): the blocks, restricted to demanded cells;
+        a node nothing reads builds nothing.
+
+    Cells multiply through shared constant nodes, so paths of weight 1
+    cost nothing after folding.  Letter weights are emitted eagerly,
+    and cells whose constants cancel leave nodes no one reads, so the
+    result is pruned to what the output reaches.
     """
     _check_compatible(circuit, automaton)
     p = circuit.modulus
+    q = automaton.num_states
     b = CircuitBuilder(automaton.x_alphabet, p,
                        name=name or f"{circuit.name}.had")
-    letter_blocks: dict[int, dict] = {}
+    letter_rows = []    # per letter, per source state: [(target, node)]
     for letter in range(circuit.alphabet.size):
-        block: dict = {}
+        rows: list[list] = [[] for _ in range(q)]
         for src, tgt, coeff, var in automaton.steps(letter):
-            block[(src, tgt)] = _weight_node(b, coeff, var)
-        letter_blocks[letter] = block
+            rows[src].append((tgt, _weight_node(b, coeff, var)))
+        letter_rows.append(rows)
+
+    demand = iter(_demands(circuit, _supports(circuit, automaton),
+                           (automaton.start, automaton.accept)))
+    cache: dict = {}
+
+    def var(letter: int) -> dict:
+        want = next(demand)
+        if not want:
+            return {}
+        rows = letter_rows[letter]
+        return {(i, j): nid for i, cols in enumerate(want) if cols
+                for j, nid in rows[i] if cols >> j & 1}
 
     def const(c: int) -> dict:
+        want = next(demand)
         c %= p
-        if not c:
+        if not (want and c):
             return {}
-        nid = b.const(c)
-        return {(i, i): nid for i in range(automaton.num_states)}
+        nid = b.const(c)    # demand lies within the support: diagonal
+        return {(i, i): nid for i in range(q) if want[i]}
 
-    cache: dict = {}
-    value = replay(circuit, letter_blocks.__getitem__, const,
-                   lambda x, y: _block_add(b, x, y),
-                   lambda x, y: _block_mul(b, x, y, cache))
+    def add(x: dict, y: dict) -> dict:
+        want = next(demand)
+        if not want:
+            return {}
+        return _block_add(b, _restrict(x, want), _restrict(y, want))
+
+    def mul(x: dict, y: dict) -> dict:
+        want = next(demand)
+        return _block_mul(b, x, y, cache, want) if want else {}
+
+    value = replay(circuit, var, const, add, mul)
     out = value.get((automaton.start, automaton.accept))
     if out is None:
         out = b.const(0)

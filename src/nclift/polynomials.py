@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import FormatError
-from .scalars import Scalar, require_prime_modulus
+from .scalars import Scalar, assigned_residue, require_prime_modulus
 
 Letters = tuple[int, ...]
 
@@ -250,10 +250,7 @@ class NCPolynomial:
         for w, c in self.terms.items():
             v = c
             for i in w:
-                a = assignment[i]
-                if isinstance(a, Scalar):
-                    a = a.value
-                v = v * a % p
+                v = v * assigned_residue(assignment, i, p) % p
             total = (total + v) % p
         return Scalar(total, p)
 

@@ -140,3 +140,24 @@ class Scalar:
 
     def __str__(self) -> str:
         return str(self.value)
+
+
+def residue(a, p: int) -> int:
+    """An int or Scalar reduced mod p; a Scalar of another modulus is a
+    ValueError."""
+    if isinstance(a, Scalar):
+        if a.modulus != p:
+            raise ValueError(f"modulus mismatch: {p} vs {a.modulus}")
+        a = a.value
+    return a % p
+
+
+def assigned_residue(assignment, index: int, p: int,
+                     label: str = "variable x") -> int:
+    """residue(assignment[index], p) for a sequence or map; a missing
+    entry is a ValueError naming `<label><index>`."""
+    try:
+        a = assignment[index]
+    except (KeyError, IndexError) as exc:
+        raise ValueError(f"{label}{index} has no assigned value") from exc
+    return residue(a, p)

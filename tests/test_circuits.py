@@ -71,6 +71,15 @@ def test_eval_scalar_matches_expand(rng):
         assert eval_scalar(c, point) == expand(c).evaluate(point)
 
 
+def test_eval_scalar_checks_the_assignment():
+    c = build_sample()
+    with pytest.raises(ValueError,
+                       match="^variable x2 has no assigned value$"):
+        eval_scalar(c, {0: 1, 1: 1})
+    with pytest.raises(ValueError, match="^modulus mismatch: "):
+        eval_scalar(c, [1, 1, Scalar(1, 7)])
+
+
 def test_eval_matrix_matches_word_by_word_oracle(rng):
     one, zero = Scalar.one(P), Scalar.zero(P)
     for _ in range(30):

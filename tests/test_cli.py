@@ -98,6 +98,24 @@ def test_decode_chain_witnesses_and_output(tmp_path, flags, lines, decode):
     assert out.read_text() == format_circuit(decode(enc, 2, 2))
 
 
+@pytest.mark.parametrize("flags", [(), ("--one-shot",)])
+def test_decode_output_ignores_hash_seed(tmp_path, flags):
+    b = CircuitBuilder(Alphabet("X", 512), P, name="g")
+    s = b.add(b.var(5), b.var(300))
+    c = b.finish(b.add(b.mul(s, s), b.mul(b.const(3), b.var(511))))
+    src = tmp_path / "enc.circ"
+    src.write_text(format_circuit(iterate_encoder(c, 2, 2)))
+    texts = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"dec{seed}.circ"
+        r = run_cli("decode", *flags, "--n", "2", "--d", "2",
+                    "--in", str(src), "--out", str(out),
+                    env_extra={"PYTHONHASHSEED": seed})
+        assert r.returncode == 0
+        texts.append(out.read_bytes())
+    assert texts[0] == texts[1]
+
+
 def test_encode_poly_output(tmp_path, poly_file):
     out = tmp_path / "enc.poly"
     r = run_cli("encode", "--in", str(poly_file), "--n", "2", "--d", "1",

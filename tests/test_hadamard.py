@@ -1,9 +1,13 @@
+from dataclasses import replace
+
 import pytest
 
-from nclift import (DEFAULT_MODULUS, Alphabet, CircuitBuilder, HadamardWitness,
-                    NCPolynomial, build_decoder, circuit_from_poly,
-                    encode_circuit, expand, hadamard_circuit, hadamard_eval,
-                    hadamard_poly, hadamard_witness)
+from nclift import (DEFAULT_MODULUS, AddNode, Alphabet, CircuitBuilder,
+                    HadamardWitness, MulNode, NCPolynomial, Scalar,
+                    Transition, Weight, build_decoder, circuit_from_poly,
+                    decode_circuit, encode_circuit, expand, hadamard_circuit,
+                    hadamard_eval, hadamard_poly, hadamard_witness,
+                    iterate_encoder, one_shot_decode_circuit, sample_family)
 from nclift.randcircuits import random_circuit
 
 from helpers import random_automaton, random_poly
@@ -38,6 +42,78 @@ def test_three_routes_agree_on_general_automata(rng):
                 == expand(hadamard_circuit(c, auto)))
 
 
+@pytest.mark.parametrize("p", [7, 97])
+def test_three_routes_agree_on_shared_subcircuits(rng, p):
+    """Random DAGs read one node from several gates, so synthesis must
+    build the union of the cells its parents need; at small moduli
+    constants cancel, and a cell the support pass allows may vanish."""
+    Y = Alphabet("Y", 2)
+    shared = 0
+    for _ in range(80):
+        q = rng.randint(1, 4)
+        auto = random_automaton(rng, states=q, letters=2, xvars=3,
+                                modulus=p, arrows=rng.randint(1, 2 * q * q))
+        c = random_circuit(Y, p, rng, max_gates=15, max_degree=4)
+        reads = [child for node in c.nodes
+                 if isinstance(node, (AddNode, MulNode))
+                 for child in (node.lhs, node.rhs)]
+        shared += len(reads) > len(set(reads))
+        assert (hadamard_poly(expand(c), auto) == hadamard_eval(c, auto)
+                == expand(hadamard_circuit(c, auto)))
+    assert shared > 40
+
+
+def count_gates(monkeypatch) -> list[int]:
+    """From now on, count every add and mul any CircuitBuilder emits."""
+    emitted = [0]
+    for name in ("add", "mul"):
+        def counted(self, lhs, rhs, build=getattr(CircuitBuilder, name)):
+            emitted[0] += 1
+            return build(self, lhs, rhs)
+        monkeypatch.setattr(CircuitBuilder, name, counted)
+    return emitted
+
+
+@pytest.mark.parametrize("kind", ["sum-of-squares", "random-sparse"])
+def test_decoding_emits_only_gates_it_keeps(monkeypatch, kind):
+    """Every add and mul a block decode asks the builder for survives
+    pruning: no cell the output does not read is built."""
+    f = sample_family(kind, 512, 3, 1, terms=40).circuit
+    cases = [(encode_circuit(f, 8), lambda c: decode_circuit(c, 8)),
+             (iterate_encoder(f, 2, 2),
+              lambda c: one_shot_decode_circuit(c, 2, 2))]
+    emitted = count_gates(monkeypatch)
+    want = expand(f)
+    for enc, decode in cases:
+        emitted[0] = 0
+        out = decode(enc)
+        assert emitted[0] == out.size_report().gates
+        assert expand(out) == want
+
+
+def test_shared_subcircuits_emit_only_gates_they_keep(rng, monkeypatch):
+    """On DAGs, each node builds exactly the cells some parent reads.
+    Unit weights emit no gates of their own, and at a large modulus no
+    constants cancel, so every emitted gate must survive pruning."""
+    Y = Alphabet("Y", 2)
+    cases = []
+    for _ in range(40):
+        q = rng.randint(1, 4)
+        auto = random_automaton(rng, states=q, letters=2, xvars=3,
+                                modulus=P, arrows=rng.randint(1, 2 * q * q))
+        unit = tuple(Transition(t.source, t.letter, t.target,
+                                Weight(1, t.weight.var))
+                     for t in auto.transitions)
+        cases.append((replace(auto, transitions=unit),
+                      random_circuit(Y, P, rng, max_gates=15, max_degree=4)))
+    emitted = count_gates(monkeypatch)
+    for auto, c in cases:
+        emitted[0] = 0
+        out = hadamard_circuit(c, auto)
+        assert emitted[0] == out.size_report().gates
+        assert expand(out) == hadamard_eval(c, auto)
+
+
 def test_eval_point_scales_each_letter(rng):
     Y = Alphabet("Y", 2)
     for _ in range(20):
@@ -52,6 +128,16 @@ def test_eval_point_scales_each_letter(rng):
             scaled[w.letters] = c
         want = hadamard_poly(NCPolynomial(Y, P, scaled), auto)
         assert hadamard_eval(circuit_from_poly(f), auto, point) == want
+
+
+def test_eval_point_is_checked():
+    dec = build_decoder(2, modulus=P)
+    b = CircuitBuilder(Alphabet("Y", 2), P)
+    c = b.finish(b.mul(b.var(0), b.var(1)))
+    with pytest.raises(ValueError, match="^letter y1 has no assigned value$"):
+        hadamard_eval(c, dec, [1])
+    with pytest.raises(ValueError, match="^modulus mismatch: "):
+        hadamard_eval(c, dec, [1, Scalar(1, 7)])
 
 
 def test_all_ones_point_is_plain_product(rng):

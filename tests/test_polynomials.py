@@ -112,6 +112,19 @@ def test_evaluate_known_value():
     assert f.evaluate({0: 4, 1: 7}) == Scalar(82, p)
 
 
+def test_evaluate_checks_the_assignment():
+    p = DEFAULT_MODULUS
+    f = NCPolynomial.variable(0, Alphabet("X", 1), p)
+    with pytest.raises(ValueError, match="^modulus mismatch: "):
+        f.evaluate([Scalar(3, 7)])
+    assert f.evaluate([Scalar(3, p)]) == Scalar(3, p)
+    g = NCPolynomial(Alphabet("X", 2), 7, {(0, 1): 1})
+    for point in ([4], {0: 4}):
+        with pytest.raises(ValueError,
+                           match="^variable x1 has no assigned value$"):
+            g.evaluate(point)
+
+
 def test_letter_range_checked():
     with pytest.raises(ValueError):
         NCPolynomial(X3, 7, {(3,): 1})
