@@ -17,7 +17,7 @@ order.  They invert the block encoders in the lifting module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import BudgetError, FormatError
 from .matrices import SquareMatrix
@@ -55,8 +55,7 @@ def index_to_word(index: int, base: int, length: int) -> Letters:
     return tuple(reversed(digits))
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(NamedTuple):
     """Either the scalar `coeff` (var None) or the term coeff * x_var."""
 
     coeff: int
@@ -67,8 +66,7 @@ class Weight:
         return self.var is None
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     source: int
     letter: int
     target: int
@@ -86,43 +84,63 @@ class WeightedAutomaton:
     transitions: tuple[Transition, ...]
 
     def __post_init__(self) -> None:
-        require_prime_modulus(self.modulus)
-        if self.num_states < 1:
+        """Check ranges and bring transitions to canonical form.
+
+        Canonical: sorted by strictly increasing (source, letter,
+        target), coefficients in 1..p-1, so parallel arrows are merged
+        and zero weights dropped.  Input already in that form (both
+        decoder builders emit it) is kept as it is; from the first
+        transition that breaks it on, the rest are merged and re-sorted.
+        """
+        p = require_prime_modulus(self.modulus)
+        q = self.num_states
+        if q < 1:
             raise ValueError("an automaton needs at least one state")
         for label, state in (("start", self.start), ("accept", self.accept)):
-            if not 0 <= state < self.num_states:
+            if not 0 <= state < q:
                 raise ValueError(f"{label} state {state} out of range")
-        merged: dict[tuple[int, int, int], Weight] = {}
-        for t in self.transitions:
-            if not 0 <= t.source < self.num_states:
-                raise ValueError(f"transition source {t.source} out of range")
-            if not 0 <= t.target < self.num_states:
-                raise ValueError(f"transition target {t.target} out of range")
-            if not 0 <= t.letter < self.y_alphabet.size:
-                raise ValueError(f"transition letter y{t.letter} outside "
-                                 f"alphabet of size {self.y_alphabet.size}")
-            w = t.weight
-            if w.var is not None and not 0 <= w.var < self.x_alphabet.size:
-                raise ValueError(f"weight variable x{w.var} outside alphabet "
-                                 f"of size {self.x_alphabet.size}")
-            key = (t.source, t.letter, t.target)
+        letters, xvars = self.y_alphabet.size, self.x_alphabet.size
+        transitions = tuple(self.transitions)
+        merged: dict[tuple[int, int, int], Weight] | None = None
+        last = (-1, -1, -1)
+        for index, t in enumerate(transitions):
+            source, letter, target, w = t
+            if not 0 <= source < q:
+                raise ValueError(f"transition source {source} out of range")
+            if not 0 <= target < q:
+                raise ValueError(f"transition target {target} out of range")
+            if not 0 <= letter < letters:
+                raise ValueError(f"transition letter y{letter} outside "
+                                 f"alphabet of size {letters}")
+            coeff, var = w
+            if var is not None and not 0 <= var < xvars:
+                raise ValueError(f"weight variable x{var} outside alphabet "
+                                 f"of size {xvars}")
+            key = (source, letter, target)
+            if merged is None:
+                if (key > last and 0 < coeff < p and type(t) is Transition
+                        and type(w) is Weight):
+                    last = key
+                    continue
+                merged = {u[:3]: u.weight for u in transitions[:index]}
             prev = merged.get(key)
             if prev is None:
-                merged[key] = Weight(w.coeff % self.modulus, w.var)
-            elif prev.var == w.var:
-                merged[key] = Weight((prev.coeff + w.coeff) % self.modulus,
-                                     w.var)
+                merged[key] = Weight(coeff % p, var)
+            elif prev.var == var:
+                merged[key] = Weight((prev.coeff + coeff) % p, var)
             else:
                 raise ValueError(f"transitions {key} mix scalar and term "
                                  f"weights, or terms in different variables")
-        canon = tuple(Transition(s, a, t, w)
-                      for (s, a, t), w in sorted(merged.items())
-                      if w.coeff != 0)
+        if merged is None:
+            canon = transitions
+        else:
+            canon = tuple(Transition(s, a, t, w)
+                          for (s, a, t), w in sorted(merged.items())
+                          if w.coeff != 0)
         object.__setattr__(self, "transitions", canon)
         steps: dict[int, list[tuple[int, int, int, int | None]]] = {}
-        for t in canon:
-            steps.setdefault(t.letter, []).append(
-                (t.source, t.target, t.weight.coeff, t.weight.var))
+        for source, letter, target, (coeff, var) in canon:
+            steps.setdefault(letter, []).append((source, target, coeff, var))
         object.__setattr__(self, "_steps",
                            {a: tuple(v) for a, v in steps.items()})
 
@@ -369,7 +387,7 @@ def format_automaton(a: WeightedAutomaton) -> str:
 
 
 def _letter_token(tok: str, prefix: str, size: int, lineno: int) -> int:
-    if not tok.startswith(prefix) or not tok[len(prefix):].isdigit():
+    if not tok.startswith(prefix) or not tok[len(prefix):].isdecimal():
         raise FormatError(f"line {lineno}: expected {prefix}<index>, "
                           f"got {tok!r}")
     i = int(tok[len(prefix):])

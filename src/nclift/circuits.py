@@ -478,11 +478,11 @@ def parse_circuit(text: str) -> Circuit:
         if toks[0] == "output":
             if output is not None:
                 raise FormatError(f"line {lineno}: duplicate output line")
-            if len(toks) != 2 or not toks[1].isdigit():
+            if len(toks) != 2 or not toks[1].isdecimal():
                 raise FormatError(f"line {lineno}: bad output line")
             output = int(toks[1])
             continue
-        if toks[0] != "node" or len(toks) < 4 or not toks[1].isdigit():
+        if toks[0] != "node" or len(toks) < 4 or not toks[1].isdecimal():
             raise FormatError(f"line {lineno}: expected a node line")
         nid = int(toks[1])
         if nid != len(nodes):

@@ -23,9 +23,12 @@ before constant folding; hadamard_witness records that accounting.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .automata import WeightedAutomaton
-from .circuits import AddNode, Circuit, CircuitBuilder, MulNode, replay
+from .circuits import (AddNode, Circuit, CircuitBuilder, InputNode, MulNode,
+                       replay)
+from .errors import BudgetError
 from .polynomials import NCPolynomial, add_maps, mul_maps
 from .scalars import assigned_residue
 
@@ -116,13 +119,6 @@ def hadamard_eval(circuit: Circuit, automaton: WeightedAutomaton,
 
 # ---------------------------------------------------------------------------
 # Circuit synthesis.  Blocks are sparse: {(i, j): node id}, absent = 0.
-
-def _weight_node(b: CircuitBuilder, coeff: int, var: int | None) -> int:
-    if var is None:
-        return b.const(coeff)
-    x = b.var(var)
-    return x if coeff == 1 else b.mul(b.const(coeff), x)
-
 
 def _node_sum(b: CircuitBuilder, lhs: int, rhs: int) -> int | None:
     """Add two entry nodes; folded constants may cancel to None (zero)."""
@@ -258,8 +254,10 @@ def _supports(circuit: Circuit, automaton: WeightedAutomaton) -> list:
     return sups
 
 
-def _demands(circuit: Circuit, sups: list, cell: tuple[int, int]) -> list:
-    """Per node, the cells its parents read (row bitmasks), None if none.
+def _demands(circuit: Circuit, sups: list,
+             cell: tuple[int, int]) -> tuple[list, list]:
+    """Per node, the cells its parents read (row bitmasks), None if none;
+    and per letter, the union of those over the letter's input nodes.
 
     Walks parents before children from the output's `cell`.  An add
     passes its demand to both children within their supports; a mul
@@ -269,6 +267,7 @@ def _demands(circuit: Circuit, sups: list, cell: tuple[int, int]) -> list:
     nodes = circuit.nodes
     q = len(sups[0])
     dem: list = [None] * len(nodes)
+    read = [[0] * q for _ in range(circuit.alphabet.size)]
 
     def merge(child: int, rows: list[int]) -> None:
         if any(rows):
@@ -303,11 +302,50 @@ def _demands(circuit: Circuit, sups: list, cell: tuple[int, int]) -> list:
                         rwant[k] |= hit
             merge(node.lhs, lwant)
             merge(node.rhs, rwant)
-    return dem
+        elif isinstance(node, InputNode):
+            rows = read[node.var]
+            for r in compress(range(q), want):
+                rows[r] |= want[r]
+    return dem, read
+
+
+def _letter_rows(b: CircuitBuilder, automaton: WeightedAutomaton,
+                 read: list) -> list:
+    """Per letter, per source state, the (target, node) weights read.
+
+    A transition is read when its cell is in its letter's `read` rows
+    (see _demands).  Transitions are walked in order, and each asks the
+    builder for its constant (the builder shares constants with the
+    rest of the synthesis, so where one is first made fixes its place
+    in the output), for its variable if some read transition uses that
+    variable, and for its c * x_i product only if it is read itself.
+    So every node the output reaches is made in the same order as if
+    every weight were emitted, and no variable is made that no read
+    transition uses.
+    """
+    q = automaton.num_states
+    used = {var for letter, want in enumerate(read)
+            for src, tgt, _, var in automaton.steps(letter)
+            if var is not None and want[src] >> tgt & 1}
+    out = []
+    for letter, want in enumerate(read):
+        rows: list[list] = [[] for _ in range(q)]
+        for src, tgt, coeff, var in automaton.steps(letter):
+            x = b.var(var) if var in used else None
+            c = b.const(coeff) if var is None or coeff != 1 else None
+            if want[src] >> tgt & 1:
+                nid = c if x is None else x if c is None else b.mul(c, x)
+                rows[src].append((tgt, nid))
+        out.append(rows)
+    return out
+
+
+DEFAULT_MAX_NODES = 2_000_000
 
 
 def hadamard_circuit(circuit: Circuit, automaton: WeightedAutomaton, *,
-                     name: str | None = None) -> Circuit:
+                     name: str | None = None,
+                     max_nodes: int = DEFAULT_MAX_NODES) -> Circuit:
     """Synthesise an x-circuit computing the Hadamard product.
 
     Every gate of the source circuit is replayed on q x q blocks whose
@@ -321,29 +359,31 @@ def hadamard_circuit(circuit: Circuit, automaton: WeightedAutomaton, *,
         nonzero, as boolean matrices;
       * demand (reverse): from (start, accept) at the output, the
         cells each node's parents read, within its support;
-      * emission (forward): the blocks, restricted to demanded cells;
-        a node nothing reads builds nothing.
+      * emission (forward): the letter weights those cells read, then
+        the blocks, restricted to demanded cells; a node nothing reads
+        builds nothing.
 
     Cells multiply through shared constant nodes, so paths of weight 1
-    cost nothing after folding.  Letter weights are emitted eagerly,
-    and cells whose constants cancel leave nodes no one reads, so the
-    result is pruned to what the output reaches.
+    cost nothing after folding.  Cells whose constants cancel leave
+    nodes no one reads, so the result is pruned to what the output
+    reaches.  Once more than max_nodes nodes are emitted, the add or
+    mul gate being replayed raises BudgetError.
     """
     _check_compatible(circuit, automaton)
     p = circuit.modulus
     q = automaton.num_states
     b = CircuitBuilder(automaton.x_alphabet, p,
                        name=name or f"{circuit.name}.had")
-    letter_rows = []    # per letter, per source state: [(target, node)]
-    for letter in range(circuit.alphabet.size):
-        rows: list[list] = [[] for _ in range(q)]
-        for src, tgt, coeff, var in automaton.steps(letter):
-            rows[src].append((tgt, _weight_node(b, coeff, var)))
-        letter_rows.append(rows)
-
-    demand = iter(_demands(circuit, _supports(circuit, automaton),
-                           (automaton.start, automaton.accept)))
+    demands, read = _demands(circuit, _supports(circuit, automaton),
+                             (automaton.start, automaton.accept))
+    letter_rows = _letter_rows(b, automaton, read)
+    demand = iter(demands)
     cache: dict = {}
+    nodes = b.nodes
+
+    def over_budget() -> BudgetError:
+        return BudgetError(f"synthesis emitted {len(nodes)} nodes, "
+                           f"budget is {max_nodes}")
 
     def var(letter: int) -> dict:
         want = next(demand)
@@ -365,11 +405,19 @@ def hadamard_circuit(circuit: Circuit, automaton: WeightedAutomaton, *,
         want = next(demand)
         if not want:
             return {}
-        return _block_add(b, _restrict(x, want), _restrict(y, want))
+        block = _block_add(b, _restrict(x, want), _restrict(y, want))
+        if len(nodes) > max_nodes:
+            raise over_budget()
+        return block
 
     def mul(x: dict, y: dict) -> dict:
         want = next(demand)
-        return _block_mul(b, x, y, cache, want) if want else {}
+        if not want:
+            return {}
+        block = _block_mul(b, x, y, cache, want)
+        if len(nodes) > max_nodes:
+            raise over_budget()
+        return block
 
     value = replay(circuit, var, const, add, mul)
     out = value.get((automaton.start, automaton.accept))

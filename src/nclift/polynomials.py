@@ -371,7 +371,7 @@ def _parse_word_tokens(tokens: Iterable[str], size: int,
         return ()
     letters = []
     for t in tokens:
-        if not t.startswith("x") or not t[1:].isdigit():
+        if not t.startswith("x") or not t[1:].isdecimal():
             raise FormatError(f"line {lineno}: bad letter token {t!r}")
         i = int(t[1:])
         if i >= size:

@@ -137,6 +137,56 @@ def test_parallel_weights_merge():
                            Transition(0, 0, 1, Weight(4, 1))))
 
 
+def rebuilt_the_long_way(auto):
+    """auto, built again from its transitions in reverse order with
+    every weight split into two summands, so none of it is canonical."""
+    trans = []
+    for t in reversed(auto.transitions):
+        coeff, var = t.weight
+        for part in (2, coeff - 2):
+            trans.append(Transition(t.source, t.letter, t.target,
+                                    Weight(part, var)))
+    return WeightedAutomaton(auto.y_alphabet, auto.x_alphabet, auto.modulus,
+                             auto.num_states, auto.start, auto.accept,
+                             tuple(trans))
+
+
+@pytest.mark.parametrize("build, args", [
+    *((build_decoder, (m,)) for m in (1, 2, 3, 4)),
+    *((build_one_shot_decoder, nd) for nd in ((2, 1), (3, 1), (2, 2)))])
+def test_canonical_input_is_kept_and_matches_a_merge(build, args):
+    """The builders emit canonical transitions, which are kept as they
+    are; merging and sorting the same weights gives the same automaton."""
+    auto = build(*args, modulus=P)
+    again = WeightedAutomaton(auto.y_alphabet, auto.x_alphabet, auto.modulus,
+                              auto.num_states, auto.start, auto.accept,
+                              auto.transitions)
+    assert again.transitions is auto.transitions
+    merged = rebuilt_the_long_way(auto)
+    assert merged.transitions == auto.transitions
+    assert merged == auto
+    for a in range(auto.y_alphabet.size):
+        assert merged.steps(a) == auto.steps(a)
+
+
+def test_sorted_input_is_still_checked_and_reduced():
+    Y, X = Alphabet("Y", 2), Alphabet("X", 2)
+    first = Transition(0, 0, 0, Weight(5))
+    for bad in (Transition(0, 1, 2, Weight(1)),
+                Transition(0, 1, 1, Weight(1, 2))):
+        with pytest.raises(ValueError, match="out of range|outside"):
+            WeightedAutomaton(Y, X, 97, 2, 0, 0, (first, bad))
+    auto = WeightedAutomaton(Y, X, 97, 2, 0, 0,
+                             (first,
+                              Transition(0, 0, 1, Weight(97)),
+                              Transition(0, 1, 0, Weight(100, 1)),
+                              Transition(1, 1, 1, Weight(1))))
+    assert auto.transitions == (first,
+                                Transition(0, 1, 0, Weight(3, 1)),
+                                Transition(1, 1, 1, Weight(1)))
+    assert auto.steps(1) == ((0, 0, 3, 1), (1, 1, 1, None))
+
+
 def test_automaton_validation():
     Y, X = Alphabet("Y", 2), Alphabet("X", 2)
     with pytest.raises(ValueError):

@@ -5,9 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from nclift import (Alphabet, CircuitBuilder, build_decoder, format_automaton,
-                    format_circuit, format_poly, iterate_decoder,
-                    iterate_encoder, one_shot_decode_circuit, parse_poly)
+from nclift import (Alphabet, CircuitBuilder, build_decoder, cli,
+                    format_automaton, format_circuit, format_poly,
+                    hadamard_circuit, iterate_decoder, iterate_encoder,
+                    one_shot_decode_circuit, parse_poly)
 
 P = 1_000_000_007
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -173,6 +174,22 @@ def test_budget_exit_3(circuit_file):
     r = run_cli("expand", "--in", str(circuit_file), "--max-terms", "1")
     assert r.returncode == 3
     assert "budget" in r.stderr
+
+
+def test_synthesis_budget_exit_3(tmp_path, capsys, monkeypatch):
+    circuit = tmp_path / "c.circ"
+    b = CircuitBuilder(Alphabet("Y", 2), P, name="c")
+    code_word = b.mul(b.mul(b.var(0), b.var(1)), b.var(0))
+    circuit.write_text(format_circuit(b.finish(code_word)))
+    automaton = tmp_path / "d.aut"
+    automaton.write_text(format_automaton(build_decoder(2, modulus=P)))
+    monkeypatch.setitem(hadamard_circuit.__kwdefaults__, "max_nodes", 1)
+    code = cli.main(["hadamard", "--circuit", str(circuit), "--automaton",
+                     str(automaton), "--out", str(tmp_path / "h.circ")])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "nclift: budget exceeded: node 2: synthesis emitted 2 nodes, "
+        "budget is 1\n")
 
 
 def test_modulus_env_and_flag(tmp_path):

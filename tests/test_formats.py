@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nclift import (DEFAULT_MODULUS, Alphabet, FormatError, NCPolynomial,
                     build_decoder, build_one_shot_decoder, circuit_from_poly,
-                    format_automaton, format_circuit, format_poly,
+                    cli, format_automaton, format_circuit, format_poly,
                     parse_automaton, parse_circuit, parse_poly)
 from nclift.randcircuits import random_circuit
 
@@ -146,3 +148,68 @@ def test_parse_circuit_rejects(text):
 def test_parse_automaton_rejects(text):
     with pytest.raises(FormatError):
         parse_automaton(text)
+
+
+VALID_TEXTS = (POLY_GOLDEN, CIRCUIT_GOLDEN,
+               format_automaton(build_decoder(2, modulus=7)))
+TOKENS = st.one_of(
+    st.sampled_from(["poly", "circuit", "automaton", "over", "vars",
+                     "modulus", "letters", "states", "start", "accept",
+                     "xvars", "node", "var", "const", "add", "mul", "output",
+                     "trans", "scalar", "term", "x0", "x9", "y1", "y",
+                     ":", "#", "", "-", "+7", "0x1f", "1e3", "X", "Y"]),
+    st.integers(-3, 10 ** 12).map(str))
+
+
+@st.composite
+def mutated_texts(draw):
+    """A valid poly, circuit or automaton text after 1-4 token or
+    character mutations: a token replaced, inserted or deleted, or a
+    character replaced, inserted or deleted."""
+    text = draw(st.sampled_from(VALID_TEXTS))
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            lines = [line.split(" ") for line in text.split("\n")]
+            row = lines[draw(st.integers(0, len(lines) - 1))]
+            at = draw(st.integers(0, len(row)))
+            op = draw(st.sampled_from(["replace", "insert", "delete"]))
+            if op != "insert" and at < len(row):
+                del row[at]
+            if op != "delete":
+                row.insert(at, draw(TOKENS))
+            text = "\n".join(" ".join(row) for row in lines)
+        else:
+            at = draw(st.integers(0, len(text)))
+            op = draw(st.sampled_from(["replace", "insert", "delete"]))
+            char = draw(st.characters(codec="utf-8")) if op != "delete" else ""
+            text = text[:at] + char + text[at + (op != "insert"):]
+    return text
+
+
+@settings(max_examples=400)
+@given(mutated_texts())
+def test_parsers_raise_only_format_errors(text):
+    for parse in (parse_poly, parse_circuit, parse_automaton):
+        try:
+            parse(text)
+        except FormatError:
+            pass
+
+
+def test_cli_exits_2_on_a_mutated_file(tmp_path, capsys):
+    bad = tmp_path / "bad.circ"
+    bad.write_text(CIRCUIT_GOLDEN.replace("node 2 mul 1 0", "node 2 mul 1 9"))
+    assert cli.main(["expand", "--in", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("nclift: ")
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_poly, POLY_GOLDEN.replace("x0 x1", "x\u00b9")),
+    (parse_circuit, CIRCUIT_GOLDEN.replace("node 6", "node \u00b9")),
+    (parse_circuit, CIRCUIT_GOLDEN.replace("output 6", "output \u2076")),
+    (parse_automaton, VALID_TEXTS[2].replace(" y1 ", " y\u00b9 ")),
+], ids=["poly-letter", "circuit-node", "circuit-output", "automaton-letter"])
+def test_superscript_digits_are_format_errors(parse, text):
+    """str.isdigit accepts superscripts, which int() rejects."""
+    with pytest.raises(FormatError):
+        parse(text)

@@ -1,13 +1,16 @@
+import hashlib
+import random
 from dataclasses import replace
 
 import pytest
 
-from nclift import (DEFAULT_MODULUS, AddNode, Alphabet, CircuitBuilder,
-                    HadamardWitness, MulNode, NCPolynomial, Scalar,
-                    Transition, Weight, build_decoder, circuit_from_poly,
-                    decode_circuit, encode_circuit, expand, hadamard_circuit,
-                    hadamard_eval, hadamard_poly, hadamard_witness,
-                    iterate_encoder, one_shot_decode_circuit, sample_family)
+from nclift import (DEFAULT_MODULUS, AddNode, Alphabet, BudgetError,
+                    CircuitBuilder, HadamardWitness, MulNode, NCPolynomial,
+                    Scalar, Transition, Weight, build_decoder,
+                    circuit_from_poly, decode_circuit, encode_circuit, expand,
+                    format_circuit, hadamard_circuit, hadamard_eval,
+                    hadamard_poly, hadamard_witness, iterate_encoder,
+                    one_shot_decode_circuit, sample_family)
 from nclift.randcircuits import random_circuit
 
 from helpers import random_automaton, random_poly
@@ -76,18 +79,27 @@ def count_gates(monkeypatch) -> list[int]:
 
 @pytest.mark.parametrize("kind", ["sum-of-squares", "random-sparse"])
 def test_decoding_emits_only_gates_it_keeps(monkeypatch, kind):
-    """Every add and mul a block decode asks the builder for survives
-    pruning: no cell the output does not read is built."""
+    """Every add, mul and variable leaf a block decode asks the builder
+    for survives pruning: no cell or weight the output does not read is
+    built."""
     f = sample_family(kind, 512, 3, 1, terms=40).circuit
     cases = [(encode_circuit(f, 8), lambda c: decode_circuit(c, 8)),
              (iterate_encoder(f, 2, 2),
               lambda c: one_shot_decode_circuit(c, 2, 2))]
     emitted = count_gates(monkeypatch)
+    leaves = [0]
+
+    def counted_var(self, i, build=CircuitBuilder.var):
+        leaves[0] += 1
+        return build(self, i)
+    monkeypatch.setattr(CircuitBuilder, "var", counted_var)
     want = expand(f)
     for enc, decode in cases:
-        emitted[0] = 0
+        emitted[0] = leaves[0] = 0
         out = decode(enc)
-        assert emitted[0] == out.size_report().gates
+        report = out.size_report()
+        assert emitted[0] == report.gates
+        assert leaves[0] == report.inputs
         assert expand(out) == want
 
 
@@ -112,6 +124,55 @@ def test_shared_subcircuits_emit_only_gates_they_keep(rng, monkeypatch):
         out = hadamard_circuit(c, auto)
         assert emitted[0] == out.size_report().gates
         assert expand(out) == hadamard_eval(c, auto)
+
+
+def test_synthesis_bytes_are_pinned():
+    """The text of synthesised circuits, node order included, stays
+    what it was when this digest was taken.  The automata have weights
+    other than 1 and variables shared by several transitions, and the
+    circuits read only some of their cells, so leaves that are skipped
+    or emitted out of order change the digest."""
+    rng = random.Random(4099)
+    Y = Alphabet("Y", 2)
+    digest = hashlib.sha256()
+    for i in range(60):
+        p = (7, 97, P)[i % 3]
+        q = rng.randint(1, 4)
+        auto = random_automaton(rng, states=q, letters=2, xvars=3,
+                                modulus=p, arrows=rng.randint(1, 2 * q * q))
+        c = random_circuit(Y, p, rng, max_gates=15, max_degree=4)
+        digest.update(format_circuit(hadamard_circuit(c, auto)).encode())
+    for kind in ("sum-of-squares", "random-sparse"):
+        f = sample_family(kind, 512, 3, 1, terms=40).circuit
+        for out in (decode_circuit(encode_circuit(f, 8), 8),
+                    one_shot_decode_circuit(iterate_encoder(f, 2, 2), 2, 2)):
+            digest.update(format_circuit(out).encode())
+    assert digest.hexdigest() == (
+        "c03cd5589e6c3207807f9d6275d3e7ea67aea63329f50d719540333382c30fb4")
+
+
+def test_synthesis_budget(monkeypatch):
+    """A budget of exactly the nodes a synthesis emits changes nothing;
+    one node less stops it at the source gate that crosses it."""
+    f = sample_family("random-sparse", 512, 3, 1, terms=40).circuit
+    enc = encode_circuit(f, 8)
+    dec = build_decoder(8, modulus=P)
+    sizes = []
+
+    def counted_finish(self, output, finish=CircuitBuilder.finish, **kw):
+        sizes.append(len(self.nodes))
+        return finish(self, output, **kw)
+    monkeypatch.setattr(CircuitBuilder, "finish", counted_finish)
+    text = format_circuit(hadamard_circuit(enc, dec))
+    emitted = sizes[-1]
+    assert format_circuit(hadamard_circuit(enc, dec,
+                                           max_nodes=emitted)) == text
+    with pytest.raises(BudgetError, match=rf"^node \d+: synthesis emitted "
+                       rf"{emitted} nodes, budget is {emitted - 1}$"):
+        hadamard_circuit(enc, dec, max_nodes=emitted - 1)
+    with pytest.raises(BudgetError, match=r"^node \d+: synthesis emitted "
+                       r"\d+ nodes, budget is 1$"):
+        hadamard_circuit(enc, dec, max_nodes=1)
 
 
 def test_eval_point_scales_each_letter(rng):
