@@ -340,12 +340,14 @@ def _letter_rows(b: CircuitBuilder, automaton: WeightedAutomaton,
     return out
 
 
-DEFAULT_MAX_NODES = 2_000_000
+# Nodes one synthesis may emit.  Synthesis holds about 1 KB per emitted
+# node, so this stops it near 2 GB; the benchmark workloads emit at most
+# a few thousand.
+MAX_NODES = 2_000_000
 
 
 def hadamard_circuit(circuit: Circuit, automaton: WeightedAutomaton, *,
-                     name: str | None = None,
-                     max_nodes: int = DEFAULT_MAX_NODES) -> Circuit:
+                     name: str | None = None) -> Circuit:
     """Synthesise an x-circuit computing the Hadamard product.
 
     Every gate of the source circuit is replayed on q x q blocks whose
@@ -366,7 +368,7 @@ def hadamard_circuit(circuit: Circuit, automaton: WeightedAutomaton, *,
     Cells multiply through shared constant nodes, so paths of weight 1
     cost nothing after folding.  Cells whose constants cancel leave
     nodes no one reads, so the result is pruned to what the output
-    reaches.  Once more than max_nodes nodes are emitted, the add or
+    reaches.  Once more than MAX_NODES nodes are emitted, the add or
     mul gate being replayed raises BudgetError.
     """
     _check_compatible(circuit, automaton)
@@ -380,6 +382,7 @@ def hadamard_circuit(circuit: Circuit, automaton: WeightedAutomaton, *,
     demand = iter(demands)
     cache: dict = {}
     nodes = b.nodes
+    max_nodes = MAX_NODES
 
     def over_budget() -> BudgetError:
         return BudgetError(f"synthesis emitted {len(nodes)} nodes, "

@@ -154,14 +154,20 @@ def rebuilt_the_long_way(auto):
 @pytest.mark.parametrize("build, args", [
     *((build_decoder, (m,)) for m in (1, 2, 3, 4)),
     *((build_one_shot_decoder, nd) for nd in ((2, 1), (3, 1), (2, 2)))])
-def test_canonical_input_is_kept_and_matches_a_merge(build, args):
+def test_canonical_input_is_kept_and_matches_a_merge(build, args,
+                                                     monkeypatch):
     """The builders emit canonical transitions, which are kept as they
     are; merging and sorting the same weights gives the same automaton."""
+    passed_in = []
+
+    def recording_post_init(self, post_init=WeightedAutomaton.__post_init__):
+        passed_in.append(self.transitions)
+        post_init(self)
+    monkeypatch.setattr(WeightedAutomaton, "__post_init__",
+                        recording_post_init)
     auto = build(*args, modulus=P)
-    again = WeightedAutomaton(auto.y_alphabet, auto.x_alphabet, auto.modulus,
-                              auto.num_states, auto.start, auto.accept,
-                              auto.transitions)
-    assert again.transitions is auto.transitions
+    assert len(passed_in) == 1
+    assert auto.transitions is passed_in[0]
     merged = rebuilt_the_long_way(auto)
     assert merged.transitions == auto.transitions
     assert merged == auto

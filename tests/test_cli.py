@@ -6,9 +6,9 @@ from pathlib import Path
 import pytest
 
 from nclift import (Alphabet, CircuitBuilder, build_decoder, cli,
-                    format_automaton, format_circuit, format_poly,
-                    hadamard_circuit, iterate_decoder, iterate_encoder,
-                    one_shot_decode_circuit, parse_poly)
+                    format_automaton, format_circuit, format_poly, hadamard,
+                    iterate_decoder, iterate_encoder, one_shot_decode_circuit,
+                    parse_poly)
 
 P = 1_000_000_007
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -183,7 +183,7 @@ def test_synthesis_budget_exit_3(tmp_path, capsys, monkeypatch):
     circuit.write_text(format_circuit(b.finish(code_word)))
     automaton = tmp_path / "d.aut"
     automaton.write_text(format_automaton(build_decoder(2, modulus=P)))
-    monkeypatch.setitem(hadamard_circuit.__kwdefaults__, "max_nodes", 1)
+    monkeypatch.setattr(hadamard, "MAX_NODES", 1)
     code = cli.main(["hadamard", "--circuit", str(circuit), "--automaton",
                      str(automaton), "--out", str(tmp_path / "h.circ")])
     assert code == 3

@@ -8,9 +8,9 @@ from nclift import (DEFAULT_MODULUS, AddNode, Alphabet, BudgetError,
                     CircuitBuilder, HadamardWitness, MulNode, NCPolynomial,
                     Scalar, Transition, Weight, build_decoder,
                     circuit_from_poly, decode_circuit, encode_circuit, expand,
-                    format_circuit, hadamard_circuit, hadamard_eval,
-                    hadamard_poly, hadamard_witness, iterate_encoder,
-                    one_shot_decode_circuit, sample_family)
+                    format_circuit, hadamard, hadamard_circuit,
+                    hadamard_eval, hadamard_poly, hadamard_witness,
+                    iterate_encoder, one_shot_decode_circuit, sample_family)
 from nclift.randcircuits import random_circuit
 
 from helpers import random_automaton, random_poly
@@ -165,14 +165,16 @@ def test_synthesis_budget(monkeypatch):
     monkeypatch.setattr(CircuitBuilder, "finish", counted_finish)
     text = format_circuit(hadamard_circuit(enc, dec))
     emitted = sizes[-1]
-    assert format_circuit(hadamard_circuit(enc, dec,
-                                           max_nodes=emitted)) == text
+    monkeypatch.setattr(hadamard, "MAX_NODES", emitted)
+    assert format_circuit(hadamard_circuit(enc, dec)) == text
+    monkeypatch.setattr(hadamard, "MAX_NODES", emitted - 1)
     with pytest.raises(BudgetError, match=rf"^node \d+: synthesis emitted "
                        rf"{emitted} nodes, budget is {emitted - 1}$"):
-        hadamard_circuit(enc, dec, max_nodes=emitted - 1)
+        hadamard_circuit(enc, dec)
+    monkeypatch.setattr(hadamard, "MAX_NODES", 1)
     with pytest.raises(BudgetError, match=r"^node \d+: synthesis emitted "
                        r"\d+ nodes, budget is 1$"):
-        hadamard_circuit(enc, dec, max_nodes=1)
+        hadamard_circuit(enc, dec)
 
 
 def test_eval_point_scales_each_letter(rng):
