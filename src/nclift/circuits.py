@@ -438,8 +438,9 @@ def circuit_from_poly(f: NCPolynomial, name: str = "c") -> Circuit:
 #   node 2 mul 0 1
 #   output 2
 #
-# The parser accepts blank lines and '#' comments; the canonical printer
-# emits neither.  Node ids must be dense and ascending.
+# The header must be the first line.  After it, the parser accepts blank
+# lines and '#' comments; the canonical printer emits neither.  Node ids
+# must be dense and ascending.
 
 def format_circuit(c: Circuit) -> str:
     lines = [f"circuit {c.name} over {c.alphabet.name} "

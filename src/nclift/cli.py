@@ -12,6 +12,7 @@ Exit codes: 0 success (or verified equal), 1 verification failure
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -200,7 +201,10 @@ def cmd_accept(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: callers that run
+    `main` many times reuse it, and each parse returns a new namespace."""
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--modulus", type=int, default=None,
                         help="prime modulus (default: NCLIFT_MODULUS "

@@ -14,16 +14,20 @@ an x-polynomial.  Three routes with one answer:
   * hadamard_circuit  synthesises an x-circuit by replaying f's gates
     on sparse q x q blocks of node ids, one block per gate.  A boolean
     support pass and a reverse demand pass come first, so each block
-    builds only the cells that the (start, accept) output reads.
+    builds only the cells that the (start, accept) output reads.  The
+    support pass interns the distinct supports and the demand pass
+    keeps only demanded rows, so planning costs follow the cells read,
+    not q.
 
 The synthesis costs at most 2 q^3 nodes per gate of f plus q^2 per leaf
-before constant folding; hadamard_witness records that accounting.
+before constant folding.  hadamard_witness works that accounting out
+from gate counts alone; it is a formula, not a measurement of any
+synthesised circuit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 
 from .automata import WeightedAutomaton
 from .circuits import (AddNode, Circuit, CircuitBuilder, InputNode, MulNode,
@@ -174,15 +178,16 @@ def _block_add(b: CircuitBuilder, x: dict, y: dict) -> dict:
 
 
 def _block_mul(b: CircuitBuilder, x: dict, y: dict, cache: dict,
-               want: list[int]) -> dict:
-    """The cells of x y that `want` (row bitmasks) asks for."""
+               want: dict) -> dict:
+    """The cells of x y that `want` asks for: {row: column bitmask},
+    an absent row asking for nothing."""
     rows: dict[int, list[tuple[int, int]]] = {}
     for (k, j), nid in y.items():
         rows.setdefault(k, []).append((j, nid))
     out: dict = {}
     for (i, k), left in x.items():
         row = rows.get(k)
-        cols = want[i]
+        cols = want.get(i, 0)
         if not row or not cols:
             continue
         for j, right in row:
@@ -204,81 +209,112 @@ def _block_mul(b: CircuitBuilder, x: dict, y: dict, cache: dict,
     return out
 
 
-def _restrict(block: dict, want: list[int]) -> dict:
+def _restrict(block: dict, want: dict) -> dict:
     return {key: nid for key, nid in block.items()
-            if want[key[0]] >> key[1] & 1}
+            if want.get(key[0], 0) >> key[1] & 1}
 
 
-def _supports(circuit: Circuit, automaton: WeightedAutomaton) -> list:
-    """Per node, the block cells that may be nonzero, as q row bitmasks.
+def _supports(circuit: Circuit,
+              automaton: WeightedAutomaton) -> tuple[list, list]:
+    """Per node, the block cells that may be nonzero.
 
-    Letters give their transition pattern, a nonzero constant the
-    identity; add ORs rows and mul takes the boolean row product.  A
-    cell can be absent from the synthesised block (its constants
-    cancelled) but never present outside its support.
+    Returns the distinct supports, each a q-tuple of row bitmasks, and
+    per node the index of its support in that table.  Letters give
+    their transition pattern, a nonzero constant the identity; add ORs
+    rows and mul takes the boolean row product.  A circuit has far
+    fewer distinct supports than nodes, so add and mul are memoised on
+    index pairs.  A cell can be absent from the synthesised block (its
+    constants cancelled) but never present outside its support.
     """
     q = automaton.num_states
     p = circuit.modulus
+    table: list[tuple] = []
+    index: dict[tuple, int] = {}
+
+    def intern(rows: tuple) -> int:
+        k = index.get(rows)
+        if k is None:
+            k = index[rows] = len(table)
+            table.append(rows)
+        return k
+
     letters = []
     for letter in range(circuit.alphabet.size):
         rows = [0] * q
         for src, tgt, _, _ in automaton.steps(letter):
             rows[src] |= 1 << tgt
-        letters.append(tuple(rows))
-    ident = tuple(1 << i for i in range(q))
-    zero = (0,) * q
-    sups: list = []
-    products: dict = {}     # encoded inputs repeat a few letter products
+        letters.append(intern(tuple(rows)))
+    ident = intern(tuple(1 << i for i in range(q)))
+    zero = intern((0,) * q)
+    sums: dict = {}
+    products: dict = {}
 
-    def keep(rows: tuple) -> tuple:
-        sups.append(rows)
-        return rows
+    def add(a: int, b: int) -> int:
+        out = sums.get((a, b))
+        if out is None:
+            out = sums[a, b] = intern(tuple(
+                x | y for x, y in zip(table[a], table[b])))
+        return out
 
-    def mul(a: tuple, b: tuple) -> tuple:
+    def mul(a: int, b: int) -> int:
         out = products.get((a, b))
         if out is None:
+            right = table[b]
             acc = []
-            for ks in a:
+            for ks in table[a]:
                 row = 0
                 while ks:
                     low = ks & -ks
-                    row |= b[low.bit_length() - 1]
+                    row |= right[low.bit_length() - 1]
                     ks ^= low
                 acc.append(row)
-            out = products[(a, b)] = tuple(acc)
-        return keep(out)
+            out = products[a, b] = intern(tuple(acc))
+        return out
+
+    sups: list[int] = []
+
+    def keep(k: int) -> int:
+        sups.append(k)
+        return k
 
     replay(circuit, lambda v: keep(letters[v]),
            lambda c: keep(ident if c % p else zero),
-           lambda a, b: keep(tuple(x | y for x, y in zip(a, b))), mul)
-    return sups
+           lambda a, b: keep(add(a, b)), lambda a, b: keep(mul(a, b)))
+    return table, sups
 
 
-def _demands(circuit: Circuit, sups: list,
+def _demands(circuit: Circuit, table: list, sups: list,
              cell: tuple[int, int]) -> tuple[list, list]:
-    """Per node, the cells its parents read (row bitmasks), None if none;
-    and per letter, the union of those over the letter's input nodes.
+    """Per node, the cells its parents read as {row: column bitmask}
+    with no zero rows, None if none; and per letter, the union of those
+    over the letter's input nodes, as q row bitmasks.
 
     Walks parents before children from the output's `cell`.  An add
-    passes its demand to both children within their supports; a mul
-    that wants (i, j) wants (i, k) of its left child and (k, j) of its
-    right child for every k their supports connect.
+    passes its demand to both children within their supports (`table`
+    and `sups` as _supports returns them); a mul that wants (i, j)
+    wants (i, k) of its left child and (k, j) of its right child for
+    every k their supports connect.  Each child gets a dict of its
+    own, which later parents OR their rows into, so the work per node
+    follows its demanded rows, not q.
     """
     nodes = circuit.nodes
-    q = len(sups[0])
+    q = len(table[0])
     dem: list = [None] * len(nodes)
     read = [[0] * q for _ in range(circuit.alphabet.size)]
 
-    def merge(child: int, rows: list[int]) -> None:
-        if any(rows):
+    def merge(child: int, rows: dict) -> None:
+        if rows:
             cur = dem[child]
-            dem[child] = (rows if cur is None
-                          else [a | b for a, b in zip(cur, rows)])
+            if cur is None:
+                dem[child] = rows
+            else:
+                for r, cols in rows.items():
+                    cur[r] = cur.get(r, 0) | cols
 
     i, j = cell
-    root = [0] * q
-    root[i] = sups[circuit.output][i] & 1 << j
-    merge(circuit.output, root)
+    root = table[sups[circuit.output]][i] & 1 << j
+    if root:
+        dem[circuit.output] = {i: root}
     for v in range(len(nodes) - 1, -1, -1):
         want = dem[v]
         if want is None:
@@ -286,26 +322,35 @@ def _demands(circuit: Circuit, sups: list,
         node = nodes[v]
         if isinstance(node, AddNode):
             for child in (node.lhs, node.rhs):
-                merge(child, [w & s for w, s in zip(want, sups[child])])
+                sup = table[sups[child]]
+                rows = {}
+                for r, cols in want.items():
+                    hit = cols & sup[r]
+                    if hit:
+                        rows[r] = hit
+                merge(child, rows)
         elif isinstance(node, MulNode):
-            left, right = sups[node.lhs], sups[node.rhs]
-            lwant, rwant = [0] * q, [0] * q
-            for r, cols in enumerate(want):
-                ks = left[r] if cols else 0
+            left, right = table[sups[node.lhs]], table[sups[node.rhs]]
+            lwant: dict = {}
+            rwant: dict = {}
+            for r, cols in want.items():
+                ks = left[r]
+                lrow = 0
                 while ks:
                     low = ks & -ks
                     k = low.bit_length() - 1
                     ks ^= low
                     hit = right[k] & cols
                     if hit:
-                        lwant[r] |= low
-                        rwant[k] |= hit
+                        lrow |= low
+                        rwant[k] = rwant.get(k, 0) | hit
+                lwant[r] = lrow     # nonzero: demand lies in the support
             merge(node.lhs, lwant)
             merge(node.rhs, rwant)
         elif isinstance(node, InputNode):
             rows = read[node.var]
-            for r in compress(range(q), want):
-                rows[r] |= want[r]
+            for r, cols in want.items():
+                rows[r] |= cols
     return dem, read
 
 
@@ -358,9 +403,11 @@ def hadamard_circuit(circuit: Circuit, automaton: WeightedAutomaton, *,
     three passes:
 
       * support (forward): the cells of each block that may be
-        nonzero, as boolean matrices;
+        nonzero, as boolean matrices interned in one table, so a
+        repeated sum or product is one lookup on two table indices;
       * demand (reverse): from (start, accept) at the output, the
-        cells each node's parents read, within its support;
+        cells each node's parents read, within its support, as
+        {row: column bitmask} holding only the demanded rows;
       * emission (forward): the letter weights those cells read, then
         the blocks, restricted to demanded cells; a node nothing reads
         builds nothing.
@@ -373,10 +420,9 @@ def hadamard_circuit(circuit: Circuit, automaton: WeightedAutomaton, *,
     """
     _check_compatible(circuit, automaton)
     p = circuit.modulus
-    q = automaton.num_states
     b = CircuitBuilder(automaton.x_alphabet, p,
                        name=name or f"{circuit.name}.had")
-    demands, read = _demands(circuit, _supports(circuit, automaton),
+    demands, read = _demands(circuit, *_supports(circuit, automaton),
                              (automaton.start, automaton.accept))
     letter_rows = _letter_rows(b, automaton, read)
     demand = iter(demands)
@@ -393,7 +439,7 @@ def hadamard_circuit(circuit: Circuit, automaton: WeightedAutomaton, *,
         if not want:
             return {}
         rows = letter_rows[letter]
-        return {(i, j): nid for i, cols in enumerate(want) if cols
+        return {(i, j): nid for i, cols in sorted(want.items())
                 for j, nid in rows[i] if cols >> j & 1}
 
     def const(c: int) -> dict:
@@ -402,7 +448,7 @@ def hadamard_circuit(circuit: Circuit, automaton: WeightedAutomaton, *,
         if not (want and c):
             return {}
         nid = b.const(c)    # demand lies within the support: diagonal
-        return {(i, i): nid for i in range(q) if want[i]}
+        return {(i, i): nid for i in sorted(want)}
 
     def add(x: dict, y: dict) -> dict:
         want = next(demand)
@@ -435,7 +481,9 @@ class HadamardWitness:
 
     A mul gate costs q^3 cell products and q^2 (q - 1) cell sums, an
     add gate q^2 cell sums, a leaf q^2 cells; out_gates totals these.
-    bound is 2 q^3 per gate plus q^2 per leaf, which always dominates.
+    bound is 2 q^3 per gate plus q^2 per leaf, which always dominates,
+    so ok is always True.  Real syntheses emit far fewer nodes: they
+    fold constants and build only the cells the output reads.
     """
 
     q: int
@@ -458,6 +506,13 @@ def hadamard_bound(q: int, gates: int, leaves: int) -> int:
 
 def hadamard_witness(circuit: Circuit,
                      automaton: WeightedAutomaton) -> HadamardWitness:
+    """The prefold accounting of a synthesis on `automaton`, from the
+    gate counts of `circuit` alone.
+
+    Nothing is synthesised or measured: out_gates is the formula in
+    HadamardWitness, and it is at most bound for every q, so ok is
+    always True and a check on it cannot fail.
+    """
     _check_compatible(circuit, automaton)
     q = automaton.num_states
     r = circuit.size_report()

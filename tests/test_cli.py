@@ -117,6 +117,32 @@ def test_decode_output_ignores_hash_seed(tmp_path, flags):
     assert texts[0] == texts[1]
 
 
+def test_main_twice_in_one_process(tmp_path, capsys, monkeypatch):
+    """The parser is built once per process; a flag given to one call
+    (--one-shot) must not carry over to the next."""
+    monkeypatch.delenv("NCLIFT_MODULUS", raising=False)
+    b = CircuitBuilder(Alphabet("X", 512), P, name="g")
+    c = b.finish(b.add(b.mul(b.var(5), b.var(300)),
+                       b.mul(b.const(3), b.var(511))))
+    src = tmp_path / "enc.circ"
+    src.write_text(format_circuit(iterate_encoder(c, 2, 2)))
+    chain = ["--n", "2", "--d", "2", "--in", str(src)]
+    assert cli.main(["decode", "--one-shot", *chain,
+                     "--out", str(tmp_path / "one.circ")]) == 0
+    capsys.readouterr()
+    assert cli.main(["decode", *chain,
+                     "--out", str(tmp_path / "dec.circ")]) == 0
+    second = capsys.readouterr().out
+    r = run_cli("decode", *chain, "--out", str(tmp_path / "fresh.circ"))
+    assert r.returncode == 0
+    # Two witness lines, one per decoder: the iterated chain ran.
+    assert second == r.stdout
+    assert [line.split()[1] for line in second.splitlines()] == ["q=5",
+                                                                 "q=17"]
+    assert ((tmp_path / "dec.circ").read_bytes()
+            == (tmp_path / "fresh.circ").read_bytes())
+
+
 def test_encode_poly_output(tmp_path, poly_file):
     out = tmp_path / "enc.poly"
     r = run_cli("encode", "--in", str(poly_file), "--n", "2", "--d", "1",

@@ -105,6 +105,19 @@ def test_circuit_comments_and_blanks_ignored():
     assert "#" not in format_circuit(c)
 
 
+def test_circuit_header_must_come_first(tmp_path, capsys):
+    """Comments and blank lines are accepted only after the header."""
+    text = "# c\n" + CIRCUIT_GOLDEN
+    with pytest.raises(FormatError, match=r"^bad circuit header: '# c'$"):
+        parse_circuit(text)
+    path = tmp_path / "c.circ"
+    path.write_text(text)
+    assert cli.main(["expand", "--in", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"nclift: {path}: unrecognized file (expected a poly, circuit, "
+        f"or automaton header)\n")
+
+
 def test_negative_coefficients_normalize():
     f = parse_poly("poly over X vars 2 modulus 7\n-1 : x0\n")
     assert f.coeff((0,)).value == 6

@@ -5,12 +5,14 @@ from dataclasses import replace
 import pytest
 
 from nclift import (DEFAULT_MODULUS, AddNode, Alphabet, BudgetError,
-                    CircuitBuilder, HadamardWitness, MulNode, NCPolynomial,
-                    Scalar, Transition, Weight, build_decoder,
+                    CircuitBuilder, HadamardWitness, InputNode, MulNode,
+                    NCPolynomial, Scalar, Transition, Weight, build_decoder,
+                    build_one_shot_decoder,
                     circuit_from_poly, decode_circuit, encode_circuit, expand,
                     format_circuit, hadamard, hadamard_circuit,
                     hadamard_eval, hadamard_poly, hadamard_witness,
                     iterate_encoder, one_shot_decode_circuit, sample_family)
+from nclift.circuits import replay
 from nclift.randcircuits import random_circuit
 
 from helpers import random_automaton, random_poly
@@ -151,6 +153,24 @@ def test_synthesis_bytes_are_pinned():
         "c03cd5589e6c3207807f9d6275d3e7ea67aea63329f50d719540333382c30fb4")
 
 
+def test_synthesis_bytes_are_pinned_up_to_six_states():
+    """A second digest, over automata of 2 to 6 states at small moduli,
+    where blocks hold several demanded rows: leaves and constants that
+    load their cells in any order but ascending rows change it."""
+    rng = random.Random(6151)
+    Y = Alphabet("Y", 2)
+    digest = hashlib.sha256()
+    for i in range(200):
+        p = (7, 97)[i % 2]
+        q = rng.randint(2, 6)
+        auto = random_automaton(rng, states=q, letters=2, xvars=3,
+                                modulus=p, arrows=rng.randint(1, 2 * q * q))
+        c = random_circuit(Y, p, rng, max_gates=20, max_degree=5)
+        digest.update(format_circuit(hadamard_circuit(c, auto)).encode())
+    assert digest.hexdigest() == (
+        "b40d864367883599e5af88b43ddfcb6bacdbc20d1a43f640a8e3f09af3b9bd69")
+
+
 def test_synthesis_budget(monkeypatch):
     """A budget of exactly the nodes a synthesis emits changes nothing;
     one node less stops it at the source gate that crosses it."""
@@ -175,6 +195,143 @@ def test_synthesis_budget(monkeypatch):
     with pytest.raises(BudgetError, match=r"^node \d+: synthesis emitted "
                        r"\d+ nodes, budget is 1$"):
         hadamard_circuit(enc, dec)
+
+
+# The planning passes as they were before supports were interned and
+# demands made sparse: q row bitmasks per node, dense lists throughout.
+# Kept as the reference the sparse passes must agree with.
+
+def dense_supports(circuit, automaton):
+    q = automaton.num_states
+    p = circuit.modulus
+    letters = []
+    for letter in range(circuit.alphabet.size):
+        rows = [0] * q
+        for src, tgt, _, _ in automaton.steps(letter):
+            rows[src] |= 1 << tgt
+        letters.append(tuple(rows))
+    ident = tuple(1 << i for i in range(q))
+    zero = (0,) * q
+    sups = []
+
+    def keep(rows):
+        sups.append(rows)
+        return rows
+
+    def mul(a, b):
+        acc = []
+        for ks in a:
+            row = 0
+            while ks:
+                low = ks & -ks
+                row |= b[low.bit_length() - 1]
+                ks ^= low
+            acc.append(row)
+        return keep(tuple(acc))
+
+    replay(circuit, lambda v: keep(letters[v]),
+           lambda c: keep(ident if c % p else zero),
+           lambda a, b: keep(tuple(x | y for x, y in zip(a, b))), mul)
+    return sups
+
+
+def dense_demands(circuit, sups, cell):
+    nodes = circuit.nodes
+    q = len(sups[0])
+    dem = [None] * len(nodes)
+    read = [[0] * q for _ in range(circuit.alphabet.size)]
+
+    def merge(child, rows):
+        if any(rows):
+            cur = dem[child]
+            dem[child] = (rows if cur is None
+                          else [a | b for a, b in zip(cur, rows)])
+
+    i, j = cell
+    root = [0] * q
+    root[i] = sups[circuit.output][i] & 1 << j
+    merge(circuit.output, root)
+    for v in range(len(nodes) - 1, -1, -1):
+        want = dem[v]
+        if want is None:
+            continue
+        node = nodes[v]
+        if isinstance(node, AddNode):
+            for child in (node.lhs, node.rhs):
+                merge(child, [w & s for w, s in zip(want, sups[child])])
+        elif isinstance(node, MulNode):
+            left, right = sups[node.lhs], sups[node.rhs]
+            lwant, rwant = [0] * q, [0] * q
+            for r, cols in enumerate(want):
+                ks = left[r] if cols else 0
+                while ks:
+                    low = ks & -ks
+                    k = low.bit_length() - 1
+                    ks ^= low
+                    hit = right[k] & cols
+                    if hit:
+                        lwant[r] |= low
+                        rwant[k] |= hit
+            merge(node.lhs, lwant)
+            merge(node.rhs, rwant)
+        elif isinstance(node, InputNode):
+            rows = read[node.var]
+            for r in range(q):
+                rows[r] |= want[r]
+    return dem, read
+
+
+def cells(rows) -> set:
+    """The (row, column) cells of {row: bitmask} or of a list of rows."""
+    items = rows.items() if isinstance(rows, dict) else enumerate(rows)
+    return {(r, c) for r, cols in items
+            for c in range(cols.bit_length()) if cols >> c & 1}
+
+
+def assert_planning_matches_dense(circuit, automaton):
+    cell = (automaton.start, automaton.accept)
+    want_sups = dense_supports(circuit, automaton)
+    table, sups = hadamard._supports(circuit, automaton)
+    assert len(set(table)) == len(table)
+    assert [table[k] for k in sups] == want_sups
+    want_dem, want_read = dense_demands(circuit, want_sups, cell)
+    dem, read = hadamard._demands(circuit, table, sups, cell)
+    for got, want in zip(dem, want_dem, strict=True):
+        if want is None:
+            assert got is None
+        else:
+            assert all(got.values())
+            assert cells(got) == cells(want)
+    assert read == want_read
+
+
+@pytest.mark.parametrize("p", [7, 97])
+def test_planning_matches_dense_reference_on_random_dags(rng, p):
+    """Interned supports and sparse demands plan the same cells as the
+    dense passes, on DAGs that share nodes and square them."""
+    Y = Alphabet("Y", 2)
+    same = 0
+    for _ in range(80):
+        q = rng.randint(2, 6)
+        auto = random_automaton(rng, states=q, letters=2, xvars=3,
+                                modulus=p, arrows=rng.randint(1, 2 * q * q))
+        c = random_circuit(Y, p, rng, max_gates=15, max_degree=4)
+        same += sum(isinstance(node, (AddNode, MulNode))
+                    and node.lhs == node.rhs for node in c.nodes)
+        assert_planning_matches_dense(c, auto)
+    assert same > 20
+
+
+@pytest.mark.parametrize("kind", ["sum-of-squares", "random-sparse"])
+def test_planning_matches_dense_reference_on_decoders(kind):
+    f = sample_family(kind, 512, 3, 1, terms=40).circuit
+    enc = iterate_encoder(f, 2, 2)
+    dec2 = build_decoder(2, modulus=P)
+    assert_planning_matches_dense(enc, dec2)
+    assert_planning_matches_dense(hadamard_circuit(enc, dec2),
+                                  build_decoder(8, modulus=P))
+    assert_planning_matches_dense(enc, build_one_shot_decoder(2, 2,
+                                                              modulus=P))
 
 
 def test_eval_point_scales_each_letter(rng):
