@@ -12,33 +12,21 @@ Example:
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from nclift import (DEFAULT_MODULUS, DEFAULT_SEED, LiftParams, build_decoder,
                     encode_stages, expand, hadamard_circuit, hadamard_witness,
                     lift_report, sample_family)
 
 
-@dataclass(frozen=True)
-class DemoConfig:
-    n: int = 2
-    d: int = 2
-    t: int = 2
-    kind: str = "random-sparse"
-    terms: int = 3
-    seed: int = DEFAULT_SEED
-    modulus: int = DEFAULT_MODULUS
-
-
-def run(cfg: DemoConfig) -> int:
-    params = LiftParams(cfg.n, cfg.d, cfg.t)
+def run(args: argparse.Namespace) -> int:
+    params = LiftParams(args.n, args.d, args.t)
     sizes = params.alphabet_sizes
-    fam = sample_family(cfg.kind, params.variable_count, cfg.t, cfg.seed,
-                        terms=cfg.terms, modulus=cfg.modulus)
-    print(f"family {cfg.kind} N={params.variable_count} t={cfg.t} "
-          f"seed={cfg.seed}")
+    fam = sample_family(args.kind, params.variable_count, args.t, args.seed,
+                        terms=args.terms, modulus=args.modulus)
+    print(f"family {args.kind} N={params.variable_count} t={args.t} "
+          f"seed={args.seed}")
 
-    stages = encode_stages(fam.circuit, cfg.n, cfg.d)
+    stages = encode_stages(fam.circuit, args.n, args.d)
     report = lift_report(params, [s.size_report().gates for s in stages])
     print(report.table())
 
@@ -46,12 +34,12 @@ def run(cfg: DemoConfig) -> int:
     assert reference == fam.poly, "sample circuit disagrees with its poly"
 
     current = stages[-1]
-    for k in range(cfg.d, 0, -1):
+    for k in range(args.d, 0, -1):
         m = sizes[k]
         if m > 8:
             print(f"stage {k}: alphabet {m} too wide to decode here, stop")
             return 0
-        dec = build_decoder(m, modulus=cfg.modulus)
+        dec = build_decoder(m, modulus=args.modulus)
         print(hadamard_witness(current, dec).line())
         current = hadamard_circuit(current, dec, name=current.name)
         want = expand(stages[k - 1])
@@ -75,9 +63,7 @@ def main(argv=None) -> int:
     ap.add_argument("--terms", type=int, default=3)
     ap.add_argument("--seed", type=int, default=DEFAULT_SEED)
     ap.add_argument("--modulus", type=int, default=DEFAULT_MODULUS)
-    args = ap.parse_args(argv)
-    return run(DemoConfig(args.n, args.d, args.t, args.kind, args.terms,
-                          args.seed, args.modulus))
+    return run(ap.parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -15,34 +15,23 @@ Example:
 import argparse
 import random
 import sys
-from dataclasses import dataclass
 
 from nclift import (DEFAULT_MODULUS, DEFAULT_SEED, Alphabet, build_decoder,
                     encode_circuit, hadamard_circuit, hadamard_witness)
 from nclift.randcircuits import random_circuit
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    max_m: int = 4
-    trials: int = 10
-    max_gates: int = 12
-    max_degree: int = 3
-    seed: int = DEFAULT_SEED
-    modulus: int = DEFAULT_MODULUS
-
-
-def run(cfg: SweepConfig) -> int:
+def run(args: argparse.Namespace) -> int:
     print(f"{'m':>3} {'q':>4} {'in_gates':>9} {'folded':>8} "
           f"{'prefold':>9} {'budget':>9} {'ok':>3}")
-    for m in range(2, cfg.max_m + 1):
-        dec = build_decoder(m, modulus=cfg.modulus)
+    for m in range(2, args.max_m + 1):
+        dec = build_decoder(m, modulus=args.modulus)
         X = Alphabet("X", m ** 3)
-        rng = random.Random(cfg.seed * 100 + m)
-        for _ in range(cfg.trials):
-            c = random_circuit(X, cfg.modulus, rng,
-                               max_gates=cfg.max_gates,
-                               max_degree=cfg.max_degree)
+        rng = random.Random(args.seed * 100 + m)
+        for _ in range(args.trials):
+            c = random_circuit(X, args.modulus, rng,
+                               max_gates=args.max_gates,
+                               max_degree=args.max_degree)
             enc = encode_circuit(c, m)
             w = hadamard_witness(enc, dec)
             folded = hadamard_circuit(enc, dec).size_report().gates
@@ -61,9 +50,7 @@ def main(argv=None) -> int:
     ap.add_argument("--max-degree", type=int, default=3)
     ap.add_argument("--seed", type=int, default=DEFAULT_SEED)
     ap.add_argument("--modulus", type=int, default=DEFAULT_MODULUS)
-    args = ap.parse_args(argv)
-    return run(SweepConfig(args.max_m, args.trials, args.max_gates,
-                           args.max_degree, args.seed, args.modulus))
+    return run(ap.parse_args(argv))
 
 
 if __name__ == "__main__":

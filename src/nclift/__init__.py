@@ -20,11 +20,11 @@ from .config import DEFAULT_SEED, modulus_from_env
 from .errors import BudgetError, FormatError, NCLiftError
 from .hadamard import (HadamardWitness, hadamard_circuit, hadamard_eval,
                        hadamard_poly, hadamard_witness)
-from .lifting import (LiftParams, LiftReport, SampleFamily, decode_circuit,
-                      encode_circuit, encode_poly, encode_stages,
-                      encode_word, exact_cube_root, iterate_decoder,
-                      iterate_encoder, lift_report, one_shot_decode_circuit,
-                      sample_family)
+from .lifting import (LiftParams, LiftReport, SampleFamily, chain_decoders,
+                      decode_circuit, encode_circuit, encode_poly,
+                      encode_stages, encode_word, exact_cube_root,
+                      iterate_decoder, iterate_encoder, lift_report,
+                      one_shot_decode_circuit, sample_family)
 from .matrices import SquareMatrix, matrix_value_of_poly
 from .polynomials import (Alphabet, NCPolynomial, Word, format_poly,
                           length_lex_key, parse_poly, word_concat)
@@ -41,8 +41,8 @@ __all__ = [
     "LiftReport", "MatrixPoint", "MulNode", "NCLiftError", "NCPolynomial",
     "SampleFamily", "Scalar", "SizeReport", "SquareMatrix",
     "Transition", "Weight", "WeightedAutomaton", "Word", "build_decoder",
-    "build_one_shot_decoder", "circuit_equiv_brute", "circuit_equiv_random",
-    "circuit_from_poly", "decode_circuit", "encode_circuit", "encode_poly",
+    "build_one_shot_decoder", "chain_decoders", "circuit_equiv_brute",
+    "circuit_equiv_random", "circuit_from_poly", "decode_circuit", "encode_circuit", "encode_poly",
     "encode_stages", "encode_word", "eval_matrix", "eval_scalar",
     "exact_cube_root", "expand", "format_automaton", "format_circuit",
     "format_poly", "hadamard_circuit", "hadamard_eval", "hadamard_poly",

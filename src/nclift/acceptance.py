@@ -20,15 +20,15 @@ import time
 from dataclasses import dataclass
 
 from .automata import (Transition, Weight, WeightedAutomaton, build_decoder,
-                       build_one_shot_decoder, one_shot_nominal_states,
-                       one_shot_state_count, series_truncate)
+                       one_shot_nominal_states, one_shot_state_count,
+                       series_truncate)
 from .circuits import Circuit, CircuitBuilder, eval_matrix, expand, replay
 from .config import DEFAULT_SEED
 from .hadamard import (HadamardWitness, hadamard_circuit, hadamard_eval,
                        hadamard_witness)
-from .lifting import (LiftParams, decode_circuit, encode_circuit,
-                      encode_stages, iterate_encoder, lift_report,
-                      one_shot_decode_circuit, sample_family)
+from .lifting import (LiftParams, chain_decoders, decode_circuit,
+                      encode_circuit, encode_stages, iterate_encoder,
+                      lift_report, one_shot_decode_circuit, sample_family)
 from .matrices import SquareMatrix
 from .polynomials import Alphabet, NCPolynomial, Word
 from .randcircuits import (perturb_mul_order, random_circuit,
@@ -146,9 +146,8 @@ class AcceptanceSuite:
     def check_one_shot(self) -> CheckResult:
         t0 = time.perf_counter()
         n, d = 2, 2
-        oneshot = build_one_shot_decoder(n, d, modulus=self.modulus)
-        dec2 = build_decoder(2, modulus=self.modulus)
-        dec8 = build_decoder(8, modulus=self.modulus)
+        oneshot, = chain_decoders(n, d, self.modulus, one_shot=True)
+        dec2, dec8 = chain_decoders(n, d, self.modulus)
         merged = oneshot.num_states
         unmerged = one_shot_state_count(n, d, merged=False)
         want_merged = one_shot_nominal_states(n, d)
@@ -346,7 +345,7 @@ class AcceptanceSuite:
         zero = NCPolynomial.zero(x, p)
 
         def const(c: int) -> SquareMatrix:
-            return SquareMatrix.scalar_diag(
+            return SquareMatrix.identity(
                 automaton.num_states, NCPolynomial.constant(c, x, p), zero)
 
         value = replay(circuit, automaton.transition_matrices().__getitem__,

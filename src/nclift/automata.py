@@ -234,46 +234,11 @@ def series_truncate(automaton: WeightedAutomaton, max_length: int, *,
 # ---------------------------------------------------------------------------
 # Block decoders.
 
-def build_decoder(m: int, *, modulus: int = DEFAULT_MODULUS,
-                  y_name: str = "Y", x_name: str = "X") -> WeightedAutomaton:
-    """The three-letter block decoder on an m-letter alphabet.
-
-    Its coefficient on y_{a_1} y_{b_1} y_{c_1} ... y_{a_k} y_{b_k} y_{c_k}
-    is the monomial x_{i_1} ... x_{i_k} with i_t = m^2 a_t + m b_t + c_t,
-    the empty word gets 1, and every word whose length is not a multiple
-    of three gets 0.  So composed with the matching 1-to-3 encoder it is
-    the identity on polynomials in m^3 variables.
-
-    Layout: state 0 is both start and accept (merging them is what makes
-    the empty-word coefficient 1, preserving constant terms); states
-    1+a remember the first letter of the current block; states 1+m+c
-    insist the block ends with y_c.  The middle transition from 1+a to
-    1+m+c reading y_b carries the weight x_{m^2 a + m b + c}, so there
-    are m + m^3 + m transitions in total.
-    """
-    if m < 1:
-        raise ValueError(f"alphabet size must be positive, got {m}")
-    y = Alphabet(y_name, m)
-    x = Alphabet(x_name, m ** 3)
-    one = Weight(1)
-    trans: list[Transition] = []
-    for a in range(m):
-        trans.append(Transition(0, a, 1 + a, one))
-    for a in range(m):
-        for b in range(m):
-            for c in range(m):
-                trans.append(Transition(1 + a, b, 1 + m + c,
-                                        Weight(1, m * m * a + m * b + c)))
-    for c in range(m):
-        trans.append(Transition(1 + m + c, c, 0, one))
-    return WeightedAutomaton(y, x, modulus, 2 * m + 1, 0, 0, tuple(trans))
-
-
 def one_shot_nominal_states(n: int, d: int, *, merged: bool = True) -> int:
     """The 2 n^((3^d - 1)/2) + 2 state estimate for a one-shot decoder.
 
     This is what doubling the decoder recurrence would suggest; the
-    correct automaton is larger for d >= 2 (see build_one_shot_decoder),
+    correct automaton is larger for d >= 2 (see build_decoder),
     and one_shot_state_count gives its true size.  With merged start and
     accept states the estimate drops by one.
     """
@@ -282,28 +247,35 @@ def one_shot_nominal_states(n: int, d: int, *, merged: bool = True) -> int:
 
 
 def one_shot_state_count(n: int, d: int, *, merged: bool = True) -> int:
-    """Exact state count of build_one_shot_decoder(n, d)."""
+    """Exact state count of build_decoder(n, d)."""
     half = (3 ** d - 1) // 2
     side = sum(n ** j for j in range(1, half + 1))
     return 1 + 2 * side + (0 if merged else 1)
 
 
-def build_one_shot_decoder(n: int, d: int, *,
-                           modulus: int = DEFAULT_MODULUS,
-                           y_name: str = "Y", x_name: str = "X",
-                           max_states: int = DEFAULT_MAX_STATES,
-                           max_transitions: int = DEFAULT_MAX_TRANSITIONS,
-                           ) -> WeightedAutomaton:
-    """A single automaton undoing d rounds of 1-to-3 encoding at once.
+def build_decoder(n: int, d: int = 1, *,
+                  modulus: int = DEFAULT_MODULUS,
+                  y_name: str = "Y", x_name: str = "X",
+                  max_states: int = DEFAULT_MAX_STATES,
+                  max_transitions: int = DEFAULT_MAX_TRANSITIONS,
+                  ) -> WeightedAutomaton:
+    """The block decoder undoing d rounds of 1-to-3 encoding at once.
 
-    Blocks now have length 3^d over n letters, and block y_{a_1}..y_{a_B}
+    Blocks have length 3^d over n letters, and block y_{a_1}..y_{a_B}
     maps to the variable whose index has base-n digits a_1..a_B, so the
-    x alphabet has n^(3^d) variables.  For d = 1 this is exactly
-    build_decoder(n), states and weights included.
+    x alphabet has n^(3^d) variables.  Blocks multiply in order, the
+    empty word gets 1 and every other word gets 0.  So composed with
+    the matching encoder chain it is the identity on polynomials.
+
+    d = 1 is the three-letter block decoder on an m = n letter
+    alphabet: 2m + 1 states and m + m^3 + m transitions, where the
+    middle transition from state 1+a to 1+m+c reading y_b carries the
+    weight x_{m^2 a + m b + c}.
 
     Shape: a full prefix tree on the first L = (3^d - 1)/2 letters of a
     block, one weighted middle transition, and a suffix tree checking
-    the last L letters, with start and accept merged into state 0.  No
+    the last L letters, with start and accept merged into state 0
+    (merging them is what makes the empty-word coefficient 1).  No
     automaton for this series can do better than 1 + 2 sum_{j=1..L} n^j
     states: distinct prefixes of the same length are pairwise separated
     by their completions (each forces a different variable), and
@@ -311,7 +283,8 @@ def build_one_shot_decoder(n: int, d: int, *,
     one_shot_nominal_states is short for d >= 2.
 
     State ids: 0, then prefix states by length then base-n value, then
-    suffix states in the same order.
+    suffix states in the same order.  Raises BudgetError before building
+    anything if the states or transitions would exceed their budgets.
     """
     if n < 1:
         raise ValueError(f"alphabet size must be positive, got {n}")
@@ -323,22 +296,18 @@ def build_one_shot_decoder(n: int, d: int, *,
     num_states = 1 + 2 * side
     num_trans = n ** (2 * half + 1) + 2 * side
     if num_states > max_states:
-        raise BudgetError(f"one-shot decoder needs {num_states} states, "
+        raise BudgetError(f"decoder needs {num_states} states, "
                           f"budget is {max_states}")
     if num_trans > max_transitions:
-        raise BudgetError(f"one-shot decoder needs {num_trans} transitions, "
+        raise BudgetError(f"decoder needs {num_trans} transitions, "
                           f"budget is {max_transitions}")
 
-    # offset[k] = states of shorter words before the length-k layer
-    offset = [0] * (half + 1)
+    # pre[k] = id of the first length-k prefix state, suf[k] the same
+    # for suffixes; the empty word (k = 0) is the merged state 0 in both.
+    pre = [0, 1]
     for k in range(2, half + 1):
-        offset[k] = offset[k - 1] + layer[k - 1]
-
-    def pre_id(length: int, value: int) -> int:
-        return 1 + offset[length] + value
-
-    def suf_id(length: int, value: int) -> int:
-        return 1 + side + offset[length] + value
+        pre.append(pre[-1] + layer[k - 1])
+    suf = [0] + [first + side for first in pre[1:]]
 
     y = Alphabet(y_name, n)
     x = Alphabet(x_name, n ** (3 ** d))
@@ -346,21 +315,27 @@ def build_one_shot_decoder(n: int, d: int, *,
     trans: list[Transition] = []
     for k in range(1, half + 1):
         for value in range(layer[k]):
-            src = 0 if k == 1 else pre_id(k - 1, value // n)
-            trans.append(Transition(src, value % n, pre_id(k, value), one))
-    for pre in range(layer[half]):
+            src = pre[k - 1] + value // n
+            trans.append(Transition(src, value % n, pre[k] + value, one))
+    width = layer[half]
+    targets = range(suf[half], suf[half] + width)
+    for prefix in range(width):
+        src = pre[half] + prefix
         for b in range(n):
-            left = (pre * n + b) * layer[half]
-            for suf in range(layer[half]):
-                trans.append(Transition(pre_id(half, pre), b,
-                                        suf_id(half, suf),
-                                        Weight(1, left + suf)))
+            var = (prefix * n + b) * width
+            for tgt in targets:
+                trans.append(Transition(src, b, tgt, Weight(1, var)))
+                var += 1
     for k in range(1, half + 1):
         for value in range(layer[k]):
             first, rest = divmod(value, layer[k - 1])
-            tgt = 0 if k == 1 else suf_id(k - 1, rest)
-            trans.append(Transition(suf_id(k, value), first, tgt, one))
+            tgt = suf[k - 1] + rest
+            trans.append(Transition(suf[k] + value, first, tgt, one))
     return WeightedAutomaton(y, x, modulus, num_states, 0, 0, tuple(trans))
+
+
+# One builder under both names: one-shot decoding is build_decoder(n, d).
+build_one_shot_decoder = build_decoder
 
 
 # ---------------------------------------------------------------------------

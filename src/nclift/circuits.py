@@ -67,9 +67,6 @@ class SizeReport:
     def total(self) -> int:
         return self.adds + self.muls + self.inputs + self.consts
 
-    def astuple(self) -> tuple[int, int, int, int, int]:
-        return (self.adds, self.muls, self.inputs, self.consts, self.total)
-
 
 @dataclass(frozen=True)
 class Circuit:
@@ -156,10 +153,6 @@ class Circuit:
             nodes.append(node)
         return Circuit(name or self.name, self.alphabet, self.modulus,
                        tuple(nodes), remap[self.output])
-
-    def with_name(self, name: str) -> "Circuit":
-        return Circuit(name, self.alphabet, self.modulus, self.nodes,
-                       self.output)
 
 
 class CircuitBuilder:

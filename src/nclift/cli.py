@@ -16,14 +16,14 @@ import functools
 import sys
 from pathlib import Path
 
-from .automata import (WeightedAutomaton, build_decoder,
-                       build_one_shot_decoder, format_automaton,
+from .automata import (WeightedAutomaton, build_decoder, format_automaton,
                        parse_automaton)
 from .circuits import Circuit, expand, format_circuit, parse_circuit
 from .config import DEFAULT_SEED, modulus_from_env
 from .errors import BudgetError, FormatError
 from .hadamard import hadamard_circuit, hadamard_witness
-from .lifting import LiftParams, encode_stages, lift_report, sample_family
+from .lifting import (LiftParams, chain_decoders, encode_stages, lift_report,
+                      sample_family)
 from .polynomials import NCPolynomial, format_poly, parse_poly
 from .scalars import require_prime_modulus
 from .verify import (DISTINCT, EQUAL, MatrixPoint, circuit_equiv_brute,
@@ -62,7 +62,7 @@ def _need_circuit(obj, path: str) -> Circuit:
     return obj
 
 
-def _stage_params(args, obj) -> tuple[int, int]:
+def _stage_params(args) -> tuple[int, int]:
     """Resolve --m versus --n/--d into an (n, d) chain."""
     if args.m is not None:
         if args.n is not None or args.d is not None:
@@ -83,7 +83,7 @@ def cmd_encode(args) -> int:
     obj = _load(getattr(args, "in"))
     if isinstance(obj, WeightedAutomaton):
         raise FormatError("encode expects a poly or circuit file")
-    n, d = _stage_params(args, obj)
+    n, d = _stage_params(args)
     stages = encode_stages(obj, n, d)
     _save(args.out, stages[-1])
     if isinstance(obj, Circuit):
@@ -97,16 +97,20 @@ def cmd_encode(args) -> int:
     return 0
 
 
+def _one_shot_params(args) -> tuple[int, int]:
+    if args.n is None or args.d is None:
+        raise ValueError("--one-shot needs --n and --d")
+    return args.n, args.d
+
+
 def cmd_build_decoder(args) -> int:
     if args.one_shot:
-        if args.n is None or args.d is None:
-            raise ValueError("--one-shot needs --n and --d")
-        automaton = build_one_shot_decoder(args.n, args.d,
-                                           modulus=args.resolved_modulus)
+        n, d = _one_shot_params(args)
+    elif args.m is None:
+        raise ValueError("give --m, or --n and --d with --one-shot")
     else:
-        if args.m is None:
-            raise ValueError("give --m, or --n and --d with --one-shot")
-        automaton = build_decoder(args.m, modulus=args.resolved_modulus)
+        n, d = args.m, 1
+    automaton = build_decoder(n, d, modulus=args.resolved_modulus)
     _save(args.out, automaton)
     print(f"states={automaton.num_states} "
           f"transitions={automaton.transition_count}")
@@ -127,23 +131,17 @@ def cmd_hadamard(args) -> int:
 def cmd_decode(args) -> int:
     circuit = _need_circuit(_load(getattr(args, "in")), getattr(args, "in"))
     if args.one_shot:
-        if args.n is None or args.d is None:
-            raise ValueError("--one-shot needs --n and --d")
-        decoder = build_one_shot_decoder(args.n, args.d,
-                                         modulus=circuit.modulus)
-        print(hadamard_witness(circuit, decoder).line())
-        result = hadamard_circuit(circuit, decoder, name=circuit.name)
+        n, d = _one_shot_params(args)
     else:
-        n, d = _stage_params(args, circuit)
-        if circuit.alphabet.size != n:
-            raise ValueError(f"decode chain starts from {n} letters, "
-                             f"circuit has {circuit.alphabet.size}")
-        result = circuit
-        for _ in range(d):
-            decoder = build_decoder(result.alphabet.size,
-                                    modulus=circuit.modulus)
-            print(hadamard_witness(result, decoder).line())
-            result = hadamard_circuit(result, decoder, name=result.name)
+        n, d = _stage_params(args)
+    if circuit.alphabet.size != n:
+        raise ValueError(f"decode chain starts from {n} letters, "
+                         f"circuit has {circuit.alphabet.size}")
+    result = circuit
+    for decoder in chain_decoders(n, d, circuit.modulus,
+                                  one_shot=args.one_shot):
+        print(hadamard_witness(result, decoder).line())
+        result = hadamard_circuit(result, decoder, name=result.name)
     _save(args.out, result)
     return 0
 

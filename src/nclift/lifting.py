@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .automata import build_decoder, build_one_shot_decoder, index_to_word
+from .automata import WeightedAutomaton, build_decoder, index_to_word
 from .circuits import (Circuit, CircuitBuilder, circuit_from_poly,
                        substitute_inputs)
 from .hadamard import hadamard_bound, hadamard_circuit
@@ -103,42 +103,52 @@ def iterate_encoder(obj, n: int, d: int):
     return encode_stages(obj, n, d)[-1]
 
 
-def decode_circuit(c: Circuit, m: int, *, x_name: str = "X") -> Circuit:
+def chain_decoders(n: int, d: int, modulus: int, *, one_shot: bool = False,
+                   **caps) -> list[WeightedAutomaton]:
+    """The decoders that undo a depth-d chain down to n letters.
+
+    In the order they apply: the decoders on n, n^3, ..., n^(3^(d-1))
+    letters, or with one_shot the single build_decoder(n, d).  All are
+    built before the caller synthesises anything, so a decoder over
+    its budget fails the chain up front; the budget caps pass through
+    as keyword arguments.
+    """
+    if one_shot:
+        return [build_decoder(n, d, modulus=modulus, **caps)]
+    return [build_decoder(n ** (3 ** k), modulus=modulus, **caps)
+            for k in range(d)]
+
+
+def _decode(c: Circuit, n: int, d: int, **options) -> Circuit:
+    if c.alphabet.size != n:
+        raise ValueError(f"decode chain starts from {n} letters, circuit "
+                         f"has {c.alphabet.size}")
+    for decoder in chain_decoders(n, d, c.modulus, **options):
+        c = hadamard_circuit(c, decoder, name=c.name)
+    return c
+
+
+def decode_circuit(c: Circuit, m: int) -> Circuit:
     """Hadamard product with the m-letter block decoder.
 
     Expands to the decode of what c expands to: code blocks map back to
     their variables and every non-code word is zeroed.
     """
-    if c.alphabet.size != m:
-        raise ValueError(f"decoder with m={m} letters cannot read a "
-                         f"circuit over {c.alphabet.size}")
-    decoder = build_decoder(m, modulus=c.modulus, x_name=x_name)
-    return hadamard_circuit(c, decoder, name=c.name)
+    return _decode(c, m, 1)
 
 
 def iterate_decoder(c: Circuit, n: int, d: int) -> Circuit:
     """Undo iterate_encoder one stage at a time, from n letters back up."""
-    if c.alphabet.size != n:
-        raise ValueError(f"decode chain starts from {n} letters, circuit "
-                         f"has {c.alphabet.size}")
-    for _ in range(d):
-        c = decode_circuit(c, c.alphabet.size)
-    return c
+    return _decode(c, n, d)
 
 
-def one_shot_decode_circuit(c: Circuit, n: int, d: int, *,
-                            x_name: str = "X", **caps) -> Circuit:
+def one_shot_decode_circuit(c: Circuit, n: int, d: int, **caps) -> Circuit:
     """Undo all d stages with a single wider automaton.
 
     Expands to the same polynomial as iterate_decoder(c, n, d); the
-    automaton's state budget caps pass through as keyword arguments.
+    automaton's budget caps pass through as keyword arguments.
     """
-    if c.alphabet.size != n:
-        raise ValueError(f"decode chain starts from {n} letters, circuit "
-                         f"has {c.alphabet.size}")
-    decoder = build_one_shot_decoder(n, d, modulus=c.modulus, x_name=x_name,
-                                     **caps)
-    return hadamard_circuit(c, decoder, name=c.name)
+    return _decode(c, n, d, one_shot=True, **caps)
 
 
 # ---------------------------------------------------------------------------

@@ -38,11 +38,6 @@ class SquareMatrix:
     def identity(cls, dim: int, one, zero) -> "SquareMatrix":
         return cls.filled(dim, lambda i, j: one if i == j else zero)
 
-    @classmethod
-    def scalar_diag(cls, dim: int, elem, zero) -> "SquareMatrix":
-        """elem on the diagonal, zero elsewhere."""
-        return cls.filled(dim, lambda i, j: elem if i == j else zero)
-
     def entry(self, i: int, j: int):
         return self.rows[i][j]
 

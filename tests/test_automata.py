@@ -1,12 +1,14 @@
+import hashlib
 import itertools
 
 import pytest
 
+import nclift
 from nclift import (DEFAULT_MODULUS, Alphabet, BudgetError, NCPolynomial,
                     Transition, Weight, WeightedAutomaton, Word,
-                    build_decoder, build_one_shot_decoder, index_to_word,
-                    one_shot_nominal_states, one_shot_state_count,
-                    series_truncate, word_to_index)
+                    build_decoder, build_one_shot_decoder, format_automaton,
+                    index_to_word, one_shot_nominal_states,
+                    one_shot_state_count, series_truncate, word_to_index)
 
 from helpers import coeff_by_paths, random_automaton
 
@@ -152,12 +154,13 @@ def rebuilt_the_long_way(auto):
 
 
 @pytest.mark.parametrize("build, args", [
-    *((build_decoder, (m,)) for m in (1, 2, 3, 4)),
-    *((build_one_shot_decoder, nd) for nd in ((2, 1), (3, 1), (2, 2)))])
+    *(("build_decoder", (m,)) for m in (1, 2, 3, 4)),
+    *(("build_one_shot_decoder", nd) for nd in ((2, 1), (3, 1), (2, 2)))])
 def test_canonical_input_is_kept_and_matches_a_merge(build, args,
                                                      monkeypatch):
-    """The builders emit canonical transitions, which are kept as they
-    are; merging and sorting the same weights gives the same automaton."""
+    """The builder, under either public name, emits canonical
+    transitions, which are kept as they are; merging and sorting the
+    same weights gives the same automaton."""
     passed_in = []
 
     def recording_post_init(self, post_init=WeightedAutomaton.__post_init__):
@@ -165,7 +168,7 @@ def test_canonical_input_is_kept_and_matches_a_merge(build, args,
         post_init(self)
     monkeypatch.setattr(WeightedAutomaton, "__post_init__",
                         recording_post_init)
-    auto = build(*args, modulus=P)
+    auto = getattr(nclift, build)(*args, modulus=P)
     assert len(passed_in) == 1
     assert auto.transitions is passed_in[0]
     merged = rebuilt_the_long_way(auto)
@@ -207,10 +210,22 @@ def test_automaton_validation():
                           (Transition(0, 0, 1, Weight(1, 9)),))
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_one_shot_depth_one_is_plain_decoder(n):
-    assert build_one_shot_decoder(n, 1, modulus=P) == build_decoder(
-        n, modulus=P)
+# sha256 of format_automaton(build_decoder(n, d)) at the default
+# modulus: state numbering, transition order and weights all show here.
+DECODER_SHA256 = {
+    (1, 1): "6c0a709723e523e2476460d685ef36fe9878981fe84faba6e080d8e1ec7ddbcc",
+    (2, 1): "92d7a465623e35b32029230c72df82c223e7f31e90ad1525f5327ebc39586f44",
+    (3, 1): "06278105d7c765a74b6929899ba43e6cee6b6fbc29bf7565614977a4d0ae083e",
+    (8, 1): "6201b0c22b3f5020fe6fcf6e3cdfcc4be12fb447079738b9e9c4a51dc819d9fa",
+    (2, 2): "5185a2ccec2968278621511e3fc48ddf61d8e448e1f99bea1e18a8a9cdded38c",
+    (3, 2): "1a7cbb479b0461af54cfd2d944013b8749c5e5258694c3a15cd4c875c87086d4",
+}
+
+
+@pytest.mark.parametrize("n, d", sorted(DECODER_SHA256))
+def test_decoder_bytes_are_pinned(n, d):
+    text = format_automaton(build_decoder(n, d))
+    assert hashlib.sha256(text.encode()).hexdigest() == DECODER_SHA256[n, d]
 
 
 def test_one_shot_state_counts():
@@ -243,3 +258,10 @@ def test_one_shot_budget_caps():
         build_one_shot_decoder(2, 2, modulus=P, max_states=10)
     with pytest.raises(BudgetError):
         build_one_shot_decoder(2, 2, modulus=P, max_transitions=100)
+    # The d = 1 case has the same caps: m = 130 needs 130^3 + 260
+    # transitions, over the default 2,000,000.
+    with pytest.raises(BudgetError, match="^decoder needs 2197260 "
+                                          "transitions, budget is 2000000$"):
+        build_decoder(130, modulus=P)
+    with pytest.raises(BudgetError, match="^decoder needs 5 states"):
+        build_decoder(2, modulus=P, max_states=4)

@@ -98,7 +98,7 @@ def test_eval_matrix_needs_dim_for_constant_circuits():
     with pytest.raises(ValueError):
         eval_matrix(c, {})
     got = eval_matrix(c, {}, dim=2)
-    assert got == SquareMatrix.scalar_diag(2, Scalar(9, P), Scalar.zero(P))
+    assert got == SquareMatrix.identity(2, Scalar(9, P), Scalar.zero(P))
 
 
 def test_eval_matrix_rejects_foreign_modulus():

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -6,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from nclift import (Alphabet, CircuitBuilder, build_decoder, cli,
-                    format_automaton, format_circuit, format_poly, hadamard,
+                    format_automaton, format_circuit, hadamard,
                     iterate_decoder, iterate_encoder, one_shot_decode_circuit,
                     parse_poly)
 
@@ -49,7 +50,8 @@ def test_build_decoder_golden(tmp_path):
     r = run_cli("build-decoder", "--m", "2", "--out", str(out))
     assert r.returncode == 0
     assert r.stdout == "states=5 transitions=12\n"
-    assert out.read_text() == format_automaton(build_decoder(2, modulus=P))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "92d7a465623e35b32029230c72df82c223e7f31e90ad1525f5327ebc39586f44")
 
 
 def test_one_shot_decoder_states(tmp_path):
@@ -216,6 +218,33 @@ def test_synthesis_budget_exit_3(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == (
         "nclift: budget exceeded: node 2: synthesis emitted 2 nodes, "
         "budget is 1\n")
+
+
+def one_node_circuit(path, letters):
+    b = CircuitBuilder(Alphabet("Y", letters), P, name="c")
+    path.write_text(format_circuit(b.finish(b.var(0))))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, transitions", [
+    (["build-decoder", "--m", "130"], 130 ** 3 + 2 * 130),
+    (["decode", "--m", "130", "--in", 130], 130 ** 3 + 2 * 130),
+    # The m=2 and m=8 stages fit; m=512 fails before any synthesis.
+    (["decode", "--n", "2", "--d", "3", "--in", 2], 512 ** 3 + 2 * 512),
+])
+def test_decoder_budget_exit_3(tmp_path, capsys, monkeypatch, argv,
+                               transitions):
+    monkeypatch.delenv("NCLIFT_MODULUS", raising=False)
+    argv = [one_node_circuit(tmp_path / "c.circ", a) if isinstance(a, int)
+            else a for a in argv]
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"nclift: budget exceeded: decoder needs "
+                            f"{transitions} transitions, budget is "
+                            f"2000000\n")
+    assert not out.exists()
 
 
 def test_modulus_env_and_flag(tmp_path):

@@ -1,0 +1,50 @@
+"""The example scripts, run in-process with their README arguments."""
+
+import hashlib
+import importlib.util
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+LIFT_DEMO_STDOUT = """\
+family random-sparse N=512 t=2 seed=1729
+  k          N_k    deg_k      gates   bound_factor
+  0          512        2          8          10115
+  1            8        6         20            275
+  2            2       18         50              1
+bound factor per decode stage: 2*q^3 + q^2 with q = 2*N_{k+1} + 1 \
+(exponent 3, plain matrix product)
+
+hadamard q=5 in_gates=50 out_gates=11600 bound=13250 ok=1
+decode 2 -> 8 letters: ok
+hadamard q=17 in_gates=20 out_gates=175134 bound=199410 ok=1
+decode 8 -> 512 letters: ok
+round trip exact
+"""
+
+# 31 lines: a header and ten trials for each of m = 2, 3, 4.
+SIZE_SWEEP_SHA256 = (
+    "2d558ec91fc0edcacb66995ae1238fb325497d00d9c3c219ec083fed60992c00")
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_lift_demo_stdout(capsys):
+    argv = ["--n", "2", "--d", "2", "--t", "2", "--kind", "random-sparse"]
+    assert load("lift_demo").main(argv) == 0
+    assert capsys.readouterr().out == LIFT_DEMO_STDOUT
+
+
+def test_size_sweep_stdout(capsys):
+    assert load("size_sweep").main(["--max-m", "4", "--trials", "10"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[0].split() == ["m", "q", "in_gates", "folded",
+                                           "prefold", "budget", "ok"]
+    assert len(out.splitlines()) == 31
+    assert hashlib.sha256(out.encode()).hexdigest() == SIZE_SWEEP_SHA256
+
