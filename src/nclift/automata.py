@@ -16,7 +16,9 @@ order.  They invert the block encoders in the lifting module.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import NamedTuple, Sequence
 
 from .errors import BudgetError, FormatError
@@ -27,6 +29,9 @@ from .scalars import DEFAULT_MODULUS, require_prime_modulus
 
 DEFAULT_MAX_STATES = 50_000
 DEFAULT_MAX_TRANSITIONS = 2_000_000
+# Distinct decoders build_decoder keeps.  Decoding a depth-2 chain both
+# stagewise and in one shot uses 3 (m = 2, m = 8 and n = 2, d = 2).
+DECODER_CACHE_SIZE = 8
 
 
 def word_to_index(letters: Sequence[int], base: int) -> int:
@@ -141,8 +146,16 @@ class WeightedAutomaton:
         steps: dict[int, list[tuple[int, int, int, int | None]]] = {}
         for source, letter, target, (coeff, var) in canon:
             steps.setdefault(letter, []).append((source, target, coeff, var))
-        object.__setattr__(self, "_steps",
-                           {a: tuple(v) for a, v in steps.items()})
+        # Read-only, because build_decoder hands one instance to every
+        # caller asking for the same decoder.
+        object.__setattr__(self, "_steps", MappingProxyType(
+            {a: tuple(v) for a, v in steps.items()}))
+
+    def __reduce__(self):
+        # A mapping proxy cannot be pickled; copies rebuild _steps.
+        return (type(self), (self.y_alphabet, self.x_alphabet, self.modulus,
+                             self.num_states, self.start, self.accept,
+                             self.transitions))
 
     def steps(self, letter: int) -> tuple[tuple[int, int, int, int | None],
                                           ...]:
@@ -285,22 +298,38 @@ def build_decoder(n: int, d: int = 1, *,
     State ids: 0, then prefix states by length then base-n value, then
     suffix states in the same order.  Raises BudgetError before building
     anything if the states or transitions would exceed their budgets.
+
+    Decoders are memoised on (n, d, modulus, y_name, x_name), the
+    arguments that fix the automaton: every call for the same decoder
+    returns the same shared, immutable instance.  The argument and
+    budget checks run on every call, before the lookup, so a budget
+    refuses a decoder even when it is cached; failed builds are not
+    cached.  At worst the cache pins DECODER_CACHE_SIZE decoders, each
+    within the transition budget of the call that built it.
     """
     if n < 1:
         raise ValueError(f"alphabet size must be positive, got {n}")
     if d < 1:
         raise ValueError(f"depth must be positive, got {d}")
-    half = (3 ** d - 1) // 2
-    layer = [n ** j for j in range(half + 1)]
-    side = sum(layer[1:])
-    num_states = 1 + 2 * side
-    num_trans = n ** (2 * half + 1) + 2 * side
+    num_states = one_shot_state_count(n, d)
+    # One middle transition per block, one per non-root tree state.
+    num_trans = n ** (3 ** d) + num_states - 1
     if num_states > max_states:
         raise BudgetError(f"decoder needs {num_states} states, "
                           f"budget is {max_states}")
     if num_trans > max_transitions:
         raise BudgetError(f"decoder needs {num_trans} transitions, "
                           f"budget is {max_transitions}")
+    return _build(n, d, modulus, y_name, x_name)
+
+
+@functools.lru_cache(maxsize=DECODER_CACHE_SIZE)
+def _build(n: int, d: int, modulus: int, y_name: str,
+           x_name: str) -> WeightedAutomaton:
+    """build_decoder's construction, after its checks have passed."""
+    half = (3 ** d - 1) // 2
+    layer = [n ** j for j in range(half + 1)]
+    side = sum(layer[1:])
 
     # pre[k] = id of the first length-k prefix state, suf[k] the same
     # for suffixes; the empty word (k = 0) is the merged state 0 in both.
@@ -331,7 +360,7 @@ def build_decoder(n: int, d: int = 1, *,
             first, rest = divmod(value, layer[k - 1])
             tgt = suf[k - 1] + rest
             trans.append(Transition(suf[k] + value, first, tgt, one))
-    return WeightedAutomaton(y, x, modulus, num_states, 0, 0, tuple(trans))
+    return WeightedAutomaton(y, x, modulus, 1 + 2 * side, 0, 0, tuple(trans))
 
 
 # One builder under both names: one-shot decoding is build_decoder(n, d).

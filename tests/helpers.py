@@ -8,6 +8,17 @@ paths under test.
 from nclift import (Alphabet, NCPolynomial, Transition, Weight,
                     WeightedAutomaton)
 
+# sha256 of format_automaton(build_decoder(n, d)) at the default
+# modulus: state numbering, transition order and weights all show here.
+DECODER_SHA256 = {
+    (1, 1): "6c0a709723e523e2476460d685ef36fe9878981fe84faba6e080d8e1ec7ddbcc",
+    (2, 1): "92d7a465623e35b32029230c72df82c223e7f31e90ad1525f5327ebc39586f44",
+    (3, 1): "06278105d7c765a74b6929899ba43e6cee6b6fbc29bf7565614977a4d0ae083e",
+    (8, 1): "6201b0c22b3f5020fe6fcf6e3cdfcc4be12fb447079738b9e9c4a51dc819d9fa",
+    (2, 2): "5185a2ccec2968278621511e3fc48ddf61d8e448e1f99bea1e18a8a9cdded38c",
+    (3, 2): "1a7cbb479b0461af54cfd2d944013b8749c5e5258694c3a15cd4c875c87086d4",
+}
+
 
 def random_poly(rng, alphabet, modulus, *, max_len=4, terms=6):
     body = {}

@@ -9,12 +9,16 @@ expected failure and is marked strict xfail: if it ever starts
 passing, something changed underneath and the suite flags it.
 """
 
+import hashlib
 import re
 
 import pytest
 
-from nclift import one_shot_nominal_states, one_shot_state_count
+from nclift import (build_decoder, format_automaton, one_shot_nominal_states,
+                    one_shot_state_count)
 from nclift.acceptance import AcceptanceSuite
+
+from helpers import DECODER_SHA256
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +113,12 @@ def test_check_9_mutants_are_caught(suite):
     _, results = suite
     r = _details(results, 9)
     assert r.passed, r.details
+
+
+def test_mutants_leave_the_shared_decoder_intact(suite):
+    # Check 9 derives its mutant from the cached build_decoder(2).
+    text = format_automaton(build_decoder(2))
+    assert hashlib.sha256(text.encode()).hexdigest() == DECODER_SHA256[2, 1]
 
 
 def test_only_the_state_count_check_fails(suite):

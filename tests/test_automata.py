@@ -1,16 +1,18 @@
+import copy
 import hashlib
 import itertools
+import pickle
 
 import pytest
 
 import nclift
 from nclift import (DEFAULT_MODULUS, Alphabet, BudgetError, NCPolynomial,
-                    Transition, Weight, WeightedAutomaton, Word,
-                    build_decoder, build_one_shot_decoder, format_automaton,
-                    index_to_word, one_shot_nominal_states,
+                    Transition, Weight, WeightedAutomaton, Word, automata,
+                    build_decoder, build_one_shot_decoder, chain_decoders,
+                    format_automaton, index_to_word, one_shot_nominal_states,
                     one_shot_state_count, series_truncate, word_to_index)
 
-from helpers import coeff_by_paths, random_automaton
+from helpers import DECODER_SHA256, coeff_by_paths, random_automaton
 
 P = DEFAULT_MODULUS
 
@@ -161,6 +163,8 @@ def test_canonical_input_is_kept_and_matches_a_merge(build, args,
     """The builder, under either public name, emits canonical
     transitions, which are kept as they are; merging and sorting the
     same weights gives the same automaton."""
+    # A cached decoder would be returned without being constructed.
+    automata._build.cache_clear()
     passed_in = []
 
     def recording_post_init(self, post_init=WeightedAutomaton.__post_init__):
@@ -210,18 +214,6 @@ def test_automaton_validation():
                           (Transition(0, 0, 1, Weight(1, 9)),))
 
 
-# sha256 of format_automaton(build_decoder(n, d)) at the default
-# modulus: state numbering, transition order and weights all show here.
-DECODER_SHA256 = {
-    (1, 1): "6c0a709723e523e2476460d685ef36fe9878981fe84faba6e080d8e1ec7ddbcc",
-    (2, 1): "92d7a465623e35b32029230c72df82c223e7f31e90ad1525f5327ebc39586f44",
-    (3, 1): "06278105d7c765a74b6929899ba43e6cee6b6fbc29bf7565614977a4d0ae083e",
-    (8, 1): "6201b0c22b3f5020fe6fcf6e3cdfcc4be12fb447079738b9e9c4a51dc819d9fa",
-    (2, 2): "5185a2ccec2968278621511e3fc48ddf61d8e448e1f99bea1e18a8a9cdded38c",
-    (3, 2): "1a7cbb479b0461af54cfd2d944013b8749c5e5258694c3a15cd4c875c87086d4",
-}
-
-
 @pytest.mark.parametrize("n, d", sorted(DECODER_SHA256))
 def test_decoder_bytes_are_pinned(n, d):
     text = format_automaton(build_decoder(n, d))
@@ -265,3 +257,68 @@ def test_one_shot_budget_caps():
         build_decoder(130, modulus=P)
     with pytest.raises(BudgetError, match="^decoder needs 5 states"):
         build_decoder(2, modulus=P, max_states=4)
+
+
+def test_decoders_are_shared_under_every_name():
+    dec = build_decoder(2, 2)
+    assert build_one_shot_decoder(2, 2) is dec
+    assert build_decoder(2, 2, modulus=P, max_states=61) is dec
+    assert chain_decoders(2, 2, P, one_shot=True)[0] is dec
+
+
+@pytest.mark.parametrize("options, y, x, p", [
+    ({"modulus": 7}, "Y", "X", 7),
+    ({"y_name": "Z"}, "Z", "X", P),
+    ({"x_name": "Q"}, "Y", "Q", P)])
+def test_each_cache_key_field_gives_its_own_decoder(options, y, x, p):
+    plain = build_decoder(2)
+    other = build_decoder(2, **options)
+    assert other is not plain
+    assert other.y_alphabet == Alphabet(y, 2)
+    assert other.x_alphabet == Alphabet(x, 8)
+    assert other.modulus == p
+    assert other.transitions == plain.transitions
+    assert build_decoder(2) is plain
+
+
+def test_budget_refuses_a_cached_decoder():
+    build_decoder(2, 2)
+    hits = automata._build.cache_info().hits
+    with pytest.raises(BudgetError, match="^decoder needs 61 states"):
+        build_decoder(2, 2, max_states=10)
+    with pytest.raises(BudgetError, match="^decoder needs 572 transitions"):
+        build_one_shot_decoder(2, 2, max_transitions=571)
+    assert automata._build.cache_info().hits == hits
+
+
+def test_failed_builds_are_not_cached():
+    before = automata._build.cache_info().currsize
+    with pytest.raises(ValueError):
+        build_decoder(2, modulus=8)
+    assert automata._build.cache_info().currsize == before
+
+
+def test_decoder_cache_is_bounded():
+    size = automata.DECODER_CACHE_SIZE
+    for n in range(1, size + 3):
+        build_decoder(n)
+    info = automata._build.cache_info()
+    assert info.maxsize == size
+    assert info.currsize <= size
+
+
+def test_shared_decoder_steps_are_read_only():
+    dec = build_decoder(2)
+    moves = dec.steps(0)
+    with pytest.raises(TypeError):
+        dec._steps[0] = ()
+    assert build_decoder(2).steps(0) is moves
+
+
+def test_copies_and_pickles_rebuild_the_step_table():
+    dec = build_decoder(2)
+    for twin in (copy.copy(dec), copy.deepcopy(dec),
+                 pickle.loads(pickle.dumps(dec))):
+        assert twin == dec
+        for a in range(dec.y_alphabet.size):
+            assert twin.steps(a) == dec.steps(a)
