@@ -15,7 +15,7 @@ from .automata import (Transition, WeightedAutomaton, Weight, build_decoder,
 from .circuits import (AddNode, Circuit, CircuitBuilder, ConstNode,
                        InputNode, MulNode, SizeReport, circuit_from_poly,
                        eval_matrix, eval_scalar, expand, format_circuit,
-                       parse_circuit, substitute_inputs)
+                       parse_circuit)
 from .config import DEFAULT_SEED, modulus_from_env
 from .errors import BudgetError, FormatError, NCLiftError
 from .hadamard import (HadamardWitness, hadamard_circuit, hadamard_eval,
@@ -51,5 +51,5 @@ __all__ = [
     "matrix_value_of_poly", "modulus_from_env", "one_shot_decode_circuit",
     "one_shot_nominal_states", "one_shot_state_count", "parse_automaton",
     "parse_circuit", "parse_poly", "require_prime_modulus", "sample_family",
-    "series_truncate", "substitute_inputs", "word_concat", "word_to_index",
+    "series_truncate", "word_concat", "word_to_index",
 ]

@@ -66,10 +66,6 @@ class Weight(NamedTuple):
     coeff: int
     var: int | None = None
 
-    @property
-    def is_scalar(self) -> bool:
-        return self.var is None
-
 
 class Transition(NamedTuple):
     source: int
@@ -93,9 +89,8 @@ class WeightedAutomaton:
 
         Canonical: sorted by strictly increasing (source, letter,
         target), coefficients in 1..p-1, so parallel arrows are merged
-        and zero weights dropped.  Input already in that form (both
-        decoder builders emit it) is kept as it is; from the first
-        transition that breaks it on, the rest are merged and re-sorted.
+        and zero weights dropped.  Every transition list is checked,
+        merged and sorted, whatever order it comes in.
         """
         p = require_prime_modulus(self.modulus)
         q = self.num_states
@@ -105,11 +100,8 @@ class WeightedAutomaton:
             if not 0 <= state < q:
                 raise ValueError(f"{label} state {state} out of range")
         letters, xvars = self.y_alphabet.size, self.x_alphabet.size
-        transitions = tuple(self.transitions)
-        merged: dict[tuple[int, int, int], Weight] | None = None
-        last = (-1, -1, -1)
-        for index, t in enumerate(transitions):
-            source, letter, target, w = t
+        merged: dict[tuple[int, int, int], Weight] = {}
+        for source, letter, target, (coeff, var) in self.transitions:
             if not 0 <= source < q:
                 raise ValueError(f"transition source {source} out of range")
             if not 0 <= target < q:
@@ -117,17 +109,10 @@ class WeightedAutomaton:
             if not 0 <= letter < letters:
                 raise ValueError(f"transition letter y{letter} outside "
                                  f"alphabet of size {letters}")
-            coeff, var = w
             if var is not None and not 0 <= var < xvars:
                 raise ValueError(f"weight variable x{var} outside alphabet "
                                  f"of size {xvars}")
             key = (source, letter, target)
-            if merged is None:
-                if (key > last and 0 < coeff < p and type(t) is Transition
-                        and type(w) is Weight):
-                    last = key
-                    continue
-                merged = {u[:3]: u.weight for u in transitions[:index]}
             prev = merged.get(key)
             if prev is None:
                 merged[key] = Weight(coeff % p, var)
@@ -136,12 +121,9 @@ class WeightedAutomaton:
             else:
                 raise ValueError(f"transitions {key} mix scalar and term "
                                  f"weights, or terms in different variables")
-        if merged is None:
-            canon = transitions
-        else:
-            canon = tuple(Transition(s, a, t, w)
-                          for (s, a, t), w in sorted(merged.items())
-                          if w.coeff != 0)
+        canon = tuple(Transition(s, a, t, w)
+                      for (s, a, t), w in sorted(merged.items())
+                      if w.coeff != 0)
         object.__setattr__(self, "transitions", canon)
         steps: dict[int, list[tuple[int, int, int, int | None]]] = {}
         for source, letter, target, (coeff, var) in canon:

@@ -2,9 +2,10 @@
 
 A circuit is an immutable DAG: a tuple of fan-in <= 2 nodes with dense
 ids 0..len-1, children strictly below parents, and one designated
-output.  Multiplication children are ordered; nothing ever commutes
-them.  Gate counts (add/mul) are reported separately from leaf counts
-(input/const) so size bounds can be asserted against gates alone.
+output, all checked when the circuit is built.  Multiplication
+children are ordered; nothing ever commutes them.  Gate counts
+(add/mul) are reported separately from leaf counts (input/const) so
+size bounds can be asserted against gates alone.
 """
 
 from __future__ import annotations
@@ -77,17 +78,15 @@ class Circuit:
     output: int
 
     def __post_init__(self) -> None:
+        """Check every node; raise ValueError naming the first bad one."""
         check_name(self.name)
-        require_prime_modulus(self.modulus)
-        object.__setattr__(self, "nodes", tuple(self.nodes))
-
-    def validate(self) -> None:
-        """Raise ValueError naming the first offending node."""
+        p = require_prime_modulus(self.modulus)
+        nodes = tuple(self.nodes)
+        object.__setattr__(self, "nodes", nodes)
         n = self.alphabet.size
-        p = self.modulus
-        if not self.nodes:
+        if not nodes:
             raise ValueError("circuit has no nodes")
-        for i, node in enumerate(self.nodes):
+        for i, node in enumerate(nodes):
             if isinstance(node, InputNode):
                 if not 0 <= node.var < n:
                     raise ValueError(f"node {i}: variable x{node.var} "
@@ -103,7 +102,7 @@ class Circuit:
                                          f"strictly below its parent")
             else:
                 raise ValueError(f"node {i}: unknown node kind {node!r}")
-        if not 0 <= self.output < len(self.nodes):
+        if not 0 <= self.output < len(nodes):
             raise ValueError(f"output {self.output} is not a node id")
 
     def size_report(self) -> SizeReport:
@@ -127,32 +126,6 @@ class Circuit:
     def used_vars(self) -> set[int]:
         return {node.var for node in self.nodes
                 if isinstance(node, InputNode)}
-
-    def pruned(self, name: str | None = None) -> "Circuit":
-        """Drop nodes unreachable from the output, preserving order."""
-        keep = set()
-        stack = [self.output]
-        while stack:
-            i = stack.pop()
-            if i in keep:
-                continue
-            keep.add(i)
-            node = self.nodes[i]
-            if isinstance(node, (AddNode, MulNode)):
-                stack.append(node.lhs)
-                stack.append(node.rhs)
-        remap: dict[int, int] = {}
-        nodes: list[Node] = []
-        for i in sorted(keep):
-            node = self.nodes[i]
-            if isinstance(node, AddNode):
-                node = AddNode(remap[node.lhs], remap[node.rhs])
-            elif isinstance(node, MulNode):
-                node = MulNode(remap[node.lhs], remap[node.rhs])
-            remap[i] = len(nodes)
-            nodes.append(node)
-        return Circuit(name or self.name, self.alphabet, self.modulus,
-                       tuple(nodes), remap[self.output])
 
 
 class CircuitBuilder:
@@ -207,14 +180,51 @@ class CircuitBuilder:
         """The residue a node is a constant for, else None."""
         return self._const_vals.get(nid)
 
-    def finish(self, output: int, *, name: str | None = None,
-               prune: bool = False) -> Circuit:
-        circuit = Circuit(name or self.name, self.alphabet, self.modulus,
-                          tuple(self.nodes), output)
+    def finish(self, output: int, *, prune: bool = False) -> Circuit:
+        """Freeze the nodes into a Circuit, which checks them.
+
+        With prune, nodes the output does not reach are dropped first,
+        keeping the others in order, so one Circuit is built either way.
+        """
+        nodes = self.nodes
         if prune:
-            circuit = circuit.pruned()
-        circuit.validate()
-        return circuit
+            nodes, output = _reachable(nodes, output)
+        return Circuit(self.name, self.alphabet, self.modulus, tuple(nodes),
+                       output)
+
+
+def _reachable(nodes: list[Node], output: int) -> tuple[list[Node], int]:
+    """The nodes output reaches, in order and renumbered, and its new id.
+
+    A walk that meets an id breaking the node rules returns the list as
+    given, for the Circuit to refuse by name.
+    """
+    if not 0 <= output < len(nodes):
+        return nodes, output
+    keep = set()
+    stack = [output]
+    while stack:
+        i = stack.pop()
+        if i in keep:
+            continue
+        keep.add(i)
+        node = nodes[i]
+        if isinstance(node, (AddNode, MulNode)):
+            if not (0 <= node.lhs < i and 0 <= node.rhs < i):
+                return nodes, output
+            stack.append(node.lhs)
+            stack.append(node.rhs)
+    remap: dict[int, int] = {}
+    kept: list[Node] = []
+    for i in sorted(keep):
+        node = nodes[i]
+        if isinstance(node, AddNode):
+            node = AddNode(remap[node.lhs], remap[node.rhs])
+        elif isinstance(node, MulNode):
+            node = MulNode(remap[node.lhs], remap[node.rhs])
+        remap[i] = len(kept)
+        kept.append(node)
+    return kept, remap[output]
 
 
 # ---------------------------------------------------------------------------
@@ -320,9 +330,9 @@ def expand(circuit: Circuit, max_degree: int = DEFAULT_MAX_DEGREE,
 
     Hard budgets, not truncation: any intermediate polynomial whose
     degree exceeds max_degree or support exceeds max_terms aborts with
-    BudgetError naming the node.
+    BudgetError naming the node.  The circuit checked its nodes when it
+    was built, so none is checked again here.
     """
-    circuit.validate()
     p = circuit.modulus
 
     def checked(t: dict) -> dict:
@@ -348,57 +358,6 @@ def expand(circuit: Circuit, max_degree: int = DEFAULT_MAX_DEGREE,
     terms = replay(circuit, lambda v: checked({(v,): 1}), const,
                    lambda a, b: checked(add_maps(a, b, p)), mul)
     return NCPolynomial(circuit.alphabet, p, terms, _trusted=True)
-
-
-def substitute_inputs(circuit: Circuit,
-                      replacements: Mapping[int, Circuit]) -> Circuit:
-    """Splice a replacement circuit over every Input node, in gate order.
-
-    Each Input(x_i) node becomes its own copy of replacements[i]; gate
-    nodes are kept with remapped children.  All replacement circuits
-    must share one target alphabet and the original modulus.
-    """
-    circuit.validate()
-    target: Alphabet | None = None
-    for var, rep in replacements.items():
-        if rep.modulus != circuit.modulus:
-            raise ValueError(f"replacement for x{var}: modulus "
-                             f"{rep.modulus} != {circuit.modulus}")
-        if target is None:
-            target = rep.alphabet
-        elif rep.alphabet.size != target.size:
-            raise ValueError("replacement circuits disagree on the target "
-                             "alphabet size")
-    if target is None:
-        raise ValueError("no replacement circuits given")
-
-    nodes: list[Node] = []
-    mapped: dict[int, int] = {}
-    for i, node in enumerate(circuit.nodes):
-        if isinstance(node, InputNode):
-            rep = replacements.get(node.var)
-            if rep is None:
-                raise ValueError(f"node {i}: no replacement for used "
-                                 f"variable x{node.var}")
-            base = len(nodes)
-            for rn in rep.nodes:
-                if isinstance(rn, AddNode):
-                    rn = AddNode(rn.lhs + base, rn.rhs + base)
-                elif isinstance(rn, MulNode):
-                    rn = MulNode(rn.lhs + base, rn.rhs + base)
-                nodes.append(rn)
-            mapped[i] = base + rep.output
-        else:
-            if isinstance(node, AddNode):
-                node = AddNode(mapped[node.lhs], mapped[node.rhs])
-            elif isinstance(node, MulNode):
-                node = MulNode(mapped[node.lhs], mapped[node.rhs])
-            mapped[i] = len(nodes)
-            nodes.append(node)
-    out = Circuit(circuit.name, target, circuit.modulus, tuple(nodes),
-                  mapped[circuit.output])
-    out.validate()
-    return out
 
 
 def circuit_from_poly(f: NCPolynomial, name: str = "c") -> Circuit:
@@ -499,11 +458,9 @@ def parse_circuit(text: str) -> Circuit:
     if output is None:
         raise FormatError("missing output line")
     try:
-        circuit = Circuit(name, alphabet, modulus, tuple(nodes), output)
-        circuit.validate()
+        return Circuit(name, alphabet, modulus, tuple(nodes), output)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
-    return circuit
 
 
 def _split_circuit_header(line: str) -> tuple[str, str, str, str]:

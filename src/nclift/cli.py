@@ -18,7 +18,8 @@ from pathlib import Path
 
 from .automata import (WeightedAutomaton, build_decoder, format_automaton,
                        parse_automaton)
-from .circuits import Circuit, expand, format_circuit, parse_circuit
+from .circuits import (DEFAULT_MAX_DEGREE, DEFAULT_MAX_TERMS, Circuit,
+                       expand, format_circuit, parse_circuit)
 from .config import DEFAULT_SEED, modulus_from_env
 from .errors import BudgetError, FormatError
 from .hadamard import hadamard_circuit, hadamard_witness
@@ -62,12 +63,21 @@ def _need_circuit(obj, path: str) -> Circuit:
     return obj
 
 
-def _stage_params(args) -> tuple[int, int]:
-    """Resolve --m versus --n/--d into an (n, d) chain."""
+def _chain_params(args) -> tuple[int, int]:
+    """Resolve --m, --n/--d and --one-shot into an (n, d) chain.
+
+    --m is the one-stage chain (m, 1) and is never combined with --n or
+    --d; build-decoder takes --n and --d only with --one-shot.
+    """
+    one_shot = getattr(args, "one_shot", False)
+    if one_shot and (args.n is None or args.d is None):
+        raise ValueError("--one-shot needs --n and --d")
     if args.m is not None:
         if args.n is not None or args.d is not None:
             raise ValueError("give either --m or --n with --d, not both")
         return args.m, 1
+    if args.command == "build-decoder" and not one_shot:
+        raise ValueError("give --m, or --n and --d with --one-shot")
     if args.n is None or args.d is None:
         raise ValueError("give either --m or both --n and --d")
     return args.n, args.d
@@ -83,7 +93,7 @@ def cmd_encode(args) -> int:
     obj = _load(getattr(args, "in"))
     if isinstance(obj, WeightedAutomaton):
         raise FormatError("encode expects a poly or circuit file")
-    n, d = _stage_params(args)
+    n, d = _chain_params(args)
     stages = encode_stages(obj, n, d)
     _save(args.out, stages[-1])
     if isinstance(obj, Circuit):
@@ -97,19 +107,8 @@ def cmd_encode(args) -> int:
     return 0
 
 
-def _one_shot_params(args) -> tuple[int, int]:
-    if args.n is None or args.d is None:
-        raise ValueError("--one-shot needs --n and --d")
-    return args.n, args.d
-
-
 def cmd_build_decoder(args) -> int:
-    if args.one_shot:
-        n, d = _one_shot_params(args)
-    elif args.m is None:
-        raise ValueError("give --m, or --n and --d with --one-shot")
-    else:
-        n, d = args.m, 1
+    n, d = _chain_params(args)
     automaton = build_decoder(n, d, modulus=args.resolved_modulus)
     _save(args.out, automaton)
     print(f"states={automaton.num_states} "
@@ -130,10 +129,7 @@ def cmd_hadamard(args) -> int:
 
 def cmd_decode(args) -> int:
     circuit = _need_circuit(_load(getattr(args, "in")), getattr(args, "in"))
-    if args.one_shot:
-        n, d = _one_shot_params(args)
-    else:
-        n, d = _stage_params(args)
+    n, d = _chain_params(args)
     if circuit.alphabet.size != n:
         raise ValueError(f"decode chain starts from {n} letters, "
                          f"circuit has {circuit.alphabet.size}")
@@ -259,8 +255,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", required=True)
     p.add_argument("--out", default=None,
                    help="poly file (default: print to stdout)")
-    p.add_argument("--max-degree", type=int, default=64)
-    p.add_argument("--max-terms", type=int, default=200_000)
+    p.add_argument("--max-degree", type=int, default=DEFAULT_MAX_DEGREE)
+    p.add_argument("--max-terms", type=int, default=DEFAULT_MAX_TERMS)
     p.set_defaults(handler=cmd_expand)
 
     p = sub.add_parser("equiv", parents=[shared],
@@ -268,8 +264,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
     p.add_argument("--mode", choices=("brute", "random"), default="brute")
-    p.add_argument("--max-degree", type=int, default=64)
-    p.add_argument("--max-terms", type=int, default=200_000)
+    p.add_argument("--max-degree", type=int, default=DEFAULT_MAX_DEGREE)
+    p.add_argument("--max-terms", type=int, default=DEFAULT_MAX_TERMS)
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .automata import WeightedAutomaton, build_decoder, index_to_word
-from .circuits import (Circuit, CircuitBuilder, circuit_from_poly,
-                       substitute_inputs)
+from .circuits import (AddNode, Circuit, InputNode, MulNode, Node,
+                       circuit_from_poly)
 from .hadamard import hadamard_bound, hadamard_circuit
 from .polynomials import Alphabet, Letters, NCPolynomial
 from .scalars import DEFAULT_MODULUS, require_prime_modulus
@@ -57,24 +57,43 @@ def encode_poly(f: NCPolynomial, m: int, *, y_name: str = "Y",
     return NCPolynomial(y, f.modulus, terms, _trusted=True)
 
 
-def _digit_chain(var: int, m: int, y: Alphabet, modulus: int) -> Circuit:
-    b = CircuitBuilder(y, modulus, name=f"x{var}")
-    d0, d1, d2 = encode_word(var, m)
-    out = b.mul(b.mul(b.var(d0), b.var(d1)), b.var(d2))
-    return b.finish(out)
-
-
 def encode_circuit(c: Circuit, m: int, *, y_name: str = "Y") -> Circuit:
-    """Splice the digit word of each input variable into the circuit."""
+    """Write each input variable as the product of its digit letters.
+
+    One pass over the nodes: the input x_i becomes the chain
+    (y_a * y_b) * y_c of its digits a, b, c, with one leaf per distinct
+    digit, and every other node is kept with renumbered children.
+    """
     if c.alphabet.size != m ** 3:
         raise ValueError(f"encoder with m={m} needs {m ** 3} variables, "
                          f"circuit has {c.alphabet.size}")
-    y = Alphabet(y_name, m)
-    used = c.used_vars()
-    if not used:
-        return Circuit(c.name, y, c.modulus, c.nodes, c.output)
-    reps = {v: _digit_chain(v, m, y, c.modulus) for v in sorted(used)}
-    return substitute_inputs(c, reps)
+    nodes: list[Node] = []
+    push = nodes.append
+    new_id: list[int] = []    # where each node of c landed
+    for node in c.nodes:
+        if isinstance(node, InputNode):
+            leaves: dict[int, int] = {}
+            chain = -1
+            for digit in encode_word(node.var, m):
+                leaf = leaves.get(digit)
+                if leaf is None:
+                    leaf = leaves[digit] = len(nodes)
+                    push(InputNode(digit))
+                if chain < 0:
+                    chain = leaf
+                else:
+                    push(MulNode(chain, leaf))
+                    chain = len(nodes) - 1
+            new_id.append(chain)
+            continue
+        if isinstance(node, AddNode):
+            node = AddNode(new_id[node.lhs], new_id[node.rhs])
+        elif isinstance(node, MulNode):
+            node = MulNode(new_id[node.lhs], new_id[node.rhs])
+        new_id.append(len(nodes))
+        push(node)
+    return Circuit(c.name, Alphabet(y_name, m), c.modulus, tuple(nodes),
+                   new_id[c.output])
 
 
 def encode_stages(obj, n: int, d: int):
@@ -239,13 +258,6 @@ def lift_report(params: LiftParams,
     if len(stage_gates) != params.d + 1:
         raise ValueError(f"expected {params.d + 1} stage sizes, got "
                          f"{len(stage_gates)}")
-    for k in range(params.d):
-        if sizes[k + 1] ** 3 != sizes[k]:
-            raise ValueError(f"broken chain at stage {k}: "
-                             f"{sizes[k + 1]}^3 != {sizes[k]}")
-    if sizes[params.d] != params.n:
-        raise ValueError(f"chain must end at {params.n}, ends at "
-                         f"{sizes[params.d]}")
     rows = tuple(StageRow(k, sizes[k], degs[k], int(stage_gates[k]),
                           params.bound_factor(k))
                  for k in range(params.d + 1))

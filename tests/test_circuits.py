@@ -5,12 +5,11 @@ import pytest
 from nclift import (DEFAULT_MODULUS, AddNode, Alphabet, BudgetError, Circuit,
                     CircuitBuilder, ConstNode, InputNode, MulNode,
                     NCPolynomial, Scalar, SquareMatrix, circuit_from_poly,
-                    eval_matrix, eval_scalar, expand, matrix_value_of_poly,
-                    substitute_inputs)
+                    eval_matrix, eval_scalar, expand, matrix_value_of_poly)
 from nclift.circuits import replay
 from nclift.randcircuits import random_circuit
 
-from helpers import poly_substitute, random_poly
+from helpers import random_poly
 
 X3 = Alphabet("X", 3)
 P = DEFAULT_MODULUS
@@ -44,11 +43,50 @@ def test_validate_rejects_malformed():
     # Children must point at earlier nodes.
     nodes = (InputNode(0), AddNode(0, 1))
     with pytest.raises(ValueError, match="node 1"):
-        Circuit("bad", X3, P, nodes, 1).validate()
+        Circuit("bad", X3, P, nodes, 1)
     with pytest.raises(ValueError):
-        Circuit("bad", X3, P, (InputNode(7),), 0).validate()
+        Circuit("bad", X3, P, (InputNode(7),), 0)
     with pytest.raises(ValueError):
-        Circuit("bad", X3, P, (InputNode(0),), 3).validate()
+        Circuit("bad", X3, P, (InputNode(0),), 3)
+
+
+@pytest.mark.parametrize("nodes, output, message", [
+    ((InputNode(0), AddNode(-1, 0)), 1,
+     "^node 1: child -1 is not strictly below its parent$"),
+    ((InputNode(0), MulNode(0, 1)), 1,
+     "^node 1: child 1 is not strictly below its parent$"),
+    ((InputNode(0), AddNode(0, 2), InputNode(1)), 1,
+     "^node 1: child 2 is not strictly below its parent$"),
+    ((InputNode(0), InputNode(3)), 1,
+     "^node 1: variable x3 outside alphabet of size 3$"),
+    ((InputNode(0), InputNode(-1)), 0,
+     "^node 1: variable x-1 outside alphabet of size 3$"),
+    ((ConstNode(P),), 0, "^node 0: constant .* not a reduced residue"),
+    ((InputNode(0), InputNode(1)), 2, "^output 2 is not a node id$"),
+    ((InputNode(0),), -1, "^output -1 is not a node id$"),
+    ((), 0, "^circuit has no nodes$"),
+])
+def test_invalid_circuit_is_refused_at_construction(nodes, output, message):
+    """A circuit that breaks the node rules cannot be built, so it is
+    never evaluated or written out; a negative child would read a node
+    from the end of the list."""
+    with pytest.raises(ValueError, match=message):
+        Circuit("bad", X3, P, nodes, output)
+
+
+def test_pruning_refuses_what_a_circuit_refuses():
+    """Pruning walks the nodes before the Circuit checks them; a bad id
+    met on the way must still be refused by name, not read modulo the
+    list length or left to raise IndexError."""
+    b = CircuitBuilder(X3, P)
+    b.var(0)
+    b.var(2)
+    with pytest.raises(ValueError, match="^output -1 is not a node id$"):
+        b.finish(-1, prune=True)
+    b.add(0, 5)
+    with pytest.raises(ValueError, match="^node 2: child 5 is not strictly "
+                                         "below its parent$"):
+        b.finish(2, prune=True)
 
 
 def test_pruned_drops_unreachable():
@@ -57,7 +95,7 @@ def test_pruned_drops_unreachable():
     b.add(b.var(2), keep)           # dead gate
     c = b.finish(keep)
     before = expand(c)
-    pruned = c.pruned()
+    pruned = b.finish(keep, prune=True)
     assert pruned.size_report().total < c.size_report().total
     assert expand(pruned) == before
     assert 2 not in pruned.used_vars()
@@ -135,26 +173,6 @@ def test_replay_order_and_children_in_a_free_algebra():
     c = Circuit("r", X3, P, nodes, 6)
     with pytest.raises(BudgetError, match=r"^node 3: too big$"):
         replay(c, *algebra[:3], over_budget)
-
-
-def test_substitute_then_expand_commutes(rng):
-    Y = Alphabet("Y", 2)
-    for _ in range(25):
-        c = random_circuit(X3, P, rng, max_gates=8, max_degree=3)
-        images = {}
-        chains = {}
-        for i in range(3):
-            g = random_poly(rng, Y, P, max_len=2, terms=2)
-            images[i] = g
-            chains[i] = circuit_from_poly(g)
-        subbed = substitute_inputs(c, chains)
-        assert expand(subbed) == poly_substitute(expand(c), images, Y, P)
-
-
-def test_substitute_missing_var_rejected():
-    c = build_sample()
-    with pytest.raises(ValueError):
-        substitute_inputs(c, {0: build_sample()})
 
 
 def test_circuit_from_poly_round_trip(rng):

@@ -247,6 +247,39 @@ def test_decoder_budget_exit_3(tmp_path, capsys, monkeypatch, argv,
     assert not out.exists()
 
 
+NOT_BOTH = "give either --m or --n with --d, not both"
+
+
+@pytest.mark.parametrize("argv, message", [
+    # --m with --n or --d is refused by every command that takes them.
+    (["build-decoder", "--m", "2", "--n", "3", "--d", "2"], NOT_BOTH),
+    (["build-decoder", "--m", "2", "--one-shot", "--n", "2", "--d", "1"],
+     NOT_BOTH),
+    (["decode", "--one-shot", "--m", "2", "--n", "2", "--d", "2",
+      "--in", 2], NOT_BOTH),
+    (["decode", "--m", "2", "--n", "2", "--d", "2", "--in", 2], NOT_BOTH),
+    (["encode", "--m", "2", "--n", "2", "--d", "2", "--in", 8], NOT_BOTH),
+    (["build-decoder", "--one-shot", "--m", "2"],
+     "--one-shot needs --n and --d"),
+    (["decode", "--one-shot", "--n", "2", "--in", 2],
+     "--one-shot needs --n and --d"),
+    (["build-decoder", "--n", "2", "--d", "2"],
+     "give --m, or --n and --d with --one-shot"),
+    (["encode", "--n", "2", "--in", 8], "give either --m or both --n and --d"),
+])
+def test_chain_flag_errors_exit_2(tmp_path, capsys, monkeypatch, argv,
+                                  message):
+    monkeypatch.delenv("NCLIFT_MODULUS", raising=False)
+    argv = [one_node_circuit(tmp_path / "c.circ", a) if isinstance(a, int)
+            else a for a in argv]
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"nclift: {message}\n"
+    assert not out.exists()
+
+
 def test_modulus_env_and_flag(tmp_path):
     out = tmp_path / "d.aut"
     r = run_cli("build-decoder", "--m", "2", "--out", str(out),

@@ -1,10 +1,15 @@
+import hashlib
+import random
+
 import pytest
 
 from nclift import (DEFAULT_MODULUS, Alphabet, LiftParams, NCPolynomial,
                     circuit_from_poly, decode_circuit, encode_circuit,
                     encode_poly, encode_stages, encode_word, exact_cube_root,
-                    expand, index_to_word, iterate_decoder, iterate_encoder,
-                    lift_report, one_shot_decode_circuit, sample_family)
+                    expand, format_circuit, index_to_word, iterate_decoder,
+                    iterate_encoder, lift_report, one_shot_decode_circuit,
+                    sample_family)
+from nclift.lifting import SAMPLE_KINDS
 from nclift.randcircuits import random_circuit
 
 from helpers import poly_substitute, random_poly
@@ -66,6 +71,29 @@ def test_decode_inverts_encode(rng):
     for _ in range(20):
         c = random_circuit(X, P, rng, max_gates=10, max_degree=3)
         assert expand(decode_circuit(encode_circuit(c, 2), 2)) == expand(c)
+
+
+def test_encode_bytes_are_pinned():
+    """The text of every encoded stage, node order included, stays what
+    it was when this digest was taken: digit leaves, their reuse when a
+    digit repeats, and circuits that read no variable all show here."""
+    rng = random.Random(8191)
+    digest = hashlib.sha256()
+    for n, d in ((2, 2), (3, 1)):
+        N = n ** (3 ** d)
+        X = Alphabet("X", N)
+        circuits = [sample_family(kind, N, 3, 5, terms=12).circuit
+                    for kind in SAMPLE_KINDS]
+        circuits.append(circuit_from_poly(NCPolynomial.constant(3, X, P)))
+        for i in range(40):
+            p = (7, 97, P)[i % 3]
+            circuits.append(random_circuit(X, p, rng, max_gates=15,
+                                           max_degree=4))
+        for c in circuits:
+            for stage in encode_stages(c, n, d):
+                digest.update(format_circuit(stage).encode())
+    assert digest.hexdigest() == (
+        "8c9aad491ce0c2d311739084e2e0d407692d6ce1ad6175276eab9951b15a7586")
 
 
 def test_encode_requires_cube_alphabet():
