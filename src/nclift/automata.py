@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence
 from .errors import BudgetError, FormatError
 from .matrices import SquareMatrix
 from .polynomials import (Alphabet, Letters, NCPolynomial, Word, add_maps,
-                          mul_map_term)
+                          mul_map_term, read_index, read_int, read_text)
 from .scalars import DEFAULT_MODULUS, require_prime_modulus
 
 DEFAULT_MAX_STATES = 50_000
@@ -250,7 +250,6 @@ def one_shot_state_count(n: int, d: int, *, merged: bool = True) -> int:
 
 def build_decoder(n: int, d: int = 1, *,
                   modulus: int = DEFAULT_MODULUS,
-                  y_name: str = "Y", x_name: str = "X",
                   max_states: int = DEFAULT_MAX_STATES,
                   max_transitions: int = DEFAULT_MAX_TRANSITIONS,
                   ) -> WeightedAutomaton:
@@ -281,12 +280,12 @@ def build_decoder(n: int, d: int = 1, *,
     suffix states in the same order.  Raises BudgetError before building
     anything if the states or transitions would exceed their budgets.
 
-    Decoders are memoised on (n, d, modulus, y_name, x_name), the
-    arguments that fix the automaton: every call for the same decoder
-    returns the same shared, immutable instance.  The argument and
-    budget checks run on every call, before the lookup, so a budget
-    refuses a decoder even when it is cached; failed builds are not
-    cached.  At worst the cache pins DECODER_CACHE_SIZE decoders, each
+    The alphabets are named Y and X.  Decoders are memoised on (n, d,
+    modulus), the arguments that fix the automaton: every call for the
+    same decoder returns the same shared, immutable instance.  The
+    argument and budget checks run on every call, before the lookup, so
+    a budget refuses a decoder even when it is cached; failed builds are
+    not cached.  At worst the cache pins DECODER_CACHE_SIZE decoders, each
     within the transition budget of the call that built it.
     """
     if n < 1:
@@ -302,12 +301,11 @@ def build_decoder(n: int, d: int = 1, *,
     if num_trans > max_transitions:
         raise BudgetError(f"decoder needs {num_trans} transitions, "
                           f"budget is {max_transitions}")
-    return _build(n, d, modulus, y_name, x_name)
+    return _build(n, d, modulus)
 
 
 @functools.lru_cache(maxsize=DECODER_CACHE_SIZE)
-def _build(n: int, d: int, modulus: int, y_name: str,
-           x_name: str) -> WeightedAutomaton:
+def _build(n: int, d: int, modulus: int) -> WeightedAutomaton:
     """build_decoder's construction, after its checks have passed."""
     half = (3 ** d - 1) // 2
     layer = [n ** j for j in range(half + 1)]
@@ -320,8 +318,8 @@ def _build(n: int, d: int, modulus: int, y_name: str,
         pre.append(pre[-1] + layer[k - 1])
     suf = [0] + [first + side for first in pre[1:]]
 
-    y = Alphabet(y_name, n)
-    x = Alphabet(x_name, n ** (3 ** d))
+    y = Alphabet("Y", n)
+    x = Alphabet("X", n ** (3 ** d))
     one = Weight(1)
     trans: list[Transition] = []
     for k in range(1, half + 1):
@@ -350,14 +348,13 @@ build_one_shot_decoder = build_decoder
 
 
 # ---------------------------------------------------------------------------
-# Text format:
+# Text format (shared rules at polynomials.read_text): one trans line per
+# transition, sorted by (source, letter, target).  The x alphabet keeps
+# no name on disk and parses back as "X".
 #
 #   automaton over Y letters 2 states 5 start 0 accept 0 xvars 8 modulus 7
 #   trans 0 y0 1 scalar 1
 #   trans 1 y1 3 term 1 x2
-#
-# Transitions are kept sorted by (source, letter, target); the x
-# alphabet keeps no name on disk and parses back as "X".
 
 def format_automaton(a: WeightedAutomaton) -> str:
     lines = [f"automaton over {a.y_alphabet.name} "
@@ -372,59 +369,37 @@ def format_automaton(a: WeightedAutomaton) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _letter_token(tok: str, prefix: str, size: int, lineno: int) -> int:
-    if not tok.startswith(prefix) or not tok[len(prefix):].isdecimal():
-        raise FormatError(f"line {lineno}: expected {prefix}<index>, "
-                          f"got {tok!r}")
-    i = int(tok[len(prefix):])
-    if i >= size:
-        raise FormatError(f"line {lineno}: {tok} outside alphabet of "
-                          f"size {size}")
-    return i
-
-
-def parse_automaton(text: str, *, x_name: str = "X") -> WeightedAutomaton:
-    lines = text.splitlines()
-    if not lines:
-        raise FormatError("empty automaton file")
-    toks = lines[0].split()
-    keys = ("automaton", "over", None, "letters", None, "states", None,
-            "start", None, "accept", None, "xvars", None, "modulus", None)
-    if len(toks) != len(keys) or any(
-            k is not None and toks[i] != k for i, k in enumerate(keys)):
-        raise FormatError(f"bad automaton header: {lines[0]!r}")
+def parse_automaton(text: str) -> WeightedAutomaton:
+    values, body = read_text(text, ("automaton", "over", str, "letters", int,
+                                    "states", int, "start", int, "accept",
+                                    int, "xvars", int, "modulus", int))
+    yname, letters, num_states, start, accept, xvars, modulus = values
     try:
-        y = Alphabet(toks[2], int(toks[4]))
-        x = Alphabet(x_name, int(toks[12]))
-        num_states = int(toks[6])
-        start, accept = int(toks[8]), int(toks[10])
-        modulus = require_prime_modulus(int(toks[14]))
+        y = Alphabet(yname, letters)
+        x = Alphabet("X", xvars)
+        require_prime_modulus(modulus)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 
     trans: list[Transition] = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in body:
         toks = line.split()
         if toks[0] != "trans" or len(toks) not in (6, 7):
             raise FormatError(f"line {lineno}: expected a trans line")
         try:
-            source, target = int(toks[1]), int(toks[3])
+            source, target = read_int(toks[1]), read_int(toks[3])
         except ValueError as exc:
             raise FormatError(f"line {lineno}: bad state id") from exc
-        letter = _letter_token(toks[2], "y", y.size, lineno)
+        letter = read_index(toks[2], "y", y.size, lineno)
         try:
-            coeff = int(toks[5]) % modulus
+            coeff = read_int(toks[5], signed=True) % modulus
         except ValueError as exc:
             raise FormatError(f"line {lineno}: bad coefficient "
                               f"{toks[5]!r}") from exc
         if toks[4] == "scalar" and len(toks) == 6:
             weight = Weight(coeff)
         elif toks[4] == "term" and len(toks) == 7:
-            weight = Weight(coeff, _letter_token(toks[6], "x", x.size,
-                                                 lineno))
+            weight = Weight(coeff, read_index(toks[6], "x", x.size, lineno))
         else:
             raise FormatError(f"line {lineno}: bad weight {toks[4]!r}")
         trans.append(Transition(source, letter, target, weight))

@@ -16,7 +16,7 @@ from typing import Callable, Mapping, Sequence
 from .errors import BudgetError, FormatError
 from .matrices import SquareMatrix
 from .polynomials import (Alphabet, NCPolynomial, add_maps, check_name,
-                          length_lex_key, mul_maps)
+                          length_lex_key, mul_maps, read_text)
 from .scalars import (Scalar, assigned_residue, require_prime_modulus,
                       residue)
 
@@ -382,17 +382,14 @@ def circuit_from_poly(f: NCPolynomial, name: str = "c") -> Circuit:
 
 
 # ---------------------------------------------------------------------------
-# Text format:
+# Text format (shared rules at polynomials.read_text): nodes with dense
+# ascending ids, then the output line.
 #
 #   circuit lhs over X vars 8 modulus 7
 #   node 0 var 5
 #   node 1 const 3
 #   node 2 mul 0 1
 #   output 2
-#
-# The header must be the first line.  After it, the parser accepts blank
-# lines and '#' comments; the canonical printer emits neither.  Node ids
-# must be dense and ascending.
 
 def format_circuit(c: Circuit) -> str:
     lines = [f"circuit {c.name} over {c.alphabet.name} "
@@ -411,22 +408,17 @@ def format_circuit(c: Circuit) -> str:
 
 
 def parse_circuit(text: str) -> Circuit:
-    lines = text.splitlines()
-    if not lines:
-        raise FormatError("empty circuit file")
-    name, aname, vars_s, mod_s = _split_circuit_header(lines[0])
+    (name, aname, size, modulus), body = read_text(
+        text, ("circuit", str, "over", str, "vars", int, "modulus", int))
     try:
-        alphabet = Alphabet(aname, int(vars_s))
-        modulus = require_prime_modulus(int(mod_s))
+        alphabet = Alphabet(aname, size)
+        require_prime_modulus(modulus)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 
     nodes: list[Node] = []
     output: int | None = None
-    for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in body:
         toks = line.split()
         if toks[0] == "output":
             if output is not None:
@@ -442,30 +434,26 @@ def parse_circuit(text: str) -> Circuit:
             raise FormatError(f"line {lineno}: node ids must be dense and "
                               f"ascending (expected {len(nodes)}, got {nid})")
         kind, args = toks[2], toks[3:]
-        try:
-            if kind == "var" and len(args) == 1:
+        if len(args) == 2 and (kind == "add" or kind == "mul"):
+            lhs, rhs = args
+            if lhs.isdecimal() and rhs.isdecimal():
+                cls = AddNode if kind == "add" else MulNode
+                nodes.append(cls(int(lhs), int(rhs)))
+                continue
+        elif len(args) == 1 and kind == "var":
+            if args[0].isdecimal():
                 nodes.append(InputNode(int(args[0])))
-            elif kind == "const" and len(args) == 1:
+                continue
+        elif len(args) == 1 and kind == "const":
+            if args[0].removeprefix("-").isdecimal():
                 nodes.append(ConstNode(int(args[0]) % modulus))
-            elif kind == "add" and len(args) == 2:
-                nodes.append(AddNode(int(args[0]), int(args[1])))
-            elif kind == "mul" and len(args) == 2:
-                nodes.append(MulNode(int(args[0]), int(args[1])))
-            else:
-                raise FormatError(f"line {lineno}: bad node kind {kind!r}")
-        except ValueError as exc:
-            raise FormatError(f"line {lineno}: bad node arguments") from exc
+                continue
+        else:
+            raise FormatError(f"line {lineno}: bad node kind {kind!r}")
+        raise FormatError(f"line {lineno}: bad node arguments")
     if output is None:
         raise FormatError("missing output line")
     try:
         return Circuit(name, alphabet, modulus, tuple(nodes), output)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
-
-
-def _split_circuit_header(line: str) -> tuple[str, str, str, str]:
-    toks = line.split()
-    if (len(toks) != 8 or toks[0] != "circuit" or toks[2] != "over"
-            or toks[4] != "vars" or toks[6] != "modulus"):
-        raise FormatError(f"bad circuit header: {line!r}")
-    return toks[1], toks[3], toks[5], toks[7]

@@ -31,18 +31,23 @@ from .verify import (DISTINCT, EQUAL, MatrixPoint, circuit_equiv_brute,
                      circuit_equiv_random)
 
 
-def _load(path: str):
+def _load(path: str, *kinds: str):
+    """Parse the file at path, whose header names one of kinds."""
     text = Path(path).read_text(encoding="utf-8")
     head = text.split(None, 1)
     kind = head[0] if head else ""
+    if kind not in ("poly", "circuit", "automaton"):
+        raise FormatError(f"{path}: unrecognized file (expected a poly, "
+                          f"circuit, or automaton header)")
+    if kind not in kinds:
+        article = "an" if kinds[0] == "automaton" else "a"
+        raise FormatError(f"{path}: expected {article} "
+                          f"{' or '.join(kinds)} file")
     if kind == "poly":
         return parse_poly(text)
     if kind == "circuit":
         return parse_circuit(text)
-    if kind == "automaton":
-        return parse_automaton(text)
-    raise FormatError(f"{path}: unrecognized file (expected a poly, "
-                      f"circuit, or automaton header)")
+    return parse_automaton(text)
 
 
 def _save(path: str, obj) -> None:
@@ -55,12 +60,6 @@ def _save(path: str, obj) -> None:
     else:
         raise TypeError(f"cannot save {type(obj)!r}")
     Path(path).write_text(text, encoding="utf-8")
-
-
-def _need_circuit(obj, path: str) -> Circuit:
-    if not isinstance(obj, Circuit):
-        raise FormatError(f"{path}: expected a circuit file")
-    return obj
 
 
 def _chain_params(args) -> tuple[int, int]:
@@ -90,9 +89,7 @@ def _measure(obj) -> int:
 
 
 def cmd_encode(args) -> int:
-    obj = _load(getattr(args, "in"))
-    if isinstance(obj, WeightedAutomaton):
-        raise FormatError("encode expects a poly or circuit file")
+    obj = _load(getattr(args, "in"), "poly", "circuit")
     n, d = _chain_params(args)
     stages = encode_stages(obj, n, d)
     _save(args.out, stages[-1])
@@ -117,10 +114,8 @@ def cmd_build_decoder(args) -> int:
 
 
 def cmd_hadamard(args) -> int:
-    circuit = _need_circuit(_load(args.circuit), args.circuit)
-    automaton = _load(args.automaton)
-    if not isinstance(automaton, WeightedAutomaton):
-        raise FormatError(f"{args.automaton}: expected an automaton file")
+    circuit = _load(args.circuit, "circuit")
+    automaton = _load(args.automaton, "automaton")
     product = hadamard_circuit(circuit, automaton)
     _save(args.out, product)
     print(hadamard_witness(circuit, automaton).line())
@@ -128,7 +123,7 @@ def cmd_hadamard(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    circuit = _need_circuit(_load(getattr(args, "in")), getattr(args, "in"))
+    circuit = _load(getattr(args, "in"), "circuit")
     n, d = _chain_params(args)
     if circuit.alphabet.size != n:
         raise ValueError(f"decode chain starts from {n} letters, "
@@ -143,7 +138,7 @@ def cmd_decode(args) -> int:
 
 
 def cmd_expand(args) -> int:
-    circuit = _need_circuit(_load(getattr(args, "in")), getattr(args, "in"))
+    circuit = _load(getattr(args, "in"), "circuit")
     poly = expand(circuit, args.max_degree, args.max_terms)
     if args.out:
         _save(args.out, poly)
@@ -153,8 +148,8 @@ def cmd_expand(args) -> int:
 
 
 def cmd_equiv(args) -> int:
-    left = _need_circuit(_load(args.left), args.left)
-    right = _need_circuit(_load(args.right), args.right)
+    left = _load(args.left, "circuit")
+    right = _load(args.right, "circuit")
     if args.mode == "brute":
         verdict = circuit_equiv_brute(left, right, args.max_degree,
                                       args.max_terms)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .automata import WeightedAutomaton, build_decoder, index_to_word
 from .circuits import (AddNode, Circuit, InputNode, MulNode, Node,
@@ -265,21 +265,15 @@ def lift_report(params: LiftParams,
 
 
 # ---------------------------------------------------------------------------
-# Seeded input families, each with its own coefficient oracle.
+# Seeded input families.
 
 @dataclass(frozen=True)
 class SampleFamily:
-    """A concrete input polynomial plus a membership-free coefficient map.
-
-    coeff answers "what is the coefficient of this word" directly from
-    the family's description, without expanding anything; it takes a
-    tuple of letters and returns an integer residue.
-    """
+    """A concrete input polynomial and the circuit that computes it."""
 
     kind: str
     poly: NCPolynomial
     circuit: Circuit
-    coeff: Callable[[Sequence[int]], int]
 
 
 SAMPLE_KINDS = ("sum-of-squares", "random-sparse", "single-monomial")
@@ -287,8 +281,7 @@ SAMPLE_KINDS = ("sum-of-squares", "random-sparse", "single-monomial")
 
 def sample_family(kind: str, N: int, t: int, seed: int, *,
                   terms: int = 5, index: int | None = None,
-                  modulus: int = DEFAULT_MODULUS,
-                  x_name: str = "X") -> SampleFamily:
+                  modulus: int = DEFAULT_MODULUS) -> SampleFamily:
     """Deterministic sample inputs over N variables.
 
     sum-of-squares: x_0 x_0 + ... + x_{N-1} x_{N-1} (degree 2).
@@ -301,7 +294,7 @@ def sample_family(kind: str, N: int, t: int, seed: int, *,
         raise ValueError(f"need at least one variable, got {N}")
     if t < 1:
         raise ValueError(f"degree must be positive, got {t}")
-    x = Alphabet(x_name, N)
+    x = Alphabet("X", N)
     rng = random.Random(seed)
 
     if kind == "sum-of-squares":
@@ -327,10 +320,6 @@ def sample_family(kind: str, N: int, t: int, seed: int, *,
         raise ValueError(f"unknown sample kind {kind!r}; choose from "
                          f"{', '.join(SAMPLE_KINDS)}")
 
-    poly = NCPolynomial(x, modulus, dict(body), _trusted=True)
+    poly = NCPolynomial(x, modulus, body, _trusted=True)
     circuit = circuit_from_poly(poly, name=f"{kind}-{N}-{t}-{seed}")
-
-    def coeff(letters: Sequence[int]) -> int:
-        return body.get(tuple(letters), 0)
-
-    return SampleFamily(kind, poly, circuit, coeff)
+    return SampleFamily(kind, poly, circuit)

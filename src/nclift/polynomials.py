@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import FormatError
 from .scalars import Scalar, assigned_residue, require_prime_modulus
@@ -333,14 +333,71 @@ class NCPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# Text format.  One term per line after a single header line:
+# Text formats.  Poly, circuit and automaton files share these rules:
+#
+# - The header is the first line: keywords alternating with values.  A
+#   wrong keyword or count gives "bad <kind> header: <line>".
+# - After the header, '#' starts a comment that runs to the end of its
+#   line, and blank lines are skipped.  The printers emit neither.
+# - A number is decimal digits (str.isdecimal); coefficients and
+#   constants may also carry one leading '-'.
+#
+# A poly file has one term per line, in length-lex order; the empty
+# word is written as the token 1:
 #
 #   poly over X vars 8 modulus 7
-#   2 : x0 x1
 #   1 : 1
+#   2 : x0 x1
 #
-# Terms are ordered length-lex; the empty word is written as the token 1.
 # Serializing and reparsing a canonical file is byte-identical.
+
+def read_text(text: str, keys: Sequence) -> tuple[list, Iterator]:
+    """A file's header values and its body lines.
+
+    keys lays the header out: a string is a keyword, str marks a name
+    and int a count.  Values come back in order, counts as ints.  The
+    body is an iterator of (line number, text) pairs, with comments cut
+    off and blank lines left out.
+    """
+    kind = keys[0]
+    lines = text.splitlines()
+    if not lines:
+        raise FormatError(f"empty {kind} file")
+    toks = lines[0].split()
+    values = []
+    if len(toks) == len(keys):
+        for tok, key in zip(toks, keys):
+            if key is str:
+                values.append(tok)
+            elif key is int and tok.isdecimal():
+                values.append(int(tok))
+            elif key != tok:
+                break
+        else:
+            return values, ((lineno, line) for lineno, raw
+                            in enumerate(lines[1:], start=2)
+                            if (line := raw.split("#", 1)[0]).strip())
+    raise FormatError(f"bad {kind} header: {lines[0]!r}")
+
+
+def read_int(tok: str, *, signed: bool = False) -> int:
+    """tok as an int: decimal digits, after one '-' when signed."""
+    if not (tok.removeprefix("-") if signed else tok).isdecimal():
+        raise ValueError(f"not a number: {tok!r}")
+    return int(tok)
+
+
+def read_index(tok: str, prefix: str, size: int, lineno: int) -> int:
+    """i from a letter token <prefix><i>, checked against the size."""
+    if tok[:1] != prefix or not tok[1:].isdecimal():
+        raise FormatError(f"line {lineno}: expected {prefix}<index>, "
+                          f"got {tok!r}")
+    i = int(tok[1:])
+    if i >= size:
+        raise FormatError(f"line {lineno}: {tok} outside alphabet of "
+                          f"size {size}")
+    return i
+
 
 def format_poly(f: NCPolynomial) -> str:
     lines = [f"poly over {f.alphabet.name} vars {f.alphabet.size} "
@@ -351,64 +408,27 @@ def format_poly(f: NCPolynomial) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_header(line: str, kind: str, fields: Sequence[str]) -> list[str]:
-    toks = line.split()
-    if len(toks) != 1 + 2 * len(fields) or toks[0] != kind:
-        raise FormatError(f"bad {kind} header: {line!r}")
-    vals = []
-    for pos, key in enumerate(fields):
-        if toks[1 + 2 * pos] != key:
-            raise FormatError(f"bad {kind} header: expected {key!r} "
-                              f"in {line!r}")
-        vals.append(toks[2 + 2 * pos])
-    return vals
-
-
-def _parse_word_tokens(tokens: Iterable[str], size: int,
-                       lineno: int) -> Letters:
-    tokens = list(tokens)
-    if tokens == ["1"]:
-        return ()
-    letters = []
-    for t in tokens:
-        if not t.startswith("x") or not t[1:].isdecimal():
-            raise FormatError(f"line {lineno}: bad letter token {t!r}")
-        i = int(t[1:])
-        if i >= size:
-            raise FormatError(f"line {lineno}: x{i} outside alphabet "
-                              f"of size {size}")
-        letters.append(i)
-    return tuple(letters)
-
-
 def parse_poly(text: str) -> NCPolynomial:
-    lines = text.splitlines()
-    if not lines:
-        raise FormatError("empty polynomial file")
-    name, vars_s, mod_s = _parse_header(lines[0], "poly",
-                                        ("over", "vars", "modulus"))
-    try:
-        size, modulus = int(vars_s), int(mod_s)
-    except ValueError as exc:
-        raise FormatError(f"bad poly header: {lines[0]!r}") from exc
+    (name, size, modulus), body = read_text(
+        text, ("poly", "over", str, "vars", int, "modulus", int))
     try:
         alphabet = Alphabet(name, size)
         require_prime_modulus(modulus)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
     terms: dict[Letters, int] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
+    for lineno, line in body:
         head, sep, tail = line.partition(":")
         if not sep:
             raise FormatError(f"line {lineno}: expected '<coeff> : <word>'")
         try:
-            c = int(head.strip())
+            c = read_int(head.strip(), signed=True)
         except ValueError as exc:
             raise FormatError(f"line {lineno}: bad coefficient "
                               f"{head.strip()!r}") from exc
-        word = _parse_word_tokens(tail.split(), size, lineno)
+        toks = tail.split()
+        word = () if toks == ["1"] else tuple(
+            read_index(t, "x", size, lineno) for t in toks)
         if word in terms:
             raise FormatError(f"line {lineno}: duplicate word")
         terms[word] = c % modulus

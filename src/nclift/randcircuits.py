@@ -14,10 +14,12 @@ import random
 from .circuits import AddNode, Circuit, CircuitBuilder, MulNode
 from .polynomials import Alphabet
 
+SUPPORT_CAP = 80  # most terms a generated node's polynomial may have
+
 
 def random_circuit(alphabet: Alphabet, modulus: int, rng: random.Random, *,
                    max_gates: int = 20, max_degree: int = 4,
-                   support_cap: int = 80, name: str = "rnd") -> Circuit:
+                   name: str = "rnd") -> Circuit:
     """A random DAG within the degree, gate, and support caps."""
     if max_gates < 1:
         raise ValueError(f"need at least one gate, got {max_gates}")
@@ -41,7 +43,7 @@ def random_circuit(alphabet: Alphabet, modulus: int, rng: random.Random, *,
         lhs = rng.choice(ids)
         rhs = rng.choice(ids)
         can_mul = (degree[lhs] + degree[rhs] <= max_degree
-                   and support[lhs] * support[rhs] <= support_cap)
+                   and support[lhs] * support[rhs] <= SUPPORT_CAP)
         if can_mul and rng.random() < 0.55:
             nid = b.mul(lhs, rhs)
             degree[nid] = degree[lhs] + degree[rhs]
@@ -49,16 +51,23 @@ def random_circuit(alphabet: Alphabet, modulus: int, rng: random.Random, *,
         else:
             nid = b.add(lhs, rhs)
             degree[nid] = max(degree[lhs], degree[rhs])
-            support[nid] = min(support[lhs] + support[rhs], support_cap)
+            support[nid] = min(support[lhs] + support[rhs], SUPPORT_CAP)
         ids.append(nid)
     return b.finish(ids[-1], prune=True)
 
 
-def _swapped(circuit: Circuit, index: int) -> Circuit:
+def _swapped(circuit: Circuit, rng: random.Random,
+             cls: type) -> Circuit | None:
+    """Swap the children of one rng-chosen cls gate whose children
+    differ."""
+    spots = [i for i, n in enumerate(circuit.nodes)
+             if isinstance(n, cls) and n.lhs != n.rhs]
+    if not spots:
+        return None
+    index = rng.choice(spots)
     node = circuit.nodes[index]
-    cls = AddNode if isinstance(node, AddNode) else MulNode
     nodes = list(circuit.nodes)
-    nodes[index] = cls(node.rhs, node.lhs)
+    nodes[index] = type(node)(node.rhs, node.lhs)
     return Circuit(circuit.name, circuit.alphabet, circuit.modulus,
                    tuple(nodes), circuit.output)
 
@@ -69,11 +78,7 @@ def swap_add_children(circuit: Circuit,
 
     None when the circuit has no two-child add gate to swap.
     """
-    spots = [i for i, n in enumerate(circuit.nodes)
-             if isinstance(n, AddNode) and n.lhs != n.rhs]
-    if not spots:
-        return None
-    return _swapped(circuit, rng.choice(spots))
+    return _swapped(circuit, rng, AddNode)
 
 
 def perturb_mul_order(circuit: Circuit,
@@ -83,8 +88,4 @@ def perturb_mul_order(circuit: Circuit,
 
     None when the circuit has no two-child mul gate to swap.
     """
-    spots = [i for i, n in enumerate(circuit.nodes)
-             if isinstance(n, MulNode) and n.lhs != n.rhs]
-    if not spots:
-        return None
-    return _swapped(circuit, rng.choice(spots))
+    return _swapped(circuit, rng, MulNode)

@@ -1,11 +1,13 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nclift import (DEFAULT_MODULUS, Alphabet, FormatError, NCPolynomial,
-                    build_decoder, build_one_shot_decoder, circuit_from_poly,
-                    cli, format_automaton, format_circuit, format_poly,
-                    parse_automaton, parse_circuit, parse_poly)
+                    WeightedAutomaton, build_decoder, build_one_shot_decoder,
+                    circuit_from_poly, cli, format_automaton, format_circuit,
+                    format_poly, parse_automaton, parse_circuit, parse_poly)
 from nclift.randcircuits import random_circuit
 
 from helpers import random_automaton, random_poly
@@ -55,7 +57,7 @@ def test_decoder_golden_format():
     assert lines[1] == "trans 0 y0 1 scalar 1"
     assert lines[3] == "trans 1 y0 3 term 1 x0"
     assert len(lines) == 13
-    assert parse_automaton(text) == build_decoder(2, modulus=P, y_name="Y")
+    assert parse_automaton(text) == build_decoder(2, modulus=P)
 
 
 def test_poly_round_trip_random(rng):
@@ -86,23 +88,35 @@ def test_automaton_round_trip_random(rng):
 
 def test_parse_x_name_default():
     # The x alphabet's name is not stored in the file.
-    dec = build_decoder(2, modulus=P, x_name="Q")
-    back = parse_automaton(format_automaton(dec))
+    dec = build_decoder(2, modulus=P)
+    renamed = WeightedAutomaton(dec.y_alphabet, Alphabet("Q", 8), P,
+                                dec.num_states, dec.start, dec.accept,
+                                dec.transitions)
+    assert format_automaton(renamed) == format_automaton(dec)
+    back = parse_automaton(format_automaton(renamed))
     assert back.x_alphabet.name == "X"
-    assert parse_automaton(format_automaton(dec), x_name="Q") == dec
+    assert back == dec
 
 
-def test_circuit_comments_and_blanks_ignored():
-    text = ("circuit g over X vars 2 modulus 7\n"
-            "# a remark\n"
-            "node 0 var 0\n"
-            "\n"
-            "node 1 var 1\n"
-            "node 2 mul 0 1\n"
-            "output 2\n")
-    c = parse_circuit(text)
-    assert c.size_report().muls == 1
-    assert "#" not in format_circuit(c)
+def with_comments(text):
+    """text with a '#' line and a blank line after its header, and a
+    trailing comment on each line of its body."""
+    head, *body = text.splitlines()
+    return "\n".join([head, "# a remark", ""]
+                     + [f"{line}  # note" for line in body]) + "\n"
+
+
+@pytest.mark.parametrize("parse, fmt, text", [
+    (parse_poly, format_poly, POLY_GOLDEN),
+    (parse_circuit, format_circuit, CIRCUIT_GOLDEN),
+    (parse_automaton, format_automaton,
+     format_automaton(build_decoder(2, modulus=7))),
+], ids=["poly", "circuit", "automaton"])
+def test_comments_and_blanks_ignored(parse, fmt, text):
+    commented = with_comments(text)
+    assert commented.count("#") == text.count("\n")
+    assert parse(commented) == parse(text)
+    assert fmt(parse(commented)) == text
 
 
 def test_circuit_header_must_come_first(tmp_path, capsys):
@@ -118,6 +132,20 @@ def test_circuit_header_must_come_first(tmp_path, capsys):
         f"or automaton header)\n")
 
 
+def test_readme_examples_parse():
+    """The code blocks of README's "File formats" section are canonical."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## File formats\n", 1)[1].split("\n## ", 1)[0]
+    examples = section.split("```\n")[1::2]
+    parsers = {"poly": (parse_poly, format_poly),
+               "circuit": (parse_circuit, format_circuit),
+               "automaton": (parse_automaton, format_automaton)}
+    assert [text.split()[0] for text in examples] == list(parsers)
+    for text in examples:
+        parse, fmt = parsers[text.split()[0]]
+        assert fmt(parse(text)) == text
+
+
 def test_negative_coefficients_normalize():
     f = parse_poly("poly over X vars 2 modulus 7\n-1 : x0\n")
     assert f.coeff((0,)).value == 6
@@ -130,6 +158,12 @@ def test_negative_coefficients_normalize():
     ("poly over X vars 2 modulus 7\n1 : bogus\n", "line 2"),
     ("poly over X vars 2 modulus 7\n1 : x0\n2 : x0\n", "line 3"),
     ("poly over X vars 2 modulus 7\nq : x0\n", "line 2"),
+    # Numbers are decimal digits: int() would also take these.
+    ("poly over X vars +2 modulus 7\n1 : x0\n", "bad poly header: "),
+    ("poly over X vars 1_0 modulus 7\n1 : x0\n", "bad poly header: "),
+    ("poly over X vars 2 modulus +7\n1 : x0\n", "bad poly header: "),
+    ("poly over X vars 2 modulus 7\n+3 : x0\n", "line 2: "),
+    ("poly over X vars 2 modulus 7\n1_0 : x0\n", "line 2: "),
 ])
 def test_parse_poly_rejects(text, fragment):
     with pytest.raises((FormatError, ValueError)) as err:
@@ -143,9 +177,19 @@ def test_parse_poly_rejects(text, fragment):
     "circuit g over X vars 2 modulus 7\nnode 0 add 0 0\noutput 0\n",
     "circuit g over X vars 2 modulus 7\nnode 0 var 0\noutput 0\noutput 0\n",
     "circuit g over X vars 2 modulus 7\nnode 0 frob 1\noutput 0\n",
+    # Numbers are decimal digits: int() would also take these.
+    "circuit g over X vars +2 modulus 7\nnode 0 var 0\noutput 0\n",
+    "circuit g over X vars 1_1 modulus 7\nnode 0 var 0\noutput 0\n",
+    "circuit g over X vars 2 modulus 7\nnode 0 var +1\noutput 0\n",
+    "circuit g over X vars 11 modulus 7\nnode 0 var 1_0\noutput 0\n",
+    "circuit g over X vars 2 modulus 7\nnode 0 const +3\noutput 0\n",
+    "circuit g over X vars 2 modulus 7\nnode 0 const 1_0\noutput 0\n",
+    ("circuit g over X vars 2 modulus 7\nnode 0 var 0\nnode 1 var 1\n"
+     "node 2 mul 0 +1\noutput 2\n"),
 ])
 def test_parse_circuit_rejects(text):
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match=r"^(line \d+|bad circuit header|"
+                                          r"node \d+|missing output)"):
         parse_circuit(text)
 
 
@@ -157,9 +201,21 @@ def test_parse_circuit_rejects(text):
      "trans 0 y0 1 blob 1\n"),
     ("automaton over Y letters 2 states 2 start 0 accept 1 xvars 2 modulus 7\n"
      "trans 0 y0 1 scalar wat\n"),
+    # Numbers are decimal digits: int() would also take these.
+    "automaton over Y letters 2 states +2 start 0 accept 1 xvars 2 modulus 7\n",
+    "automaton over Y letters 2 states 1_0 start 0 accept 1 xvars 2 modulus 7\n",
+    ("automaton over Y letters 2 states 12 start 0 accept 1 xvars 2 modulus 7\n"
+     "trans 1_0 y0 1 scalar 1\n"),
+    ("automaton over Y letters 2 states 2 start 0 accept 1 xvars 2 modulus 7\n"
+     "trans +0 y0 1 scalar 1\n"),
+    ("automaton over Y letters 2 states 2 start 0 accept 1 xvars 2 modulus 7\n"
+     "trans 0 y0 1 scalar +1\n"),
+    ("automaton over Y letters 2 states 2 start 0 accept 1 xvars 2 modulus 7\n"
+     "trans 0 y0 1 term 1_0 x1\n"),
 ])
 def test_parse_automaton_rejects(text):
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match=r"^(line \d+|bad automaton header|"
+                                          r"accept state)"):
         parse_automaton(text)
 
 
@@ -205,8 +261,8 @@ def test_parsers_raise_only_format_errors(text):
     for parse in (parse_poly, parse_circuit, parse_automaton):
         try:
             parse(text)
-        except FormatError:
-            pass
+        except FormatError as exc:
+            assert "invalid literal" not in str(exc)
 
 
 def test_cli_exits_2_on_a_mutated_file(tmp_path, capsys):
