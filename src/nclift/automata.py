@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence, TypeVar
 
 from .errors import BudgetError, FormatError
 from .matrices import SquareMatrix
@@ -32,6 +32,8 @@ DEFAULT_MAX_TRANSITIONS = 2_000_000
 # Distinct decoders build_decoder keeps.  Decoding a depth-2 chain both
 # stagewise and in one shot uses 3 (m = 2, m = 8 and n = 2, d = 2).
 DECODER_CACHE_SIZE = 8
+
+_T = TypeVar("_T")
 
 
 def word_to_index(letters: Sequence[int], base: int) -> int:
@@ -132,12 +134,27 @@ class WeightedAutomaton:
         # caller asking for the same decoder.
         object.__setattr__(self, "_steps", MappingProxyType(
             {a: tuple(v) for a, v in steps.items()}))
+        object.__setattr__(self, "_derived", {})
 
     def __reduce__(self):
-        # A mapping proxy cannot be pickled; copies rebuild _steps.
+        # A mapping proxy cannot be pickled; copies rebuild _steps and
+        # start with no derived tables.
         return (type(self), (self.y_alphabet, self.x_alphabet, self.modulus,
                              self.num_states, self.start, self.accept,
                              self.transitions))
+
+    def derived(self, build: Callable[[WeightedAutomaton], _T]) -> _T:
+        """build(self), made on the first call with each build function
+        and kept with this automaton.
+
+        A cached decoder is shared by every caller, so tables that
+        depend only on the automaton are built once for all of them.
+        No caller may change what build returns.
+        """
+        table = self._derived.get(build)
+        if table is None:
+            table = self._derived[build] = build(self)
+        return table
 
     def steps(self, letter: int) -> tuple[tuple[int, int, int, int | None],
                                           ...]:

@@ -16,7 +16,7 @@ from typing import Callable, Mapping, Sequence
 from .errors import BudgetError, FormatError
 from .matrices import SquareMatrix
 from .polynomials import (Alphabet, NCPolynomial, add_maps, check_name,
-                          length_lex_key, mul_maps, read_text)
+                          is_digits, length_lex_key, mul_maps, read_text)
 from .scalars import (Scalar, assigned_residue, require_prime_modulus,
                       residue)
 
@@ -423,11 +423,11 @@ def parse_circuit(text: str) -> Circuit:
         if toks[0] == "output":
             if output is not None:
                 raise FormatError(f"line {lineno}: duplicate output line")
-            if len(toks) != 2 or not toks[1].isdecimal():
+            if len(toks) != 2 or not is_digits(toks[1]):
                 raise FormatError(f"line {lineno}: bad output line")
             output = int(toks[1])
             continue
-        if toks[0] != "node" or len(toks) < 4 or not toks[1].isdecimal():
+        if toks[0] != "node" or len(toks) < 4 or not is_digits(toks[1]):
             raise FormatError(f"line {lineno}: expected a node line")
         nid = int(toks[1])
         if nid != len(nodes):
@@ -436,16 +436,16 @@ def parse_circuit(text: str) -> Circuit:
         kind, args = toks[2], toks[3:]
         if len(args) == 2 and (kind == "add" or kind == "mul"):
             lhs, rhs = args
-            if lhs.isdecimal() and rhs.isdecimal():
+            if is_digits(lhs) and is_digits(rhs):
                 cls = AddNode if kind == "add" else MulNode
                 nodes.append(cls(int(lhs), int(rhs)))
                 continue
         elif len(args) == 1 and kind == "var":
-            if args[0].isdecimal():
+            if is_digits(args[0]):
                 nodes.append(InputNode(int(args[0])))
                 continue
         elif len(args) == 1 and kind == "const":
-            if args[0].removeprefix("-").isdecimal():
+            if is_digits(args[0].removeprefix("-")):
                 nodes.append(ConstNode(int(args[0]) % modulus))
                 continue
         else:

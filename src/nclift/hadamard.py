@@ -19,6 +19,15 @@ an x-polynomial.  Three routes with one answer:
     keeps only demanded rows, so planning costs follow the cells read,
     not q.
 
+What depends on the automaton alone is built once per automaton, on
+first use, and kept with it (WeightedAutomaton.derived), so the
+decoders build_decoder shares carry their tables to every call: each
+letter's row bitmasks (_letter_supports), where each source's moves
+and each constant's and variable's first transition sit
+(_positions), and the unscaled term-map matrices (_term_matrices).
+Per call remain the support, demand and emission passes over the
+circuit, the walk over the transitions read, and a point's scaling.
+
 The synthesis costs at most 2 q^3 nodes per gate of f plus q^2 per leaf
 before constant folding.  hadamard_witness works that accounting out
 from gate counts alone; it is a formula, not a measurement of any
@@ -28,12 +37,15 @@ synthesised circuit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from .automata import WeightedAutomaton
 from .circuits import (AddNode, Circuit, CircuitBuilder, InputNode, MulNode,
                        replay)
 from .errors import BudgetError
-from .polynomials import NCPolynomial, add_maps, mul_maps
+from .polynomials import NCPolynomial, add_maps, mul_maps, scale_map
 from .scalars import assigned_residue
 
 
@@ -70,25 +82,20 @@ def hadamard_eval(circuit: Circuit, automaton: WeightedAutomaton,
     over those q x q matrices and the (start, accept) entry is the
     product, scaled coefficient-wise by the point.  point None means
     all ones, giving the plain Hadamard product.
+
+    The unscaled matrices are built once per automaton (_term_matrices)
+    and shared by every call; a point scales copies of them.  Per call
+    there remain the point's scaling and the replay of the circuit.
     """
     _check_compatible(circuit, automaton)
     p = circuit.modulus
     q = automaton.num_states
     empty: dict = {}
-    mats: dict[int, list[list[dict]]] = {}
-    for letter in range(circuit.alphabet.size):
-        scale = (1 if point is None
-                 else assigned_residue(point, letter, p, "letter y"))
-        rows = [[empty] * q for _ in range(q)]
-        if scale:
-            for src, tgt, coeff, var in automaton.steps(letter):
-                c = coeff * scale % p
-                if c:
-                    key = () if var is None else (var,)
-                    cur = rows[src][tgt]
-                    rows[src][tgt] = (add_maps(cur, {key: c}, p)
-                                      if cur else {key: c})
-        mats[letter] = rows
+    mats = automaton.derived(_term_matrices)
+    if point is not None:
+        mats = tuple(_scaled(mat, assigned_residue(point, letter, p,
+                                                   "letter y"), p)
+                     for letter, mat in enumerate(mats))
 
     rng = range(q)
 
@@ -119,6 +126,92 @@ def hadamard_eval(circuit: Circuit, automaton: WeightedAutomaton,
     value = replay(circuit, mats.__getitem__, const, add, mul)
     terms = value[automaton.start][automaton.accept]
     return NCPolynomial(automaton.x_alphabet, p, dict(terms), _trusted=True)
+
+
+def _scaled(mat: tuple, c: int, p: int) -> tuple:
+    """A copy of a term-map matrix times c; mat itself when c is 1."""
+    if c == 1:
+        return mat
+    return tuple(tuple(scale_map(cell, c, p) if cell else cell
+                       for cell in row) for row in mat)
+
+
+# ---------------------------------------------------------------------------
+# Tables of one automaton.  Each depends on the automaton alone, so it is
+# built on first use through WeightedAutomaton.derived and kept with the
+# automaton: a cached decoder builds it once for every synthesis and
+# evaluation that uses it.  Nothing writes to a table once it is built.
+
+def _term_matrices(automaton: WeightedAutomaton) -> tuple:
+    """Per letter, its q x q transition matrix with term-map entries,
+    {} where no transition goes; canonical transitions give each cell
+    at most one weight."""
+    q = automaton.num_states
+    empty: dict = {}
+    out = []
+    for letter in range(automaton.y_alphabet.size):
+        rows = [[empty] * q for _ in range(q)]
+        for src, tgt, coeff, var in automaton.steps(letter):
+            rows[src][tgt] = {() if var is None else (var,): coeff}
+        out.append(tuple(map(tuple, rows)))
+    return tuple(out)
+
+
+def _letter_supports(automaton: WeightedAutomaton) -> tuple:
+    """Per letter, the q row bitmasks of its transition pattern."""
+    q = automaton.num_states
+    out = []
+    for letter in range(automaton.y_alphabet.size):
+        rows = [0] * q
+        for src, tgt, _, _ in automaton.steps(letter):
+            rows[src] |= 1 << tgt
+        out.append(tuple(rows))
+    return tuple(out)
+
+
+class _Positions(NamedTuple):
+    """Where each transition sits in the automaton's canonical order,
+    letter by letter, which _letter_rows follows.
+
+    Moves on one letter are sorted by source, so the moves from s are
+    steps(a)[offsets[a][s]:offsets[a][s + 1]], and starts[a] is the
+    position of steps(a)[0].  consts holds (position, c), ascending,
+    for the first transition whose weight needs the constant c: a
+    scalar c, or a term c * x_i with c != 1.  repeats maps each x
+    variable on more than one transition to its first position; any
+    other variable's first position is that of its one transition.
+    """
+
+    starts: tuple[int, ...]
+    offsets: tuple[tuple[int, ...], ...]
+    consts: tuple[tuple[int, int], ...]
+    repeats: Mapping[int, int]
+
+
+def _positions(automaton: WeightedAutomaton) -> _Positions:
+    q = automaton.num_states
+    starts, offsets = [], []
+    consts: dict[int, int] = {}
+    first: dict[int, int] = {}
+    repeats: dict[int, int] = {}
+    pos = 0
+    for letter in range(automaton.y_alphabet.size):
+        moves = automaton.steps(letter)
+        starts.append(pos)
+        counts = [0] * (q + 1)
+        for src, tgt, coeff, var in moves:
+            counts[src + 1] += 1
+            if var is None or coeff != 1:
+                consts.setdefault(coeff, pos)
+            if var is not None:
+                at = first.setdefault(var, pos)
+                if at != pos:
+                    repeats.setdefault(var, at)
+            pos += 1
+        offsets.append(tuple(accumulate(counts)))
+    return _Positions(tuple(starts), tuple(offsets),
+                      tuple(sorted((at, c) for c, at in consts.items())),
+                      MappingProxyType(repeats))
 
 
 # ---------------------------------------------------------------------------
@@ -220,11 +313,16 @@ def _supports(circuit: Circuit,
 
     Returns the distinct supports, each a q-tuple of row bitmasks, and
     per node the index of its support in that table.  Letters give
-    their transition pattern, a nonzero constant the identity; add ORs
-    rows and mul takes the boolean row product.  A circuit has far
-    fewer distinct supports than nodes, so add and mul are memoised on
-    index pairs.  A cell can be absent from the synthesised block (its
-    constants cancelled) but never present outside its support.
+    their transition pattern, read from the automaton's
+    _letter_supports table rather than its transitions; a nonzero
+    constant gives the identity.  Add ORs rows and mul takes the
+    boolean row product.  A circuit has far fewer distinct supports
+    than nodes, so add and mul are memoised on index pairs.  A product
+    that misses the memo reads empty and one-bit left rows straight
+    from the right support, and computes each other distinct left row
+    once (decoder states on one tree level share their rows).  A cell
+    can be absent from the synthesised block (its constants cancelled)
+    but never present outside its support.
     """
     q = automaton.num_states
     p = circuit.modulus
@@ -238,12 +336,7 @@ def _supports(circuit: Circuit,
             table.append(rows)
         return k
 
-    letters = []
-    for letter in range(circuit.alphabet.size):
-        rows = [0] * q
-        for src, tgt, _, _ in automaton.steps(letter):
-            rows[src] |= 1 << tgt
-        letters.append(intern(tuple(rows)))
+    letters = [intern(rows) for rows in automaton.derived(_letter_supports)]
     ident = intern(tuple(1 << i for i in range(q)))
     zero = intern((0,) * q)
     sums: dict = {}
@@ -260,13 +353,21 @@ def _supports(circuit: Circuit,
         out = products.get((a, b))
         if out is None:
             right = table[b]
+            shared: dict[int, int] = {}
             acc = []
             for ks in table[a]:
-                row = 0
-                while ks:
-                    low = ks & -ks
-                    row |= right[low.bit_length() - 1]
-                    ks ^= low
+                if not ks & (ks - 1):       # zero or one bit
+                    row = right[ks.bit_length() - 1] if ks else 0
+                else:
+                    row = shared.get(ks)
+                    if row is None:
+                        row = 0
+                        bits = ks
+                        while bits:
+                            low = bits & -bits
+                            row |= right[low.bit_length() - 1]
+                            bits ^= low
+                        shared[ks] = row
                 acc.append(row)
             out = products[a, b] = intern(tuple(acc))
         return out
@@ -356,32 +457,62 @@ def _demands(circuit: Circuit, table: list, sups: list,
 
 def _letter_rows(b: CircuitBuilder, automaton: WeightedAutomaton,
                  read: list) -> list:
-    """Per letter, per source state, the (target, node) weights read.
+    """Per letter, {source state: [(target, node), ...]} for the
+    weights read.
 
     A transition is read when its cell is in its letter's `read` rows
-    (see _demands).  Transitions are walked in order, and each asks the
-    builder for its constant (the builder shares constants with the
-    rest of the synthesis, so where one is first made fixes its place
-    in the output), for its variable if some read transition uses that
-    variable, and for its c * x_i product only if it is read itself.
-    So every node the output reaches is made in the same order as if
-    every weight were emitted, and no variable is made that no read
-    transition uses.
+    (see _demands).  The builder is asked for nodes in the order a walk
+    over every transition would ask for them: at each position in the
+    automaton's canonical order, the variable if some read transition
+    uses it and this is its first position, then the constant if this
+    is the first transition needing it, then the c * x_i product if
+    the transition is read.  The builder shares constants with the rest
+    of the synthesis, so where one is first made fixes its place in the
+    output; every constant is therefore made, and no variable that no
+    read transition uses.
+
+    Per call, only the read transitions are walked, through the slices
+    of _positions; the first positions of constants and variables come
+    from the same table, built once per automaton.
     """
-    q = automaton.num_states
-    used = {var for letter, want in enumerate(read)
-            for src, tgt, _, var in automaton.steps(letter)
-            if var is not None and want[src] >> tgt & 1}
-    out = []
+    starts, offsets, consts, repeats = automaton.derived(_positions)
+    used: dict[int, int] = {}
+    reads: list[tuple] = []
     for letter, want in enumerate(read):
-        rows: list[list] = [[] for _ in range(q)]
-        for src, tgt, coeff, var in automaton.steps(letter):
-            x = b.var(var) if var in used else None
-            c = b.const(coeff) if var is None or coeff != 1 else None
-            if want[src] >> tgt & 1:
-                nid = c if x is None else x if c is None else b.mul(c, x)
-                rows[src].append((tgt, nid))
-        out.append(rows)
+        moves = automaton.steps(letter)
+        offs = offsets[letter]
+        base = starts[letter]
+        for src, cols in enumerate(want):
+            if not cols:
+                continue
+            for k in range(offs[src], offs[src + 1]):
+                _, tgt, coeff, var = moves[k]
+                if cols >> tgt & 1:
+                    pos = base + k
+                    reads.append((pos, 2, letter, src, tgt, coeff, var))
+                    if var is not None and var not in used:
+                        used[var] = repeats.get(var, pos)
+    # Sorting keys (position, kind) are distinct, and kinds 0, 1, 2 put
+    # a variable before a constant before a product at one position.
+    events: list[tuple] = [(pos, 0, var) for var, pos in used.items()]
+    events += [(pos, 1, c) for pos, c in consts]
+    events += reads
+    events.sort()
+    xs: dict[int, int] = {}
+    cs: dict[int, int] = {}
+    out: list[dict] = [{} for _ in read]
+    for event in events:
+        kind = event[1]
+        if kind == 0:
+            xs[event[2]] = b.var(event[2])
+        elif kind == 1:
+            cs[event[2]] = b.const(event[2])
+        else:
+            _, _, letter, src, tgt, coeff, var = event
+            x = None if var is None else xs[var]
+            c = cs[coeff] if var is None or coeff != 1 else None
+            nid = c if x is None else x if c is None else b.mul(c, x)
+            out[letter].setdefault(src, []).append((tgt, nid))
     return out
 
 

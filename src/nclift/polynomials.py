@@ -339,8 +339,9 @@ class NCPolynomial:
 #   wrong keyword or count gives "bad <kind> header: <line>".
 # - After the header, '#' starts a comment that runs to the end of its
 #   line, and blank lines are skipped.  The printers emit neither.
-# - A number is decimal digits (str.isdecimal); coefficients and
-#   constants may also carry one leading '-'.
+# - A number is ASCII digits 0-9 (is_digits); coefficients and
+#   constants may also carry one leading '-'.  Other Unicode digits are
+#   refused, since the printers would write them back as ASCII.
 #
 # A poly file has one term per line, in length-lex order; the empty
 # word is written as the token 1:
@@ -350,6 +351,11 @@ class NCPolynomial:
 #   2 : x0 x1
 #
 # Serializing and reparsing a canonical file is byte-identical.
+
+def is_digits(tok: str) -> bool:
+    """True when tok is one or more ASCII digits."""
+    return tok.isascii() and tok.isdecimal()
+
 
 def read_text(text: str, keys: Sequence) -> tuple[list, Iterator]:
     """A file's header values and its body lines.
@@ -369,7 +375,7 @@ def read_text(text: str, keys: Sequence) -> tuple[list, Iterator]:
         for tok, key in zip(toks, keys):
             if key is str:
                 values.append(tok)
-            elif key is int and tok.isdecimal():
+            elif key is int and is_digits(tok):
                 values.append(int(tok))
             elif key != tok:
                 break
@@ -381,15 +387,15 @@ def read_text(text: str, keys: Sequence) -> tuple[list, Iterator]:
 
 
 def read_int(tok: str, *, signed: bool = False) -> int:
-    """tok as an int: decimal digits, after one '-' when signed."""
-    if not (tok.removeprefix("-") if signed else tok).isdecimal():
+    """tok as an int: ASCII digits, after one '-' when signed."""
+    if not is_digits(tok.removeprefix("-") if signed else tok):
         raise ValueError(f"not a number: {tok!r}")
     return int(tok)
 
 
 def read_index(tok: str, prefix: str, size: int, lineno: int) -> int:
     """i from a letter token <prefix><i>, checked against the size."""
-    if tok[:1] != prefix or not tok[1:].isdecimal():
+    if tok[:1] != prefix or not is_digits(tok[1:]):
         raise FormatError(f"line {lineno}: expected {prefix}<index>, "
                           f"got {tok!r}")
     i = int(tok[1:])

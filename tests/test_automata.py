@@ -308,3 +308,18 @@ def test_copies_and_pickles_rebuild_the_step_table():
         assert twin == dec
         for a in range(dec.y_alphabet.size):
             assert twin.steps(a) == dec.steps(a)
+
+
+def test_derived_tables_are_built_once_per_automaton(rng):
+    auto = random_automaton(rng)
+    calls = []
+
+    def build(a):
+        calls.append(a)
+        return object()
+    table = auto.derived(build)
+    assert auto.derived(build) is table
+    assert calls == [auto]
+    for twin in (copy.deepcopy(auto), pickle.loads(pickle.dumps(auto))):
+        assert twin.derived(build) is not table
+    assert len(calls) == 3

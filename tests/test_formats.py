@@ -282,3 +282,25 @@ def test_superscript_digits_are_format_errors(parse, text):
     """str.isdigit accepts superscripts, which int() rejects."""
     with pytest.raises(FormatError):
         parse(text)
+
+
+SMALL_CIRCUIT = "circuit g over X vars 3 modulus 7\nnode 0 var 2\noutput 0\n"
+
+
+@pytest.mark.parametrize("parse, text, old, new", [
+    (parse_circuit, SMALL_CIRCUIT, "vars 3", "vars \u0663"),
+    (parse_circuit, SMALL_CIRCUIT, "node 0 var 2", "node \u0660 var \u0662"),
+    (parse_circuit, CIRCUIT_GOLDEN, "const 3", "const -\u0663"),
+    (parse_poly, POLY_GOLDEN, "3 : x2", "\u0663 : x\u0662"),
+    (parse_automaton, VALID_TEXTS[2], "trans 0 y0 1", "trans \u0660 y0 1"),
+    (parse_automaton, VALID_TEXTS[2], "y0 1 scalar 1", "y\u0660 1 scalar 1"),
+], ids=["circuit-header", "circuit-node", "circuit-const", "poly-term",
+        "automaton-state", "automaton-letter"])
+def test_non_ascii_digits_are_format_errors(parse, text, old, new):
+    """str.isdecimal accepts Arabic-Indic digits and int() reads them,
+    so without the ASCII rule these files would parse and print back
+    as other bytes."""
+    assert old in text
+    parse(text)
+    with pytest.raises(FormatError):
+        parse(text.replace(old, new, 1))

@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import pickle
 import random
 from dataclasses import replace
 
@@ -9,9 +11,10 @@ from nclift import (DEFAULT_MODULUS, AddNode, Alphabet, BudgetError,
                     NCPolynomial, Scalar, Transition, Weight, build_decoder,
                     build_one_shot_decoder,
                     circuit_from_poly, decode_circuit, encode_circuit, expand,
-                    format_circuit, hadamard, hadamard_circuit,
-                    hadamard_eval, hadamard_poly, hadamard_witness,
-                    iterate_encoder, one_shot_decode_circuit, sample_family)
+                    format_automaton, format_circuit, hadamard,
+                    hadamard_circuit, hadamard_eval, hadamard_poly,
+                    hadamard_witness, iterate_encoder,
+                    one_shot_decode_circuit, parse_automaton, sample_family)
 from nclift.circuits import replay
 from nclift.randcircuits import random_circuit
 
@@ -365,6 +368,42 @@ def test_all_ones_point_is_plain_product(rng):
     f = random_poly(rng, Alphabet("Y", 2), P, max_len=3, terms=4)
     c = circuit_from_poly(f)
     assert hadamard_eval(c, auto, [1, 1]) == hadamard_eval(c, auto)
+
+
+def encoded_samples(rng, count: int) -> list:
+    X = Alphabet("X", 512)
+    return [encode_circuit(random_circuit(X, P, rng, max_gates=10,
+                                          max_degree=3), 8)
+            for _ in range(count)]
+
+
+def test_shared_decoder_tables_are_never_written(rng):
+    """Evaluating at a point scales copies of the cached decoder's
+    matrices, and synthesis only reads its tables: afterwards the
+    cached decoder still agrees with a twin that has tables of its own."""
+    dec = build_decoder(8)
+    fresh = parse_automaton(format_automaton(dec))
+    assert fresh == dec and fresh is not dec
+    for enc in encoded_samples(rng, 10):
+        point = [rng.randrange(2, P) for _ in range(8)]
+        hadamard_eval(enc, dec, point)
+        assert hadamard_eval(enc, dec) == hadamard_eval(enc, fresh)
+        assert (format_circuit(hadamard_circuit(enc, dec))
+                == format_circuit(hadamard_circuit(enc, fresh)))
+
+
+def test_copies_of_a_used_decoder_agree(rng):
+    """Copies and pickles of a decoder whose tables are built equal it
+    and synthesise the same bytes."""
+    dec = build_decoder(8)
+    samples = encoded_samples(rng, 5)
+    texts = [format_circuit(hadamard_circuit(enc, dec)) for enc in samples]
+    values = [hadamard_eval(enc, dec, [3] * 8) for enc in samples]
+    for twin in (copy.deepcopy(dec), pickle.loads(pickle.dumps(dec))):
+        assert twin == dec
+        for enc, text, value in zip(samples, texts, values):
+            assert format_circuit(hadamard_circuit(enc, twin)) == text
+            assert hadamard_eval(enc, twin, [3] * 8) == value
 
 
 def test_zero_circuit_gives_zero():
