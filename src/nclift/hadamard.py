@@ -10,7 +10,8 @@ an x-polynomial.  Three routes with one answer:
   * hadamard_poly     expands nothing but f: literal sum over support,
     the reference oracle;
   * hadamard_eval     evaluates f's circuit at the automaton's q x q
-    transition matrices, no x specialised, and reads one entry;
+    transition matrices, held as rows of their nonzero cells, no x
+    specialised, and reads one entry;
   * hadamard_circuit  synthesises an x-circuit by replaying f's gates
     on sparse q x q blocks of node ids, one block per gate.  A boolean
     support pass and a reverse demand pass come first, so each block
@@ -24,9 +25,10 @@ first use, and kept with it (WeightedAutomaton.derived), so the
 decoders build_decoder shares carry their tables to every call: each
 letter's row bitmasks (_letter_supports), where each source's moves
 and each constant's and variable's first transition sit
-(_positions), and the unscaled term-map matrices (_term_matrices).
-Per call remain the support, demand and emission passes over the
-circuit, the walk over the transitions read, and a point's scaling.
+(_positions), and the unscaled letter matrices as sparse rows of
+term maps (_term_rows).  Per call remain the support, demand and
+emission passes over the circuit, the walk over the transitions read,
+and a point's scaling.
 
 The synthesis costs at most 2 q^3 nodes per gate of f plus q^2 per leaf
 before constant folding.  hadamard_witness works that accounting out
@@ -45,7 +47,7 @@ from .automata import WeightedAutomaton
 from .circuits import (AddNode, Circuit, CircuitBuilder, InputNode, MulNode,
                        replay)
 from .errors import BudgetError
-from .polynomials import NCPolynomial, add_maps, mul_maps, scale_map
+from .polynomials import NCPolynomial, add_maps, scale_map
 from .scalars import assigned_residue
 
 
@@ -83,57 +85,86 @@ def hadamard_eval(circuit: Circuit, automaton: WeightedAutomaton,
     product, scaled coefficient-wise by the point.  point None means
     all ones, giving the plain Hadamard product.
 
-    The unscaled matrices are built once per automaton (_term_matrices)
-    and shared by every call; a point scales copies of them.  Per call
-    there remain the point's scaling and the replay of the circuit.
+    A matrix is q rows {column: term map} that hold only nonzero
+    cells, so sums and products walk the cells there are, not q^2
+    pairs.  The unscaled letter matrices are built once per automaton
+    (_term_rows) and shared by every call; a point scales copies of
+    them.  Per call there remain the point's scaling and the replay of
+    the circuit.  No row or cell is written once it is built, so
+    values share them freely.
     """
     _check_compatible(circuit, automaton)
     p = circuit.modulus
     q = automaton.num_states
-    empty: dict = {}
-    mats = automaton.derived(_term_matrices)
+    mats = automaton.derived(_term_rows)
     if point is not None:
         mats = tuple(_scaled(mat, assigned_residue(point, letter, p,
                                                    "letter y"), p)
                      for letter, mat in enumerate(mats))
+    zero = ({},) * q
 
-    rng = range(q)
-
-    def const(c: int) -> list[list[dict]]:
+    def const(c: int) -> tuple:
         c %= p
-        return [[({(): c} if c and i == j else empty) for j in rng]
-                for i in rng]
+        return tuple({i: {(): c}} for i in range(q)) if c else zero
 
-    def add(a, b) -> list[list[dict]]:
-        return [[add_maps(a[i][j], b[i][j], p) for j in rng] for i in rng]
+    def add(a: tuple, b: tuple) -> tuple:
+        out = []
+        for arow, brow in zip(a, b):
+            if not (arow and brow):
+                out.append(arow or brow)
+                continue
+            row = dict(arow)
+            for j, cell in brow.items():
+                cur = row.get(j)
+                if cur is None:
+                    row[j] = cell
+                else:
+                    cell = add_maps(cur, cell, p)
+                    if cell:
+                        row[j] = cell
+                    else:
+                        del row[j]
+            out.append(row)
+        return tuple(out)
 
-    def mul(a, b) -> list[list[dict]]:
-        out = [[empty] * q for _ in rng]
-        for i in rng:
-            arow = a[i]
-            orow = out[i]
-            for k in rng:
-                aik = arow[k]
-                if aik:
-                    brow = b[k]
-                    for j in rng:
-                        bkj = brow[j]
-                        if bkj:
-                            orow[j] = add_maps(orow[j],
-                                               mul_maps(aik, bkj, p), p)
-        return out
+    def mul(a: tuple, b: tuple) -> tuple:
+        out = []
+        for arow in a:
+            acc: dict = {}
+            for k, left in arow.items():
+                for j, right in b[k].items():
+                    cell = acc.get(j)
+                    if cell is None:
+                        cell = acc[j] = {}
+                    get = cell.get
+                    for u, cu in left.items():
+                        for v, cv in right.items():
+                            w = u + v
+                            cell[w] = (get(w, 0) + cu * cv) % p
+            row = {}
+            for j, cell in acc.items():
+                if 0 in cell.values():
+                    cell = {w: c for w, c in cell.items() if c}
+                if cell:
+                    row[j] = cell
+            out.append(row)
+        return tuple(out)
 
     value = replay(circuit, mats.__getitem__, const, add, mul)
-    terms = value[automaton.start][automaton.accept]
+    terms = value[automaton.start].get(automaton.accept, {})
     return NCPolynomial(automaton.x_alphabet, p, dict(terms), _trusted=True)
 
 
 def _scaled(mat: tuple, c: int, p: int) -> tuple:
-    """A copy of a term-map matrix times c; mat itself when c is 1."""
+    """A copy of a sparse-row matrix times the residue c; mat itself
+    when c is 1.  p is prime, so only c = 0 empties a cell, and then
+    every row is left empty."""
     if c == 1:
         return mat
-    return tuple(tuple(scale_map(cell, c, p) if cell else cell
-                       for cell in row) for row in mat)
+    if c == 0:
+        return ({},) * len(mat)
+    return tuple({j: scale_map(cell, c, p) for j, cell in row.items()}
+                 for row in mat)
 
 
 # ---------------------------------------------------------------------------
@@ -142,18 +173,17 @@ def _scaled(mat: tuple, c: int, p: int) -> tuple:
 # automaton: a cached decoder builds it once for every synthesis and
 # evaluation that uses it.  Nothing writes to a table once it is built.
 
-def _term_matrices(automaton: WeightedAutomaton) -> tuple:
-    """Per letter, its q x q transition matrix with term-map entries,
-    {} where no transition goes; canonical transitions give each cell
-    at most one weight."""
-    q = automaton.num_states
-    empty: dict = {}
+def _term_rows(automaton: WeightedAutomaton) -> tuple:
+    """Per letter, its q x q transition matrix as q rows {target: term
+    map}, one cell per transition; canonical transitions give each
+    cell one weight."""
     out = []
     for letter in range(automaton.y_alphabet.size):
-        rows = [[empty] * q for _ in range(q)]
+        rows: tuple[dict, ...] = tuple({} for _ in
+                                       range(automaton.num_states))
         for src, tgt, coeff, var in automaton.steps(letter):
             rows[src][tgt] = {() if var is None else (var,): coeff}
-        out.append(tuple(map(tuple, rows)))
+        out.append(rows)
     return tuple(out)
 
 

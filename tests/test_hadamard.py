@@ -337,20 +337,71 @@ def test_planning_matches_dense_reference_on_decoders(kind):
                                                               modulus=P))
 
 
+def scaled_poly(f: NCPolynomial, point) -> NCPolynomial:
+    """f with each word's coefficient times its letters' point values."""
+    scaled = {}
+    for w in f.support():
+        c = f.coeff(w).value
+        for a in w.letters:
+            c = c * point[a] % f.modulus
+        scaled[w.letters] = c
+    return NCPolynomial(f.alphabet, f.modulus, scaled)
+
+
 def test_eval_point_scales_each_letter(rng):
     Y = Alphabet("Y", 2)
     for _ in range(20):
         auto = random_automaton(rng, states=3, modulus=P, arrows=7)
         f = random_poly(rng, Y, P, max_len=3, terms=4)
         point = [rng.randrange(P) for _ in range(2)]
-        scaled = {}
-        for w in f.support():
-            c = f.coeff(w).value
-            for a in w.letters:
-                c = c * point[a] % P
-            scaled[w.letters] = c
-        want = hadamard_poly(NCPolynomial(Y, P, scaled), auto)
+        want = hadamard_poly(scaled_poly(f, point), auto)
         assert hadamard_eval(circuit_from_poly(f), auto, point) == want
+
+
+def test_eval_at_zero_and_minus_one_coordinates(rng, monkeypatch):
+    """A zero coordinate empties its letter's matrix, and p - 1 negates
+    it so that sums cancel; either way the sparse rows must agree with
+    the polynomial route and hold no empty cell."""
+    def no_empty_cell(value):
+        assert all(all(row.values()) for row in value)
+        return value
+
+    def checked_replay(circuit, var, const, add, mul):
+        return replay(circuit, var, lambda c: no_empty_cell(const(c)),
+                      lambda a, b: no_empty_cell(add(a, b)),
+                      lambda a, b: no_empty_cell(mul(a, b)))
+    monkeypatch.setattr(hadamard, "replay", checked_replay)
+    dec = build_decoder(8)
+    cases = [(enc, expand(enc), dec) for enc in encoded_samples(rng, 12)]
+    for _ in range(40):
+        p = rng.choice([7, 97, P])
+        q = rng.randint(1, 4)
+        auto = random_automaton(rng, states=q, modulus=p,
+                                arrows=rng.randint(1, 2 * q * q))
+        f = random_poly(rng, Alphabet("Y", 2), p, max_len=4, terms=6)
+        cases.append((circuit_from_poly(f), f, auto))
+        # y0 y1 + (p - 1) y0 y1 + y1: the first sum cancels cell by cell.
+        b = CircuitBuilder(Alphabet("Y", 2), p)
+        prod = b.mul(b.var(0), b.var(1))
+        gone = b.add(prod, b.mul(b.const(p - 1), prod))
+        cases.append((b.finish(b.add(gone, b.var(1))),
+                      NCPolynomial(Alphabet("Y", 2), p, {(1,): 1}), auto))
+    zeros = 0
+    for c, f, auto in cases:
+        p = c.modulus
+        for _ in range(3):
+            point = [rng.choice([0, p - 1, p - 1, rng.randrange(1, p)])
+                     for _ in range(c.alphabet.size)]
+            zeros += 0 in point
+            want = hadamard_poly(scaled_poly(f, point), auto)
+            assert hadamard_eval(c, auto, point) == want
+        for mat in auto.derived(hadamard._term_rows):
+            assert all(all(row.values()) for row in mat)
+            for coord in (0, p - 1):
+                scaled = hadamard._scaled(mat, coord, p)
+                assert all(all(row.values()) for row in scaled)
+                assert any(scaled) == (coord != 0 and any(mat))
+    assert zeros > 50
 
 
 def test_eval_point_is_checked():
@@ -380,7 +431,8 @@ def encoded_samples(rng, count: int) -> list:
 def test_shared_decoder_tables_are_never_written(rng):
     """Evaluating at a point scales copies of the cached decoder's
     matrices, and synthesis only reads its tables: afterwards the
-    cached decoder still agrees with a twin that has tables of its own."""
+    cached decoder's tables equal those of a twin that has tables of
+    its own, and the two agree on every route."""
     dec = build_decoder(8)
     fresh = parse_automaton(format_automaton(dec))
     assert fresh == dec and fresh is not dec
@@ -390,17 +442,21 @@ def test_shared_decoder_tables_are_never_written(rng):
         assert hadamard_eval(enc, dec) == hadamard_eval(enc, fresh)
         assert (format_circuit(hadamard_circuit(enc, dec))
                 == format_circuit(hadamard_circuit(enc, fresh)))
+    for table in (hadamard._term_rows, hadamard._letter_supports,
+                  hadamard._positions):
+        assert dec.derived(table) == fresh.derived(table)
 
 
 def test_copies_of_a_used_decoder_agree(rng):
-    """Copies and pickles of a decoder whose tables are built equal it
-    and synthesise the same bytes."""
+    """Copies and pickles of a decoder whose tables are built equal it,
+    start without its tables and synthesise the same bytes."""
     dec = build_decoder(8)
     samples = encoded_samples(rng, 5)
     texts = [format_circuit(hadamard_circuit(enc, dec)) for enc in samples]
     values = [hadamard_eval(enc, dec, [3] * 8) for enc in samples]
     for twin in (copy.deepcopy(dec), pickle.loads(pickle.dumps(dec))):
         assert twin == dec
+        assert not twin._derived
         for enc, text, value in zip(samples, texts, values):
             assert format_circuit(hadamard_circuit(enc, twin)) == text
             assert hadamard_eval(enc, twin, [3] * 8) == value

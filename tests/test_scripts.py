@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib.util
+import json
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -48,3 +49,20 @@ def test_size_sweep_stdout(capsys):
     assert len(out.splitlines()) == 31
     assert hashlib.sha256(out.encode()).hexdigest() == SIZE_SWEEP_SHA256
 
+
+def test_bench_counts_record_covers_every_workload():
+    """The committed counts name every workload and count the check
+    compares, and a moved count is reported by name."""
+    bench = load("bench_counts")
+    record = json.loads(bench.COUNTS_FILE.read_text())
+    assert record["seed"] == bench.SEED
+    counts = record["counts"]
+    assert sorted(counts) == sorted(bench.WORKLOADS)
+    for values in counts.values():
+        assert sorted(values) == sorted(bench.COUNTS)
+    assert bench.moved(counts, counts) == []
+    moved = {w: dict(v) for w, v in counts.items()}
+    was = counts["chain-small"]["hadamard.gates_emitted"]
+    moved["chain-small"]["hadamard.gates_emitted"] = was + 1
+    assert bench.moved(counts, moved) == [
+        f"chain-small hadamard.gates_emitted: {was} -> {was + 1}"]
