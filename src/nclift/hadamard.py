@@ -22,13 +22,16 @@ an x-polynomial.  Three routes with one answer:
 
 What depends on the automaton alone is built once per automaton, on
 first use, and kept with it (WeightedAutomaton.derived), so the
-decoders build_decoder shares carry their tables to every call: each
-letter's row bitmasks (_letter_supports), where each source's moves
-and each constant's and variable's first transition sit
-(_positions), and the unscaled letter matrices as sparse rows of
-term maps (_term_rows).  Per call remain the support, demand and
-emission passes over the circuit, the walk over the transitions read,
-and a point's scaling.
+decoders build_decoder shares carry their tables to every call: where
+each source's moves and each constant's and variable's first
+transition sit (_positions), and the unscaled letter matrices as
+sparse rows of term maps (_term_rows).  The support pass keeps its
+intern table and its sum and product memos with the automaton too
+(_SupportMemo), so a synthesis works out only the supports and pairs
+no earlier one with that automaton met; this memo grows across calls
+and is reset past MAX_SUPPORT_MEMO entries.  Per call remain the
+replay of the circuit against that memo, the demand and emission
+passes, the walk over the transitions read, and a point's scaling.
 
 The synthesis costs at most 2 q^3 nodes per gate of f plus q^2 per leaf
 before constant folding.  hadamard_witness works that accounting out
@@ -171,7 +174,8 @@ def _scaled(mat: tuple, c: int, p: int) -> tuple:
 # Tables of one automaton.  Each depends on the automaton alone, so it is
 # built on first use through WeightedAutomaton.derived and kept with the
 # automaton: a cached decoder builds it once for every synthesis and
-# evaluation that uses it.  Nothing writes to a table once it is built.
+# evaluation that uses it.  Nothing writes to a table once it is built;
+# the support memo (_SupportMemo, below) is kept the same way but grows.
 
 def _term_rows(automaton: WeightedAutomaton) -> tuple:
     """Per letter, its q x q transition matrix as q rows {target: term
@@ -184,18 +188,6 @@ def _term_rows(automaton: WeightedAutomaton) -> tuple:
         for src, tgt, coeff, var in automaton.steps(letter):
             rows[src][tgt] = {() if var is None else (var,): coeff}
         out.append(rows)
-    return tuple(out)
-
-
-def _letter_supports(automaton: WeightedAutomaton) -> tuple:
-    """Per letter, the q row bitmasks of its transition pattern."""
-    q = automaton.num_states
-    out = []
-    for letter in range(automaton.y_alphabet.size):
-        rows = [0] * q
-        for src, tgt, _, _ in automaton.steps(letter):
-            rows[src] |= 1 << tgt
-        out.append(tuple(rows))
     return tuple(out)
 
 
@@ -337,40 +329,95 @@ def _restrict(block: dict, want: dict) -> dict:
             if want.get(key[0], 0) >> key[1] & 1}
 
 
+# Rows (supports times q) plus memoised sums and products that one
+# automaton's support memo may hold before a synthesis starts it afresh.
+# Two passes of each benchmark chain workload leave the one-shot decoder
+# (q = 61) at about 30,000 and the others far below.
+MAX_SUPPORT_MEMO = 65_536
+
+
+class _SupportMemo:
+    """The support pass's intern table and memos for one automaton.
+
+    table holds the distinct supports, each a q-tuple of row bitmasks,
+    and index the position of each in table.  letters, ident and zero
+    are the positions of each letter's transition pattern, the identity
+    and the zero block, interned first.  sums and products map a pair
+    of positions to the position of their sum or boolean product.
+    Syntheses with one automaton share its memo (through
+    WeightedAutomaton.derived), so each support and pair is worked out
+    once for all of them; reset forgets everything after the first
+    entries.
+    """
+
+    __slots__ = ("q", "table", "index", "letters", "ident", "zero",
+                 "base", "sums", "products")
+
+    def __init__(self, automaton: WeightedAutomaton):
+        q = self.q = automaton.num_states
+        self.table: list[tuple] = []
+        self.index: dict[tuple, int] = {}
+        self.sums: dict[tuple[int, int], int] = {}
+        self.products: dict[tuple[int, int], int] = {}
+        letters = []
+        for letter in range(automaton.y_alphabet.size):
+            rows = [0] * q
+            for src, tgt, _, _ in automaton.steps(letter):
+                rows[src] |= 1 << tgt
+            letters.append(self.intern(tuple(rows)))
+        self.letters = letters
+        self.ident = self.intern(tuple(1 << i for i in range(q)))
+        self.zero = self.intern((0,) * q)
+        self.base = len(self.table)
+
+    def intern(self, rows: tuple) -> int:
+        k = self.index.get(rows)
+        if k is None:
+            k = self.index[rows] = len(self.table)
+            self.table.append(rows)
+        return k
+
+    def entries(self) -> int:
+        """Interned rows plus memoised pairs, what MAX_SUPPORT_MEMO
+        bounds: counting rows, not supports, caps about as many bytes
+        at any q."""
+        return len(self.table) * self.q + len(self.sums) + len(self.products)
+
+    def reset(self) -> None:
+        for rows in self.table[self.base:]:
+            del self.index[rows]
+        del self.table[self.base:]
+        self.sums.clear()
+        self.products.clear()
+
+
 def _supports(circuit: Circuit,
               automaton: WeightedAutomaton) -> tuple[list, list]:
     """Per node, the block cells that may be nonzero.
 
-    Returns the distinct supports, each a q-tuple of row bitmasks, and
-    per node the index of its support in that table.  Letters give
-    their transition pattern, read from the automaton's
-    _letter_supports table rather than its transitions; a nonzero
+    Returns the automaton's table of distinct supports, each a q-tuple
+    of row bitmasks, and per node the index of its support in that
+    table.  Letters give their transition pattern and a nonzero
     constant gives the identity.  Add ORs rows and mul takes the
     boolean row product.  A circuit has far fewer distinct supports
-    than nodes, so add and mul are memoised on index pairs.  A product
-    that misses the memo reads empty and one-bit left rows straight
-    from the right support, and computes each other distinct left row
-    once (decoder states on one tree level share their rows).  A cell
-    can be absent from the synthesised block (its constants cancelled)
-    but never present outside its support.
+    than nodes, so add and mul are memoised on index pairs, and the
+    table and memos are the automaton's _SupportMemo: a synthesis
+    replays its circuit against what earlier ones with the same
+    automaton worked out, and adds what they did not.  A call that
+    finds the memo past MAX_SUPPORT_MEMO entries resets it first.  A
+    product that misses the memo reads empty and one-bit left rows
+    straight from the right support, and computes each other distinct
+    left row once (decoder states on one tree level share their rows).
+    A cell can be absent from the synthesised block (its constants
+    cancelled) but never present outside its support.
     """
-    q = automaton.num_states
+    memo = automaton.derived(_SupportMemo)
+    if memo.entries() > MAX_SUPPORT_MEMO:
+        memo.reset()
     p = circuit.modulus
-    table: list[tuple] = []
-    index: dict[tuple, int] = {}
-
-    def intern(rows: tuple) -> int:
-        k = index.get(rows)
-        if k is None:
-            k = index[rows] = len(table)
-            table.append(rows)
-        return k
-
-    letters = [intern(rows) for rows in automaton.derived(_letter_supports)]
-    ident = intern(tuple(1 << i for i in range(q)))
-    zero = intern((0,) * q)
-    sums: dict = {}
-    products: dict = {}
+    table, intern = memo.table, memo.intern
+    letters, ident, zero = memo.letters, memo.ident, memo.zero
+    sums, products = memo.sums, memo.products
 
     def add(a: int, b: int) -> int:
         out = sums.get((a, b))
@@ -564,8 +611,10 @@ def hadamard_circuit(circuit: Circuit, automaton: WeightedAutomaton, *,
     three passes:
 
       * support (forward): the cells of each block that may be
-        nonzero, as boolean matrices interned in one table, so a
-        repeated sum or product is one lookup on two table indices;
+        nonzero, as boolean matrices interned in the automaton's
+        support table, so a sum or product that this or an earlier
+        synthesis with the automaton met is one lookup on two table
+        indices;
       * demand (reverse): from (start, accept) at the output, the
         cells each node's parents read, within its support, as
         {row: column bitmask} holding only the demanded rows;

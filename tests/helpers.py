@@ -71,6 +71,10 @@ def random_automaton(rng, *, states=4, letters=2, xvars=3, modulus=97,
                      arrows=10):
     # Distinct (source, letter, target) triples: parallel arrows in
     # different variables are rejected by the automaton constructor.
+    if arrows > states * letters * states:
+        raise ValueError(f"{arrows} arrows need distinct triples, "
+                         f"{states} states and {letters} letters have "
+                         f"{states * letters * states}")
     triples = set()
     while len(triples) < arrows:
         triples.add((rng.randrange(states), rng.randrange(letters),

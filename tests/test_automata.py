@@ -310,6 +310,16 @@ def test_copies_and_pickles_rebuild_the_step_table():
             assert twin.steps(a) == dec.steps(a)
 
 
+def test_random_automaton_refuses_more_arrows_than_triples(rng):
+    """Arrows are distinct (source, letter, target) triples, so asking
+    for more than there are raises instead of drawing forever."""
+    with pytest.raises(ValueError, match="^12 arrows need distinct "
+                       "triples, 1 states and 2 letters have 2$"):
+        random_automaton(rng, states=1, letters=2, arrows=12)
+    full = random_automaton(rng, states=2, letters=2, arrows=8)
+    assert full.transition_count == 8
+
+
 def test_derived_tables_are_built_once_per_automaton(rng):
     auto = random_automaton(rng)
     calls = []

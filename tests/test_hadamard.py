@@ -18,7 +18,7 @@ from nclift import (DEFAULT_MODULUS, AddNode, Alphabet, BudgetError,
 from nclift.circuits import replay
 from nclift.randcircuits import random_circuit
 
-from helpers import random_automaton, random_poly
+from helpers import DECODER_SHA256, random_automaton, random_poly
 
 P = DEFAULT_MODULUS
 
@@ -136,42 +136,134 @@ def test_synthesis_bytes_are_pinned():
     what it was when this digest was taken.  The automata have weights
     other than 1 and variables shared by several transitions, and the
     circuits read only some of their cells, so leaves that are skipped
-    or emitted out of order change the digest."""
+    or emitted out of order change the digest.  The second pass finds
+    every automaton's support memo warm."""
     rng = random.Random(4099)
     Y = Alphabet("Y", 2)
-    digest = hashlib.sha256()
+    pairs = []
     for i in range(60):
         p = (7, 97, P)[i % 3]
         q = rng.randint(1, 4)
         auto = random_automaton(rng, states=q, letters=2, xvars=3,
                                 modulus=p, arrows=rng.randint(1, 2 * q * q))
-        c = random_circuit(Y, p, rng, max_gates=15, max_degree=4)
-        digest.update(format_circuit(hadamard_circuit(c, auto)).encode())
-    for kind in ("sum-of-squares", "random-sparse"):
-        f = sample_family(kind, 512, 3, 1, terms=40).circuit
-        for out in (decode_circuit(encode_circuit(f, 8), 8),
-                    one_shot_decode_circuit(iterate_encoder(f, 2, 2), 2, 2)):
-            digest.update(format_circuit(out).encode())
-    assert digest.hexdigest() == (
-        "c03cd5589e6c3207807f9d6275d3e7ea67aea63329f50d719540333382c30fb4")
+        pairs.append((random_circuit(Y, p, rng, max_gates=15, max_degree=4),
+                      auto))
+    for _ in range(2):
+        digest = hashlib.sha256()
+        for c, auto in pairs:
+            digest.update(format_circuit(hadamard_circuit(c, auto)).encode())
+        for kind in ("sum-of-squares", "random-sparse"):
+            f = sample_family(kind, 512, 3, 1, terms=40).circuit
+            for out in (decode_circuit(encode_circuit(f, 8), 8),
+                        one_shot_decode_circuit(iterate_encoder(f, 2, 2),
+                                                2, 2)):
+                digest.update(format_circuit(out).encode())
+        assert digest.hexdigest() == ("c03cd5589e6c3207807f9d6275d3e7ea"
+                                      "67aea63329f50d719540333382c30fb4")
 
 
 def test_synthesis_bytes_are_pinned_up_to_six_states():
     """A second digest, over automata of 2 to 6 states at small moduli,
     where blocks hold several demanded rows: leaves and constants that
-    load their cells in any order but ascending rows change it."""
+    load their cells in any order but ascending rows change it.  As
+    above, the second pass runs on warm support memos."""
     rng = random.Random(6151)
     Y = Alphabet("Y", 2)
-    digest = hashlib.sha256()
+    pairs = []
     for i in range(200):
         p = (7, 97)[i % 2]
         q = rng.randint(2, 6)
         auto = random_automaton(rng, states=q, letters=2, xvars=3,
                                 modulus=p, arrows=rng.randint(1, 2 * q * q))
-        c = random_circuit(Y, p, rng, max_gates=20, max_degree=5)
-        digest.update(format_circuit(hadamard_circuit(c, auto)).encode())
-    assert digest.hexdigest() == (
-        "b40d864367883599e5af88b43ddfcb6bacdbc20d1a43f640a8e3f09af3b9bd69")
+        pairs.append((random_circuit(Y, p, rng, max_gates=20, max_degree=5),
+                      auto))
+    for _ in range(2):
+        digest = hashlib.sha256()
+        for c, auto in pairs:
+            digest.update(format_circuit(hadamard_circuit(c, auto)).encode())
+        assert digest.hexdigest() == ("b40d864367883599e5af88b43ddfcb6b"
+                                      "acdbc20d1a43f640a8e3f09af3b9bd69")
+
+
+# Bounds of the support memo: reset before every synthesis, every few,
+# and (the default) never within these tests.
+MEMO_BOUNDS = [0, 300, hadamard.MAX_SUPPORT_MEMO]
+
+
+@pytest.mark.parametrize("bound", MEMO_BOUNDS[:2])
+def test_pins_hold_under_every_memo_bound(monkeypatch, bound):
+    """The pinned tests themselves run at the default bound."""
+    monkeypatch.setattr(hadamard, "MAX_SUPPORT_MEMO", bound)
+    test_synthesis_bytes_are_pinned()
+    test_synthesis_bytes_are_pinned_up_to_six_states()
+    for (n, d), want in DECODER_SHA256.items():
+        text = format_automaton(build_decoder(n, d))
+        assert hashlib.sha256(text.encode()).hexdigest() == want
+
+
+def memo_jobs(rng) -> list:
+    """A mixed sequence of (circuit, automaton) syntheses: random
+    automata that each see several circuits, interleaved with the
+    shared m = 2, m = 8 and one-shot (2, 2) decoders."""
+    Y = Alphabet("Y", 2)
+    autos = []
+    for p in (7, 97, 7, 97, P):
+        q = rng.randint(2, 6)
+        autos.append(random_automaton(rng, states=q, letters=2, xvars=3,
+                                      modulus=p,
+                                      arrows=rng.randint(q, 2 * q * q)))
+    jobs = []
+    for _ in range(60):
+        auto = rng.choice(autos)
+        jobs.append((random_circuit(Y, auto.modulus, rng, max_gates=15,
+                                    max_degree=4), auto))
+    X = Alphabet("X", 512)
+    dec2, dec8 = build_decoder(2), build_decoder(8)
+    one_shot = build_decoder(2, 2)
+    for _ in range(8):
+        enc = iterate_encoder(random_circuit(X, P, rng, max_gates=10,
+                                             max_degree=3), 2, 2)
+        jobs += [(enc, dec2), (hadamard_circuit(enc, dec2), dec8),
+                 (enc, one_shot)]
+    for kind in ("sum-of-squares", "random-sparse"):
+        enc = iterate_encoder(sample_family(kind, 512, 3, 1,
+                                            terms=40).circuit, 2, 2)
+        jobs += [(enc, one_shot), (enc, dec2)]
+    rng.shuffle(jobs)
+    return jobs
+
+
+@pytest.mark.parametrize("bound", MEMO_BOUNDS)
+def test_warm_memo_synthesises_a_fresh_automatons_bytes(rng, monkeypatch,
+                                                        bound):
+    """Emission reads support contents, never table positions, so a
+    synthesis on an automaton whose memo earlier calls filled (or
+    reset) writes exactly what a copy with no memo writes."""
+    monkeypatch.setattr(hadamard, "MAX_SUPPORT_MEMO", bound)
+    for c, auto in memo_jobs(rng):
+        fresh = copy.deepcopy(auto)
+        assert (format_circuit(hadamard_circuit(c, auto))
+                == format_circuit(hadamard_circuit(c, fresh)))
+
+
+def test_memo_stays_within_its_bound(rng, monkeypatch):
+    """After every call a memo holds at most the bound plus what that
+    call alone adds to an empty memo.  The bound is small enough that
+    most automata of the sequence reach it, so their memos reset."""
+    bound = 60
+    monkeypatch.setattr(hadamard, "MAX_SUPPORT_MEMO", bound)
+    resets: dict = {}
+    for c, auto in memo_jobs(rng):
+        memo = auto.derived(hadamard._SupportMemo)
+        before = memo.entries()
+        hadamard_circuit(c, auto)
+        cold = copy.deepcopy(auto)
+        hadamard._supports(c, cold)
+        assert memo.entries() <= bound + cold.derived(
+            hadamard._SupportMemo).entries()
+        if memo.entries() < before:
+            resets[id(auto)] = resets.get(id(auto), 0) + 1
+    assert len(resets) >= 5
 
 
 def test_synthesis_budget(monkeypatch):
@@ -430,9 +522,10 @@ def encoded_samples(rng, count: int) -> list:
 
 def test_shared_decoder_tables_are_never_written(rng):
     """Evaluating at a point scales copies of the cached decoder's
-    matrices, and synthesis only reads its tables: afterwards the
-    cached decoder's tables equal those of a twin that has tables of
-    its own, and the two agree on every route."""
+    matrices, and synthesis writes no table but its support memo:
+    afterwards every other table of the cached decoder equals that of
+    a twin that has tables of its own, and the two agree on every
+    route."""
     dec = build_decoder(8)
     fresh = parse_automaton(format_automaton(dec))
     assert fresh == dec and fresh is not dec
@@ -442,19 +535,23 @@ def test_shared_decoder_tables_are_never_written(rng):
         assert hadamard_eval(enc, dec) == hadamard_eval(enc, fresh)
         assert (format_circuit(hadamard_circuit(enc, dec))
                 == format_circuit(hadamard_circuit(enc, fresh)))
-    for table in (hadamard._term_rows, hadamard._letter_supports,
-                  hadamard._positions):
+    assert set(dec._derived) == set(fresh._derived) == {
+        hadamard._term_rows, hadamard._positions, hadamard._SupportMemo}
+    for table in (hadamard._term_rows, hadamard._positions):
         assert dec.derived(table) == fresh.derived(table)
 
 
 def test_copies_of_a_used_decoder_agree(rng):
-    """Copies and pickles of a decoder whose tables are built equal it,
-    start without its tables and synthesise the same bytes."""
+    """Copies and pickles of a decoder whose tables and support memo
+    are built equal it, start without them and synthesise the same
+    bytes."""
     dec = build_decoder(8)
     samples = encoded_samples(rng, 5)
     texts = [format_circuit(hadamard_circuit(enc, dec)) for enc in samples]
     values = [hadamard_eval(enc, dec, [3] * 8) for enc in samples]
-    for twin in (copy.deepcopy(dec), pickle.loads(pickle.dumps(dec))):
+    assert hadamard._SupportMemo in dec._derived
+    for twin in (copy.copy(dec), copy.deepcopy(dec),
+                 pickle.loads(pickle.dumps(dec))):
         assert twin == dec
         assert not twin._derived
         for enc, text, value in zip(samples, texts, values):
