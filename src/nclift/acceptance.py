@@ -3,10 +3,14 @@
 Each check re-derives its expectations from independent pieces (brute
 expansion, literal series enumeration, hand-evaluated fixtures) rather
 than from the code under test.  Check 4 collects size witnesses from
-every Hadamard synthesis the other checks perform.  Check 9 rebuilds
-two deliberately broken variants (a decoder with a mis-ordered weight
-index, an evaluator with swapped product operands) from public pieces
-and confirms the suite's own mini-checks catch both.
+every Hadamard synthesis the other checks perform.  Check 7 evaluates
+its 2x2 point with the integer kernel behind identity testing
+(eval_matrix_residues).  Check 9 rebuilds two deliberately broken
+variants (a decoder with a mis-ordered weight index, an evaluator with
+swapped product operands) and confirms the suite's own mini-checks
+catch both.  The swapped evaluator is its own: dense q x q grids of
+term maps built from the automaton's steps, never hadamard_eval's
+tables.
 
 Report format: one line per check, `check <id> <pass|fail> <details>`,
 in id order.  Timing targets enter as a time_ok flag instead of raw
@@ -22,18 +26,18 @@ from dataclasses import dataclass
 from .automata import (Transition, Weight, WeightedAutomaton, build_decoder,
                        one_shot_nominal_states, one_shot_state_count,
                        series_truncate)
-from .circuits import Circuit, CircuitBuilder, eval_matrix, expand, replay
+from .circuits import (Circuit, CircuitBuilder, eval_matrix_residues, expand,
+                       replay)
 from .config import DEFAULT_SEED
 from .hadamard import (HadamardWitness, hadamard_circuit, hadamard_eval,
                        hadamard_witness)
 from .lifting import (LiftParams, chain_decoders, decode_circuit,
                       encode_circuit, encode_stages, iterate_encoder,
                       lift_report, one_shot_decode_circuit, sample_family)
-from .matrices import SquareMatrix
-from .polynomials import Alphabet, NCPolynomial, Word
+from .polynomials import Alphabet, NCPolynomial, Word, add_maps, mul_maps
 from .randcircuits import (perturb_mul_order, random_circuit,
                            swap_add_children)
-from .scalars import DEFAULT_MODULUS, Scalar
+from .scalars import DEFAULT_MODULUS
 from .verify import DISTINCT, EQUAL, circuit_equiv_brute, circuit_equiv_random
 
 PIT_MODULUS = 1_000_000_007
@@ -244,14 +248,7 @@ class AcceptanceSuite:
     def check_matrix_witness(self) -> CheckResult:
         p = self.modulus
         x = Alphabet("X", 2)
-
-        def mat(rows):
-            return SquareMatrix([[Scalar(e, p) for e in row]
-                                 for row in rows])
-
-        m0 = mat([[0, 1], [0, 0]])
-        m1 = mat([[0, 0], [1, 0]])
-        point = {0: m0, 1: m1}
+        point = {0: [[0, 1], [0, 0]], 1: [[0, 0], [1, 0]]}
 
         b = CircuitBuilder(x, p, "fwd")
         c01 = b.finish(b.mul(b.var(0), b.var(1)))
@@ -262,10 +259,9 @@ class AcceptanceSuite:
                               b.mul(b.const(p - 1),
                                     b.mul(b.var(1), b.var(0)))))
 
-        e01 = eval_matrix(c01, point)
-        e10 = eval_matrix(c10, point)
-        commutator = eval_matrix(comm, point)
-        want = mat([[1, 0], [0, p - 1]])
+        e01, e10, commutator = (eval_matrix_residues(c, point, 2, p)
+                                for c in (c01, c10, comm))
+        want = [[1, 0], [0, p - 1]]
         distinct = e01 != e10
         ok = distinct and commutator == want
         return CheckResult(7, ok,
@@ -340,17 +336,41 @@ class AcceptanceSuite:
     def _eval_swapped(self, circuit: Circuit,
                       automaton: WeightedAutomaton) -> NCPolynomial:
         """hadamard_eval with the product operand order deliberately
-        reversed at every mul gate."""
-        x, p = automaton.x_alphabet, circuit.modulus
-        zero = NCPolynomial.zero(x, p)
+        reversed at every mul gate.
 
-        def const(c: int) -> SquareMatrix:
-            return SquareMatrix.identity(
-                automaton.num_states, NCPolynomial.constant(c, x, p), zero)
+        Its own evaluator: dense q x q grids of term maps built from the
+        automaton's steps, not hadamard_eval's sparse rows."""
+        p, states = circuit.modulus, range(automaton.num_states)
 
-        value = replay(circuit, automaton.transition_matrices().__getitem__,
-                       const, lambda a, b: a + b, lambda a, b: b * a)
-        return value.entry(automaton.start, automaton.accept)
+        def letter(a: int) -> list[list[dict]]:
+            # The automaton merged its steps: one per (source, target).
+            grid = [[{} for _ in states] for _ in states]
+            for src, tgt, coeff, var in automaton.steps(a):
+                grid[src][tgt] = {() if var is None else (var,): coeff}
+            return grid
+
+        def const(c: int) -> list[list[dict]]:
+            one = {(): c % p} if c % p else {}
+            return [[one if i == j else {} for j in states] for i in states]
+
+        def add(a, b) -> list[list[dict]]:
+            return [[add_maps(u, v, p) for u, v in zip(ra, rb)]
+                    for ra, rb in zip(a, b)]
+
+        def swapped_mul(a, b) -> list[list[dict]]:
+            out = [[{} for _ in states] for _ in states]
+            for i in states:
+                for k in states:
+                    if b[i][k]:
+                        for j in states:
+                            out[i][j] = add_maps(
+                                out[i][j], mul_maps(b[i][k], a[k][j], p), p)
+            return out
+
+        value = replay(circuit, letter, const, add, swapped_mul)
+        return NCPolynomial(automaton.x_alphabet, p,
+                            value[automaton.start][automaton.accept],
+                            _trusted=True)
 
     def check_mutation_sensitivity(self) -> CheckResult:
         p = self.modulus

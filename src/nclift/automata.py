@@ -22,7 +22,6 @@ from types import MappingProxyType
 from typing import Callable, NamedTuple, Sequence, TypeVar
 
 from .errors import BudgetError, FormatError
-from .matrices import SquareMatrix
 from .polynomials import (Alphabet, Letters, NCPolynomial, Word, add_maps,
                           mul_map_term, read_index, read_int, read_text)
 from .scalars import DEFAULT_MODULUS, require_prime_modulus
@@ -167,24 +166,6 @@ class WeightedAutomaton:
     @property
     def transition_count(self) -> int:
         return len(self.transitions)
-
-    def _weight_poly(self, w: Weight) -> NCPolynomial:
-        key: Letters = () if w.var is None else (w.var,)
-        return NCPolynomial(self.x_alphabet, self.modulus, {key: w.coeff},
-                            _trusted=True)
-
-    def transition_matrix(self, letter: int) -> SquareMatrix:
-        """q x q matrix of x-polynomial weights for one letter."""
-        zero = NCPolynomial.zero(self.x_alphabet, self.modulus)
-        rows = [[zero] * self.num_states for _ in range(self.num_states)]
-        for src, tgt, coeff, var in self.steps(letter):
-            rows[src][tgt] = rows[src][tgt] + self._weight_poly(
-                Weight(coeff, var))
-        return SquareMatrix(rows)
-
-    def transition_matrices(self) -> dict[int, SquareMatrix]:
-        return {a: self.transition_matrix(a)
-                for a in range(self.y_alphabet.size)}
 
     def _advance(self, vec: dict[int, dict], letter: int) -> dict[int, dict]:
         out: dict[int, dict] = {}

@@ -14,11 +14,9 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .errors import BudgetError, FormatError
-from .matrices import SquareMatrix
 from .polynomials import (Alphabet, NCPolynomial, add_maps, check_name,
                           is_digits, length_lex_key, mul_maps, read_text)
-from .scalars import (Scalar, assigned_residue, require_prime_modulus,
-                      residue)
+from .scalars import Scalar, assigned_residue, require_prime_modulus
 
 DEFAULT_MAX_DEGREE = 64
 DEFAULT_MAX_TERMS = 200_000
@@ -298,30 +296,6 @@ def eval_matrix_residues(circuit: Circuit,
         return out
 
     return replay(circuit, var, const, add, mul)
-
-
-def eval_matrix(circuit: Circuit, point: Mapping[int, SquareMatrix],
-                *, dim: int | None = None) -> SquareMatrix:
-    """Evaluate at Scalar matrices; products keep the gate's operand order.
-
-    Constants become c * I.  All matrices must share one dimension and
-    hold Scalar entries mod the circuit's modulus.  For a circuit with
-    no inputs pass dim explicitly.
-    """
-    p = circuit.modulus
-    raw = {}
-    for v, m in point.items():
-        if dim is None:
-            dim = m.dim
-        elif m.dim != dim:
-            raise ValueError(f"dimension mismatch: {dim} vs {m.dim}")
-        if not all(isinstance(e, Scalar) for row in m.rows for e in row):
-            raise ValueError(f"matrix for x{v} has non-Scalar entries")
-        raw[v] = [[residue(e, p) for e in row] for row in m.rows]
-    if dim is None:
-        raise ValueError("dim is required when no matrices are given")
-    rows = eval_matrix_residues(circuit, raw, dim, p)
-    return SquareMatrix([[Scalar(e, p) for e in row] for row in rows])
 
 
 def expand(circuit: Circuit, max_degree: int = DEFAULT_MAX_DEGREE,

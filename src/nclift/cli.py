@@ -1,8 +1,10 @@
 """Batch command-line interface.
 
 Every command is a single deterministic job: files plus flags plus a
-seed fully determine the output bytes.  Long-form flags only.  The
-modulus resolves flag over NCLIFT_MODULUS over the built-in default.
+seed fully determine the output bytes.  Long-form flags only.  Only
+the commands that make new objects (build-decoder, report, accept) take
+a modulus; it resolves flag over NCLIFT_MODULUS over the built-in
+default.  Every other command reads its modulus from its input files.
 
 Exit codes: 0 success (or verified equal), 1 verification failure
 (distinct circuits, failed acceptance checks), 2 usage or parse error,
@@ -82,6 +84,13 @@ def _chain_params(args) -> tuple[int, int]:
     return args.n, args.d
 
 
+def _modulus(args) -> int:
+    """--modulus if given, else NCLIFT_MODULUS, else the default."""
+    if args.modulus is not None:
+        return require_prime_modulus(args.modulus)
+    return modulus_from_env()
+
+
 def _measure(obj) -> int:
     if isinstance(obj, Circuit):
         return obj.size_report().gates
@@ -105,8 +114,9 @@ def cmd_encode(args) -> int:
 
 
 def cmd_build_decoder(args) -> int:
+    modulus = _modulus(args)
     n, d = _chain_params(args)
-    automaton = build_decoder(n, d, modulus=args.resolved_modulus)
+    automaton = build_decoder(n, d, modulus=modulus)
     _save(args.out, automaton)
     print(f"states={automaton.num_states} "
           f"transitions={automaton.transition_count}")
@@ -171,9 +181,10 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_report(args) -> int:
+    modulus = _modulus(args)
     params = LiftParams(args.n, args.d, args.t)
     fam = sample_family(args.kind, params.variable_count, args.t, args.seed,
-                        terms=args.terms, modulus=args.resolved_modulus)
+                        terms=args.terms, modulus=modulus)
     stages = encode_stages(fam.circuit, args.n, args.d)
     report = lift_report(params,
                          [s.size_report().gates for s in stages])
@@ -186,7 +197,7 @@ def cmd_report(args) -> int:
 
 def cmd_accept(args) -> int:
     from .acceptance import run_acceptance
-    results = run_acceptance(args.seed, args.resolved_modulus, out=print)
+    results = run_acceptance(args.seed, _modulus(args), out=print)
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -194,10 +205,10 @@ def cmd_accept(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: callers that run
     `main` many times reuse it, and each parse returns a new namespace."""
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--modulus", type=int, default=None,
-                        help="prime modulus (default: NCLIFT_MODULUS "
-                             "or 1000000007)")
+    modulus_flag = argparse.ArgumentParser(add_help=False)
+    modulus_flag.add_argument("--modulus", type=int, default=None,
+                              help="prime modulus (default: NCLIFT_MODULUS "
+                                   "or 1000000007)")
 
     parser = argparse.ArgumentParser(
         prog="nclift",
@@ -206,7 +217,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "products, and verification.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("encode", parents=[shared],
+    p = sub.add_parser("encode",
                        help="encode a poly or circuit down the 1-to-3 chain")
     p.add_argument("--in", required=True, help="input poly or circuit file")
     p.add_argument("--out", required=True, help="output file")
@@ -216,7 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=None, help="chain depth")
     p.set_defaults(handler=cmd_encode)
 
-    p = sub.add_parser("build-decoder", parents=[shared],
+    p = sub.add_parser("build-decoder", parents=[modulus_flag],
                        help="write a block-decoder automaton file")
     p.add_argument("--out", required=True)
     p.add_argument("--m", type=int, default=None,
@@ -227,7 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="single automaton for the whole depth-d chain")
     p.set_defaults(handler=cmd_build_decoder)
 
-    p = sub.add_parser("hadamard", parents=[shared],
+    p = sub.add_parser("hadamard",
                        help="Hadamard product of a circuit with an "
                             "automaton")
     p.add_argument("--circuit", required=True)
@@ -235,7 +246,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_hadamard)
 
-    p = sub.add_parser("decode", parents=[shared],
+    p = sub.add_parser("decode",
                        help="decode a circuit back up the chain")
     p.add_argument("--in", required=True)
     p.add_argument("--out", required=True)
@@ -245,7 +256,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--one-shot", action="store_true")
     p.set_defaults(handler=cmd_decode)
 
-    p = sub.add_parser("expand", parents=[shared],
+    p = sub.add_parser("expand",
                        help="expand a circuit to its canonical polynomial")
     p.add_argument("--in", required=True)
     p.add_argument("--out", default=None,
@@ -254,7 +265,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-terms", type=int, default=DEFAULT_MAX_TERMS)
     p.set_defaults(handler=cmd_expand)
 
-    p = sub.add_parser("equiv", parents=[shared],
+    p = sub.add_parser("equiv",
                        help="decide whether two circuits agree")
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
@@ -266,7 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(handler=cmd_equiv)
 
-    p = sub.add_parser("report", parents=[shared],
+    p = sub.add_parser("report", parents=[modulus_flag],
                        help="stage bookkeeping table for one chain")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
@@ -278,7 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(handler=cmd_report)
 
-    p = sub.add_parser("accept", parents=[shared],
+    p = sub.add_parser("accept", parents=[modulus_flag],
                        help="run the acceptance checks")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(handler=cmd_accept)
@@ -289,9 +300,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        args.resolved_modulus = (require_prime_modulus(args.modulus)
-                                 if args.modulus is not None
-                                 else modulus_from_env())
         return args.handler(args)
     except BudgetError as exc:
         print(f"nclift: budget exceeded: {exc}", file=sys.stderr)

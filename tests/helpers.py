@@ -40,6 +40,26 @@ def poly_substitute(f, images, alphabet, modulus):
     return out
 
 
+def matrix_value_of_poly(f, mats, dim, p):
+    """Evaluate a polynomial at integer matrices mod p, word by word.
+
+    Each word adds coeff * M_{w_1} * ... * M_{w_k}, multiplied left to
+    right; the empty word adds coeff * I.  The order-respecting oracle
+    that circuit evaluation is tested against.
+    """
+    dims = range(dim)
+    acc = [[0] * dim for _ in dims]
+    for word, c in sorted(f.terms.items()):
+        prod = [[int(i == j) for j in dims] for i in dims]
+        for letter in word:
+            m = mats[letter]
+            prod = [[sum(prod[i][k] * m[k][j] for k in dims) % p
+                     for j in dims] for i in dims]
+        acc = [[(a + c * e) % p for a, e in zip(ra, re)]
+               for ra, re in zip(acc, prod)]
+    return acc
+
+
 def weight_poly(w, x_alphabet, modulus):
     if w.var is None:
         return NCPolynomial.constant(w.coeff, x_alphabet, modulus)

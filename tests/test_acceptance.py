@@ -14,11 +14,15 @@ import re
 
 import pytest
 
-from nclift import (build_decoder, format_automaton, one_shot_nominal_states,
+from nclift import (DEFAULT_MODULUS, Alphabet, Circuit, MulNode,
+                    build_decoder, encode_circuit, format_automaton,
+                    hadamard_eval, one_shot_nominal_states,
                     one_shot_state_count)
+from nclift import acceptance
 from nclift.acceptance import AcceptanceSuite
+from nclift.randcircuits import random_circuit
 
-from helpers import DECODER_SHA256
+from helpers import DECODER_SHA256, random_automaton
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +105,23 @@ def test_check_7_two_by_two_matrix_point(suite):
     assert "commutator_match=1" in r.details
 
 
+def mul_swapped(circuit):
+    """The circuit with every mul gate's operands exchanged."""
+    nodes = tuple(MulNode(n.rhs, n.lhs) if isinstance(n, MulNode) else n
+                  for n in circuit.nodes)
+    return Circuit(circuit.name, circuit.alphabet, circuit.modulus, nodes,
+                   circuit.output)
+
+
+def test_check_7_fails_under_swapped_products(monkeypatch):
+    real = acceptance.eval_matrix_residues
+    monkeypatch.setattr(acceptance, "eval_matrix_residues",
+                        lambda c, mats, dim, p: real(mul_swapped(c), mats,
+                                                     dim, p))
+    r = AcceptanceSuite().check_matrix_witness()
+    assert r.line() == "check 7 fail distinct=1 commutator_match=0"
+
+
 def test_check_8_randomized_identity_testing(suite):
     _, results = suite
     r = _details(results, 8)
@@ -113,6 +134,31 @@ def test_check_9_mutants_are_caught(suite):
     _, results = suite
     r = _details(results, 9)
     assert r.passed, r.details
+
+
+def test_swapped_evaluator_is_hadamard_eval_of_the_swapped_circuit(rng):
+    """Check 9's own evaluator, on circuits whose swap changes the
+    value, is hadamard_eval of the circuit with every mul swapped."""
+    p = DEFAULT_MODULUS
+    cases = []
+    for m in (2, 3):
+        decoder = build_decoder(m, modulus=p)
+        for _ in range(15):
+            c = random_circuit(Alphabet("X", m ** 3), p, rng, max_gates=10,
+                               max_degree=3)
+            cases.append((encode_circuit(c, m), decoder))
+    for _ in range(15):
+        auto = random_automaton(rng, states=4, letters=2, xvars=3)
+        c = random_circuit(auto.y_alphabet, auto.modulus, rng, max_gates=10,
+                           max_degree=4)
+        cases.append((c, auto))
+    suite = AcceptanceSuite()
+    changed = 0
+    for c, auto in cases:
+        got = suite._eval_swapped(c, auto)
+        assert got == hadamard_eval(mul_swapped(c), auto)
+        changed += got != hadamard_eval(c, auto)
+    assert changed >= len(cases) // 2
 
 
 def test_mutants_leave_the_shared_decoder_intact(suite):

@@ -91,24 +91,6 @@ def test_coeff_of_word_matches_path_enumeration(rng):
                 assert auto.coeff_of_word(w) == coeff_by_paths(auto, w)
 
 
-def test_matrix_product_matches_coeff(rng):
-    for _ in range(10):
-        auto = random_automaton(rng)
-        mats = auto.transition_matrices()
-        for length in range(4):
-            for w in itertools.product(range(2), repeat=length):
-                prod = None
-                for a in w:
-                    prod = mats[a] if prod is None else prod * mats[a]
-                if prod is None:
-                    expected = NCPolynomial.constant(
-                        int(auto.start == auto.accept),
-                        auto.x_alphabet, auto.modulus)
-                else:
-                    expected = prod.entry(auto.start, auto.accept)
-                assert auto.coeff_of_word(w) == expected
-
-
 def test_empty_word_needs_merged_endpoints(rng):
     auto = random_automaton(rng, states=3)
     c = auto.coeff_of_word(())

@@ -4,12 +4,12 @@ import pytest
 
 from nclift import (DEFAULT_MODULUS, AddNode, Alphabet, BudgetError, Circuit,
                     CircuitBuilder, ConstNode, InputNode, MulNode,
-                    NCPolynomial, Scalar, SquareMatrix, circuit_from_poly,
-                    eval_matrix, eval_scalar, expand, matrix_value_of_poly)
-from nclift.circuits import replay
+                    NCPolynomial, Scalar, circuit_from_poly, eval_scalar,
+                    expand)
+from nclift.circuits import eval_matrix_residues, replay
 from nclift.randcircuits import random_circuit
 
-from helpers import random_poly
+from helpers import matrix_value_of_poly, random_poly
 
 X3 = Alphabet("X", 3)
 P = DEFAULT_MODULUS
@@ -119,31 +119,19 @@ def test_eval_scalar_checks_the_assignment():
 
 
 def test_eval_matrix_matches_word_by_word_oracle(rng):
-    one, zero = Scalar.one(P), Scalar.zero(P)
-    for _ in range(30):
-        c = random_circuit(X3, P, rng, max_gates=10, max_degree=4)
-        mats = {i: SquareMatrix([[Scalar(rng.randrange(P), P)
-                                  for _ in range(2)] for _ in range(2)])
-                for i in range(3)}
-        got = eval_matrix(c, mats)
-        want = matrix_value_of_poly(expand(c), mats, 2, one, zero)
-        assert got == want
-
-
-def test_eval_matrix_needs_dim_for_constant_circuits():
     b = CircuitBuilder(X3, P)
-    c = b.finish(b.const(9))
-    with pytest.raises(ValueError):
-        eval_matrix(c, {})
-    got = eval_matrix(c, {}, dim=2)
-    assert got == SquareMatrix.identity(2, Scalar(9, P), Scalar.zero(P))
-
-
-def test_eval_matrix_rejects_foreign_modulus():
-    b = CircuitBuilder(X3, P)
-    c = b.finish(b.var(0))
-    with pytest.raises(ValueError, match="^modulus mismatch: "):
-        eval_matrix(c, {0: SquareMatrix([[Scalar(3, 7)]])})
+    nine = b.finish(b.const(9))
+    cases = [(nine, {}, 2)]
+    for dim in (1, 2, 3):
+        for _ in range(20):
+            c = random_circuit(X3, P, rng, max_gates=10, max_degree=4)
+            mats = {i: [[rng.randrange(P) for _ in range(dim)]
+                        for _ in range(dim)] for i in range(3)}
+            cases.append((c, mats, dim))
+    for c, mats, dim in cases:
+        got = eval_matrix_residues(c, mats, dim, P)
+        assert got == matrix_value_of_poly(expand(c), mats, dim, P)
+    assert eval_matrix_residues(nine, {}, 2, P) == [[9, 0], [0, 9]]
 
 
 def test_expand_budgets():

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from nclift import (Alphabet, CircuitBuilder, MatrixPoint, Scalar,
-                    SquareMatrix, Word, circuit_equiv_brute,
-                    circuit_equiv_random, eval_matrix, expand)
+from nclift import (Alphabet, CircuitBuilder, MatrixPoint, Word,
+                    circuit_equiv_brute, circuit_equiv_random, expand)
+from nclift.circuits import eval_matrix_residues
 from nclift.randcircuits import (perturb_mul_order, random_circuit,
                                  swap_add_children)
 
@@ -52,10 +52,9 @@ def test_random_distinct_with_reusable_point():
     v = circuit_equiv_random(c1, c2, trials=10, seed=3)
     assert v.result == "distinct"
     assert isinstance(v.witness, MatrixPoint)
-    mats = {i: SquareMatrix([[Scalar(e, PIT_P) for e in row]
-                             for row in rows])
-            for i, rows in v.witness.mats}
-    assert eval_matrix(c1, mats) != eval_matrix(c2, mats)
+    w = v.witness
+    assert (eval_matrix_residues(c1, w.as_dict(), w.dim, PIT_P)
+            != eval_matrix_residues(c2, w.as_dict(), w.dim, PIT_P))
 
 
 def test_random_dimension_floor():
