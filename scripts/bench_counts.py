@@ -3,11 +3,11 @@
 
 Runs each workload of perfbench/run.py traced for one second at seed
 1729 and keeps the counts that do not depend on the machine: gates
-emitted and kept by synthesis, decoders built and their transitions,
-encoded nodes, expanded terms and text bytes.  A traced run repeats
-whole passes over its seeded inputs, so each count per operation is
-the same in every run, and the counts are compared exactly.  Timings
-stay out, because they are noisy.
+emitted and kept by synthesis and its calls, decoders built and their
+transitions, encoded nodes, matrix evaluations, expanded terms and
+text bytes.  A traced run repeats whole passes over its seeded inputs,
+so each count per operation is the same in every run, and the counts
+are compared exactly.  Timings stay out, because they are noisy.
 
     python3 scripts/bench_counts.py           # rewrite BENCH_counts.json
     python3 scripts/bench_counts.py --check   # compare; exit 1 on a move
@@ -29,8 +29,9 @@ COUNTS_FILE = ROOT / "BENCH_counts.json"
 SEED = 1729
 WORKLOADS = ("chain-small", "chain-large", "identity-test")
 COUNTS = ("hadamard.gates_emitted", "hadamard.gates_kept",
-          "automata.build_calls", "automata.transitions_built",
-          "lifting.encoded_nodes", "circuits.expand_terms",
+          "hadamard.synth_calls", "automata.build_calls",
+          "automata.transitions_built", "lifting.encoded_nodes",
+          "circuits.eval_matrix_calls", "circuits.expand_terms",
           "circuits.text_bytes")
 
 

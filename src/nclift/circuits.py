@@ -10,6 +10,7 @@ size bounds can be asserted against gates alone.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -266,36 +267,45 @@ def eval_scalar(circuit: Circuit, assignment) -> Scalar:
 def eval_matrix_residues(circuit: Circuit,
                          mats: Mapping[int, Sequence[Sequence[int]]],
                          dim: int, p: int) -> list[list[int]]:
-    """Fast kernel: evaluate at integer matrices mod p, naive cubic muls."""
-    rng = range(dim)
+    """Evaluate at dim x dim integer matrices mod p; return the rows.
 
-    def var(v: int) -> list[list[int]]:
-        if v not in mats:
+    Each value is one flat row-major list of dim*dim residues: a sum is
+    one pass over both lists, and each cell of a product is the dot
+    product of a row slice of the left factor and a column slice
+    (every dim-th residue) of the right.  Every matrix in mats must be
+    dim x dim.
+    """
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
+    flat = {}
+    for v, m in mats.items():
+        if len(m) != dim or any(len(row) != dim for row in m):
+            raise ValueError(f"variable x{v} has a matrix that is not "
+                             f"{dim}x{dim}")
+        flat[v] = [x % p for row in m for x in row]
+    starts = range(0, dim * dim, dim)
+
+    def var(v: int) -> list[int]:
+        if v not in flat:
             raise ValueError(f"variable x{v} has no assigned matrix")
-        m = mats[v]
-        return [[m[i][j] % p for j in rng] for i in rng]
+        return flat[v]
 
-    def const(c: int) -> list[list[int]]:
-        c %= p
-        return [[c if i == j else 0 for j in rng] for i in rng]
-
-    def add(a, b) -> list[list[int]]:
-        return [[(a[i][j] + b[i][j]) % p for j in rng] for i in rng]
-
-    def mul(a, b) -> list[list[int]]:
-        out = [[0] * dim for _ in rng]
-        for i in rng:
-            arow = a[i]
-            orow = out[i]
-            for k in rng:
-                aik = arow[k]
-                if aik:
-                    brow = b[k]
-                    for j in rng:
-                        orow[j] = (orow[j] + aik * brow[j]) % p
+    def const(c: int) -> list[int]:
+        out = [0] * (dim * dim)
+        out[::dim + 1] = [c % p] * dim
         return out
 
-    return replay(circuit, var, const, add, mul)
+    def add(a: list[int], b: list[int]) -> list[int]:
+        return [(x + y) % p for x, y in zip(a, b)]
+
+    def mul(a: list[int], b: list[int]) -> list[int]:
+        rows = [a[i:i + dim] for i in starts]
+        cols = [b[j::dim] for j in range(dim)]
+        return [sum(map(operator.mul, row, col)) % p
+                for row in rows for col in cols]
+
+    value = replay(circuit, var, const, add, mul)
+    return [value[i:i + dim] for i in starts]
 
 
 def expand(circuit: Circuit, max_degree: int = DEFAULT_MAX_DEGREE,

@@ -113,15 +113,23 @@ def add_maps(a: dict, b: dict, p: int) -> dict:
 
 
 def mul_maps(a: dict, b: dict, p: int) -> dict:
-    if not a or not b:
-        return {}
-    out: dict = {}
-    get = out.get
+    """The product of two term maps, computed one length class at a time.
+
+    Two products u*v and u'*v' with |u| = |u'| land on the same word only
+    when u = u' and v = v'.  With p prime and every coefficient in
+    1..p-1, the products of one class of a's words (by length) are thus
+    distinct words with nonzero coefficients: each class is built with
+    no running sum, and only merging the classes (add_maps) sums,
+    dropping the words whose coefficients cancel.
+    """
+    classes: dict[int, list] = {}
     for u, cu in a.items():
-        for v, cv in b.items():
-            w = u + v
-            out[w] = (get(w, 0) + cu * cv) % p
-    return {w: c for w, c in out.items() if c}
+        classes.setdefault(len(u), []).append((u, cu))
+    out: dict = {}
+    for group in classes.values():
+        part = {u + v: cu * cv % p for u, cu in group for v, cv in b.items()}
+        out = add_maps(out, part, p) if out else part
+    return out
 
 
 def scale_map(a: dict, c: int, p: int) -> dict:

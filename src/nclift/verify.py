@@ -96,6 +96,8 @@ def circuit_equiv_random(c1: Circuit, c2: Circuit, trials: int = 10,
     agreement there proves nothing.
     """
     _check_comparable(c1, c2)
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     needed = max(c1.degree_bound(), c2.degree_bound()) // 2 + 1
     if dim is None:
         dim = needed
@@ -105,7 +107,7 @@ def circuit_equiv_random(c1: Circuit, c2: Circuit, trials: int = 10,
     modulus = c1.modulus
     rng = random.Random(seed)
     vars_used = sorted(c1.used_vars() | c2.used_vars())
-    for _ in range(max(1, trials)):
+    for _ in range(trials):
         point = random_matrix_point(vars_used, dim, modulus, rng)
         mats = point.as_dict()
         a = eval_matrix_residues(c1, mats, dim, modulus)

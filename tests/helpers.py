@@ -40,6 +40,17 @@ def poly_substitute(f, images, alphabet, modulus):
     return out
 
 
+def mul_maps_pairwise(a, b, p):
+    """Product of two term maps, one running sum per word over every
+    pair of terms; zero sums dropped at the end.  The oracle that
+    polynomials.mul_maps is tested against."""
+    out = {}
+    for u, cu in a.items():
+        for v, cv in b.items():
+            out[u + v] = (out.get(u + v, 0) + cu * cv) % p
+    return {w: c for w, c in out.items() if c}
+
+
 def matrix_value_of_poly(f, mats, dim, p):
     """Evaluate a polynomial at integer matrices mod p, word by word.
 

@@ -122,7 +122,7 @@ def test_eval_matrix_matches_word_by_word_oracle(rng):
     b = CircuitBuilder(X3, P)
     nine = b.finish(b.const(9))
     cases = [(nine, {}, 2)]
-    for dim in (1, 2, 3):
+    for dim in (1, 2, 3, 5, 7):
         for _ in range(20):
             c = random_circuit(X3, P, rng, max_gates=10, max_degree=4)
             mats = {i: [[rng.randrange(P) for _ in range(dim)]
@@ -132,6 +132,26 @@ def test_eval_matrix_matches_word_by_word_oracle(rng):
         got = eval_matrix_residues(c, mats, dim, P)
         assert got == matrix_value_of_poly(expand(c), mats, dim, P)
     assert eval_matrix_residues(nine, {}, 2, P) == [[9, 0], [0, 9]]
+
+
+@pytest.mark.parametrize("bad, dim, message", [
+    ({0: [[1, 2, 3], [4, 5, 6], [7, 8, 9]]}, 2,
+     "variable x0 has a matrix that is not 2x2"),
+    ({1: [[1]]}, 2, "variable x1 has a matrix that is not 2x2"),
+    ({2: [[1, 2], [3]]}, 2, "variable x2 has a matrix that is not 2x2"),
+    ({}, 0, "dim must be >= 1, got 0"),
+    ({}, -1, "dim must be >= 1, got -1"),
+])
+def test_eval_matrix_refuses_bad_points(bad, dim, message):
+    mats = {v: [[1, 0], [0, 1]] for v in range(3)} | bad
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        eval_matrix_residues(build_sample(), mats, dim, P)
+
+
+def test_eval_matrix_needs_every_variable():
+    with pytest.raises(ValueError,
+                       match="^variable x2 has no assigned matrix$"):
+        eval_matrix_residues(build_sample(), {0: [[1]], 1: [[1]]}, 1, P)
 
 
 def test_expand_budgets():

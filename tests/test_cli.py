@@ -179,6 +179,14 @@ def test_equiv_distinct_exit_and_witness(tmp_path):
     assert r.stdout == "distinct\nwitness matrix point dim=2\n"
 
 
+def test_equiv_refuses_no_trials(circuit_file):
+    r = run_cli("equiv", "--mode", "random", "--trials", "0", "--left",
+                str(circuit_file), "--right", str(circuit_file))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == "nclift: trials must be >= 1, got 0\n"
+
+
 def test_report_reruns_byte_identical():
     args = ("report", "--kind", "random-sparse", "--n", "2", "--d", "2",
             "--t", "2", "--seed", "11", "--terms", "3")

@@ -4,6 +4,9 @@ from hypothesis import strategies as st
 
 from nclift import (DEFAULT_MODULUS, Alphabet, NCPolynomial, Scalar, Word,
                     word_concat)
+from nclift.polynomials import mul_maps
+
+from helpers import mul_maps_pairwise, random_poly
 
 MODULI = [7, DEFAULT_MODULUS]
 X3 = Alphabet("X", 3)
@@ -52,6 +55,20 @@ def test_multiplication_respects_order():
     assert x0 * x1 != x1 * x0
     assert (x0 * x1).coeff((0, 1)) == Scalar(1, p)
     assert (x0 * x1).coeff((1, 0)) == Scalar(0, p)
+
+
+def test_mul_maps_matches_pairwise_oracle(rng):
+    cases = [({(): 1, (0,): 1}, {(0,): 1, (): 4}, 5),  # x0 cancels mod 5
+             ({}, {(0,): 3}, 7), ({(1,): 2}, {}, 7), ({}, {}, 7)]
+    for trial in range(200):
+        p = (5, 7, DEFAULT_MODULUS)[trial % 3]
+        a, b = (random_poly(rng, X3, p, max_len=4, terms=8).terms
+                for _ in range(2))
+        cases.append((a, b, p))
+    for a, b, p in cases:
+        assert mul_maps(a, b, p) == mul_maps_pairwise(a, b, p)
+    assert mul_maps({(): 1, (0,): 1}, {(0,): 1, (): 4}, 5) == {
+        (): 4, (0, 0): 1}
 
 
 @pytest.mark.parametrize("p", MODULI)

@@ -65,6 +65,14 @@ def test_random_dimension_floor():
     assert circuit_equiv_random(c1, c2, dim=2, seed=0).result == "distinct"
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_random_refuses_no_trials(trials):
+    c1, c2 = _pair_xy_yx()
+    with pytest.raises(ValueError,
+                       match=f"^trials must be >= 1, got {trials}$"):
+        circuit_equiv_random(c1, c2, trials=trials)
+
+
 def test_random_equal_on_identical_series():
     b1 = CircuitBuilder(X3, PIT_P)
     c1 = b1.finish(b1.mul(b1.add(b1.var(0), b1.var(1)), b1.var(2)))
