@@ -15,7 +15,12 @@ import sys
 
 from nclift import (DEFAULT_MODULUS, DEFAULT_SEED, LiftParams, build_decoder,
                     encode_stages, expand, hadamard_circuit, hadamard_witness,
-                    lift_report, sample_family)
+                    lift_report, require_prime_modulus, sample_family)
+
+
+def prime(text: str) -> int:
+    """--modulus: a prime, or argparse's usage error (exit 2)."""
+    return require_prime_modulus(int(text))
 
 
 def run(args: argparse.Namespace) -> int:
@@ -62,7 +67,7 @@ def main(argv=None) -> int:
                              "single-monomial"])
     ap.add_argument("--terms", type=int, default=3)
     ap.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    ap.add_argument("--modulus", type=int, default=DEFAULT_MODULUS)
+    ap.add_argument("--modulus", type=prime, default=DEFAULT_MODULUS)
     return run(ap.parse_args(argv))
 
 

@@ -17,8 +17,14 @@ import random
 import sys
 
 from nclift import (DEFAULT_MODULUS, DEFAULT_SEED, Alphabet, build_decoder,
-                    encode_circuit, hadamard_circuit, hadamard_witness)
+                    encode_circuit, hadamard_circuit, hadamard_witness,
+                    require_prime_modulus)
 from nclift.randcircuits import random_circuit
+
+
+def prime(text: str) -> int:
+    """--modulus: a prime, or argparse's usage error (exit 2)."""
+    return require_prime_modulus(int(text))
 
 
 def run(args: argparse.Namespace) -> int:
@@ -49,7 +55,7 @@ def main(argv=None) -> int:
     ap.add_argument("--max-gates", type=int, default=12)
     ap.add_argument("--max-degree", type=int, default=3)
     ap.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    ap.add_argument("--modulus", type=int, default=DEFAULT_MODULUS)
+    ap.add_argument("--modulus", type=prime, default=DEFAULT_MODULUS)
     return run(ap.parse_args(argv))
 
 

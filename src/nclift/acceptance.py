@@ -28,12 +28,12 @@ from .automata import (Transition, Weight, WeightedAutomaton, build_decoder,
                        series_truncate)
 from .circuits import (Circuit, CircuitBuilder, eval_matrix_residues, expand,
                        replay)
-from .config import DEFAULT_SEED
 from .hadamard import (HadamardWitness, hadamard_circuit, hadamard_eval,
                        hadamard_witness)
-from .lifting import (LiftParams, chain_decoders, decode_circuit,
-                      encode_circuit, encode_stages, iterate_encoder,
-                      lift_report, one_shot_decode_circuit, sample_family)
+from .lifting import (DEFAULT_SEED, LiftParams, chain_decoders,
+                      decode_circuit, encode_circuit, encode_stages,
+                      iterate_encoder, lift_report, one_shot_decode_circuit,
+                      sample_family)
 from .polynomials import Alphabet, NCPolynomial, Word, add_maps, mul_maps
 from .randcircuits import (perturb_mul_order, random_circuit,
                            swap_add_children)

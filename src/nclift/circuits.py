@@ -17,7 +17,7 @@ from typing import Callable, Mapping, Sequence
 from .errors import BudgetError, FormatError
 from .polynomials import (Alphabet, NCPolynomial, add_maps, check_name,
                           is_digits, length_lex_key, mul_maps, read_text)
-from .scalars import Scalar, assigned_residue, require_prime_modulus
+from .scalars import assigned_residue, require_prime_modulus
 
 DEFAULT_MAX_DEGREE = 64
 DEFAULT_MAX_TERMS = 200_000
@@ -148,10 +148,9 @@ class CircuitBuilder:
         self.nodes.append(node)
         return len(self.nodes) - 1
 
-    def const(self, value) -> int:
-        if isinstance(value, Scalar):
-            value = value.value
-        value %= self.modulus
+    def const(self, value: int) -> int:
+        # scalars.residue, inlined: synthesis calls this per constant.
+        value = operator.index(value) % self.modulus
         nid = self._const_ids.get(value)
         if nid is None:
             nid = self._push(ConstNode(value))
@@ -160,6 +159,7 @@ class CircuitBuilder:
         return nid
 
     def var(self, i: int) -> int:
+        i = operator.index(i)
         if not 0 <= i < self.alphabet.size:
             raise ValueError(f"variable x{i} outside alphabet of size "
                              f"{self.alphabet.size}")
@@ -255,13 +255,13 @@ def replay(circuit: Circuit, var: Callable, const: Callable,
     return vals[circuit.output]
 
 
-def eval_scalar(circuit: Circuit, assignment) -> Scalar:
-    """Evaluate at scalars; assignment is a sequence or map var -> value."""
+def eval_scalar(circuit: Circuit, assignment) -> int:
+    """The residue value at a point; assignment is a sequence or map
+    var -> int."""
     p = circuit.modulus
-    value = replay(circuit, lambda v: assigned_residue(assignment, v, p),
-                   lambda c: c % p, lambda a, b: (a + b) % p,
-                   lambda a, b: a * b % p)
-    return Scalar(value, p)
+    return replay(circuit, lambda v: assigned_residue(assignment, v, p),
+                  lambda c: c % p, lambda a, b: (a + b) % p,
+                  lambda a, b: a * b % p)
 
 
 def eval_matrix_residues(circuit: Circuit,

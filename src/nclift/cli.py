@@ -3,8 +3,8 @@
 Every command is a single deterministic job: files plus flags plus a
 seed fully determine the output bytes.  Long-form flags only.  Only
 the commands that make new objects (build-decoder, report, accept) take
-a modulus; it resolves flag over NCLIFT_MODULUS over the built-in
-default.  Every other command reads its modulus from its input files.
+a modulus, from --modulus or else the built-in default.  Every other
+command reads its modulus from its input files.
 
 Exit codes: 0 success (or verified equal), 1 verification failure
 (distinct circuits, failed acceptance checks), 2 usage or parse error,
@@ -22,13 +22,12 @@ from .automata import (WeightedAutomaton, build_decoder, format_automaton,
                        parse_automaton)
 from .circuits import (DEFAULT_MAX_DEGREE, DEFAULT_MAX_TERMS, Circuit,
                        expand, format_circuit, parse_circuit)
-from .config import DEFAULT_SEED, modulus_from_env
 from .errors import BudgetError, FormatError
 from .hadamard import hadamard_circuit, hadamard_witness
-from .lifting import (LiftParams, chain_decoders, encode_stages, lift_report,
-                      sample_family)
+from .lifting import (DEFAULT_SEED, LiftParams, chain_decoders, encode_stages,
+                      lift_report, sample_family)
 from .polynomials import NCPolynomial, format_poly, parse_poly
-from .scalars import require_prime_modulus
+from .scalars import DEFAULT_MODULUS, require_prime_modulus
 from .verify import (DISTINCT, EQUAL, MatrixPoint, circuit_equiv_brute,
                      circuit_equiv_random)
 
@@ -84,13 +83,6 @@ def _chain_params(args) -> tuple[int, int]:
     return args.n, args.d
 
 
-def _modulus(args) -> int:
-    """--modulus if given, else NCLIFT_MODULUS, else the default."""
-    if args.modulus is not None:
-        return require_prime_modulus(args.modulus)
-    return modulus_from_env()
-
-
 def _measure(obj) -> int:
     if isinstance(obj, Circuit):
         return obj.size_report().gates
@@ -114,7 +106,7 @@ def cmd_encode(args) -> int:
 
 
 def cmd_build_decoder(args) -> int:
-    modulus = _modulus(args)
+    modulus = require_prime_modulus(args.modulus)
     n, d = _chain_params(args)
     automaton = build_decoder(n, d, modulus=modulus)
     _save(args.out, automaton)
@@ -181,7 +173,7 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_report(args) -> int:
-    modulus = _modulus(args)
+    modulus = require_prime_modulus(args.modulus)
     params = LiftParams(args.n, args.d, args.t)
     fam = sample_family(args.kind, params.variable_count, args.t, args.seed,
                         terms=args.terms, modulus=modulus)
@@ -197,7 +189,8 @@ def cmd_report(args) -> int:
 
 def cmd_accept(args) -> int:
     from .acceptance import run_acceptance
-    results = run_acceptance(args.seed, _modulus(args), out=print)
+    modulus = require_prime_modulus(args.modulus)
+    results = run_acceptance(args.seed, modulus, out=print)
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -206,9 +199,9 @@ def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: callers that run
     `main` many times reuse it, and each parse returns a new namespace."""
     modulus_flag = argparse.ArgumentParser(add_help=False)
-    modulus_flag.add_argument("--modulus", type=int, default=None,
-                              help="prime modulus (default: NCLIFT_MODULUS "
-                                   "or 1000000007)")
+    modulus_flag.add_argument("--modulus", type=int,
+                              default=DEFAULT_MODULUS,
+                              help="prime modulus (default: %(default)s)")
 
     parser = argparse.ArgumentParser(
         prog="nclift",

@@ -27,17 +27,6 @@ from .polynomials import Alphabet, Letters, NCPolynomial
 from .scalars import DEFAULT_MODULUS, require_prime_modulus
 
 
-def exact_cube_root(n: int) -> int:
-    """The integer m with m^3 = n, or ValueError if none exists."""
-    if n < 1:
-        raise ValueError(f"expected a positive cube, got {n}")
-    m = round(n ** (1 / 3))
-    for cand in (m - 1, m, m + 1):
-        if cand >= 1 and cand ** 3 == n:
-            return cand
-    raise ValueError(f"{n} is not a perfect cube")
-
-
 def encode_word(i: int, m: int) -> Letters:
     """Base-m digits of i, most significant first, always three of them."""
     return index_to_word(i, m, 3)
@@ -108,7 +97,7 @@ def encode_stages(obj, n: int, d: int):
                          f"from {n ** (3 ** d)} variables, got {size}")
     stages = [obj]
     for k in range(1, d + 1):
-        m = exact_cube_root(stages[-1].alphabet.size)
+        m = n ** (3 ** (d - k))    # stage k's alphabet; its cube is k-1's
         y_name = f"Y{k}"
         if isinstance(obj, NCPolynomial):
             stages.append(encode_poly(stages[-1], m, y_name=y_name))
@@ -277,6 +266,7 @@ class SampleFamily:
 
 
 SAMPLE_KINDS = ("sum-of-squares", "random-sparse", "single-monomial")
+DEFAULT_SEED = 1729
 
 
 def sample_family(kind: str, N: int, t: int, seed: int, *,

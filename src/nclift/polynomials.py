@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 from .errors import FormatError
-from .scalars import Scalar, assigned_residue, require_prime_modulus
+from .scalars import assigned_residue, require_prime_modulus, residue
 
 Letters = tuple[int, ...]
 
@@ -166,9 +166,10 @@ def mul_map_term(a: dict, coeff: int, var: int | None, p: int) -> dict:
 class NCPolynomial:
     """Finitely supported word -> residue map with exact mod-p arithmetic.
 
-    Canonical form: no stored coefficient is zero.  The operators +, -,
-    and * implement ring arithmetic; * also accepts an int or Scalar on
-    either side and scales the polynomial.
+    Coefficients are ints, reduced mod p when the polynomial is built;
+    canonical form stores no zero coefficient.  The operators +, -, and
+    * implement ring arithmetic; * also accepts an int on either side
+    and scales the polynomial.
     """
 
     __slots__ = ("alphabet", "modulus", "terms")
@@ -189,12 +190,7 @@ class NCPolynomial:
                     if not 0 <= i < n:
                         raise ValueError(
                             f"letter x{i} outside alphabet of size {n}")
-                if isinstance(c, Scalar):
-                    if c.modulus != modulus:
-                        raise ValueError(
-                            f"modulus mismatch: {modulus} vs {c.modulus}")
-                    c = c.value
-                c = int(c) % modulus
+                c = residue(c, modulus)
                 if c:
                     canon[word] = c
                 elif word in canon:
@@ -236,10 +232,11 @@ class NCPolynomial:
             return 0
         return max(len(w) for w in self.terms)
 
-    def coeff(self, word) -> Scalar:
+    def coeff(self, word) -> int:
+        """The residue coefficient of a word, 0 off the support."""
         if isinstance(word, Word):
             word = word.letters
-        return Scalar(self.terms.get(tuple(word), 0), self.modulus)
+        return self.terms.get(tuple(word), 0)
 
     def support(self) -> list[Word]:
         return [Word(self.alphabet, w)
@@ -251,8 +248,9 @@ class NCPolynomial:
             return None
         return Word(self.alphabet, max(self.terms, key=length_lex_key))
 
-    def evaluate(self, assignment) -> Scalar:
-        """Value at a scalar point; assignment is a sequence or map var -> value."""
+    def evaluate(self, assignment) -> int:
+        """The residue value at a point; assignment is a sequence or map
+        var -> int."""
         p = self.modulus
         total = 0
         for w, c in self.terms.items():
@@ -260,7 +258,7 @@ class NCPolynomial:
             for i in w:
                 v = v * assigned_residue(assignment, i, p) % p
             total = (total + v) % p
-        return Scalar(total, p)
+        return total
 
     # -- ring operations ------------------------------------------------
 
@@ -290,7 +288,7 @@ class NCPolynomial:
                             _trusted=True)
 
     def __mul__(self, other) -> "NCPolynomial":
-        if isinstance(other, (int, Scalar)):
+        if isinstance(other, int):
             return self.scale(other)
         if not isinstance(other, NCPolynomial):
             return NotImplemented
@@ -300,18 +298,14 @@ class NCPolynomial:
                             _trusted=True)
 
     def __rmul__(self, other) -> "NCPolynomial":
-        if isinstance(other, (int, Scalar)):
+        if isinstance(other, int):
             return self.scale(other)
         return NotImplemented
 
-    def scale(self, c) -> "NCPolynomial":
-        if isinstance(c, Scalar):
-            if c.modulus != self.modulus:
-                raise ValueError(
-                    f"modulus mismatch: {self.modulus} vs {c.modulus}")
-            c = c.value
-        return NCPolynomial(self.alphabet, self.modulus,
-                            scale_map(self.terms, c, self.modulus),
+    def scale(self, c: int) -> "NCPolynomial":
+        p = self.modulus
+        return NCPolynomial(self.alphabet, p,
+                            scale_map(self.terms, residue(c, p), p),
                             _trusted=True)
 
     # -- comparison and display ------------------------------------------

@@ -1,13 +1,15 @@
-"""Exact residue arithmetic in a prime field Z_p.
+"""The prime modulus p, and the boundary where values become residues.
 
-The default modulus is the common 30-bit prime 1000000007.  Any prime
-works; small primes such as 7 are useful for exercising coefficient
-wraparound.  Primality is verified once per modulus and cached.
+A residue in Z_p is a plain int in 0..p-1; every kernel in the package
+holds them that way.  The default modulus is the common 30-bit prime
+1000000007.  Any prime works; small primes such as 7 are useful for
+exercising coefficient wraparound.  Primality is verified once per
+modulus and cached.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
 
 DEFAULT_MODULUS = 1_000_000_007
 
@@ -49,107 +51,27 @@ def is_prime(p: int) -> bool:
 
 
 def require_prime_modulus(p: int) -> int:
-    """Return p after checking (once) that it is prime."""
+    """Return p after checking (once) that it is prime.
+
+    p must be an int: a float equal to a checked prime is refused too.
+    """
+    if not isinstance(p, int):
+        raise ValueError(f"modulus {p!r} is not an int")
     if p not in _verified_moduli:
-        if not isinstance(p, int) or not is_prime(p):
+        if not is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         _verified_moduli.add(p)
     return p
 
 
-@dataclass(frozen=True)
-class Scalar:
-    """A residue in Z_p.  Stored reduced: 0 <= value < modulus."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self) -> None:
-        require_prime_modulus(self.modulus)
-        object.__setattr__(self, "value", self.value % self.modulus)
-
-    @classmethod
-    def zero(cls, modulus: int) -> "Scalar":
-        return cls(0, modulus)
-
-    @classmethod
-    def one(cls, modulus: int) -> "Scalar":
-        return cls(1, modulus)
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, Scalar):
-            if other.modulus != self.modulus:
-                raise ValueError(
-                    f"modulus mismatch: {self.modulus} vs {other.modulus}")
-            return other.value
-        if isinstance(other, int):
-            return other
-        return NotImplemented
-
-    def __add__(self, other) -> "Scalar":
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return Scalar(self.value + v, self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "Scalar":
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return Scalar(self.value - v, self.modulus)
-
-    def __rsub__(self, other) -> "Scalar":
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return Scalar(v - self.value, self.modulus)
-
-    def __neg__(self) -> "Scalar":
-        return Scalar(-self.value, self.modulus)
-
-    def __mul__(self, other) -> "Scalar":
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return Scalar(self.value * v, self.modulus)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "Scalar":
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        return Scalar(pow(self.value, exponent, self.modulus), self.modulus)
-
-    def inverse(self) -> "Scalar":
-        if self.value == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        # Fermat: p is prime, so a**(p-2) inverts a.
-        return Scalar(pow(self.value, self.modulus - 2, self.modulus),
-                      self.modulus)
-
-    def __truediv__(self, other) -> "Scalar":
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return self * Scalar(v, self.modulus).inverse()
-
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-    def __str__(self) -> str:
-        return str(self.value)
-
-
 def residue(a, p: int) -> int:
-    """An int or Scalar reduced mod p; a Scalar of another modulus is a
-    ValueError."""
-    if isinstance(a, Scalar):
-        if a.modulus != p:
-            raise ValueError(f"modulus mismatch: {p} vs {a.modulus}")
-        a = a.value
-    return a % p
+    """The int a reduced mod p: 0 <= result < p.
+
+    Every value a caller hands in as a coefficient, constant or point
+    coordinate becomes a residue here; a float, str or other non-integer
+    is a TypeError rather than a value silently truncated or kept.
+    """
+    return operator.index(a) % p
 
 
 def assigned_residue(assignment, index: int, p: int,

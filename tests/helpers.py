@@ -33,7 +33,7 @@ def poly_substitute(f, images, alphabet, modulus):
     """Replace x_i by images[i], multiplying letters left to right."""
     out = NCPolynomial.zero(alphabet, modulus)
     for w in f.support():
-        term = NCPolynomial.constant(f.coeff(w).value, alphabet, modulus)
+        term = NCPolynomial.constant(f.coeff(w), alphabet, modulus)
         for i in w.letters:
             term = term * images[i]
         out = out + term

@@ -4,8 +4,7 @@ import pytest
 
 from nclift import (DEFAULT_MODULUS, AddNode, Alphabet, BudgetError, Circuit,
                     CircuitBuilder, ConstNode, InputNode, MulNode,
-                    NCPolynomial, Scalar, circuit_from_poly, eval_scalar,
-                    expand)
+                    NCPolynomial, circuit_from_poly, eval_scalar, expand)
 from nclift.circuits import eval_matrix_residues, replay
 from nclift.randcircuits import random_circuit
 
@@ -114,8 +113,22 @@ def test_eval_scalar_checks_the_assignment():
     with pytest.raises(ValueError,
                        match="^variable x2 has no assigned value$"):
         eval_scalar(c, {0: 1, 1: 1})
-    with pytest.raises(ValueError, match="^modulus mismatch: "):
-        eval_scalar(c, [1, 1, Scalar(1, 7)])
+    with pytest.raises(TypeError):
+        eval_scalar(c, [1, 1, 1.5])
+    assert eval_scalar(c, [2, 3, 4 - P]) == 18
+    assert type(eval_scalar(c, [1, 1, 1])) is int
+
+
+def test_builder_refuses_non_int_leaves():
+    # A float would build a circuit that writes `const 2.5` or `var 1.0`,
+    # a file its own parser refuses.
+    b = CircuitBuilder(X3, P)
+    with pytest.raises(TypeError):
+        b.const(2.5)
+    with pytest.raises(TypeError):
+        b.var(1.0)
+    assert b.nodes == []
+    assert b.const(-1) == b.const(P - 1)
 
 
 def test_eval_matrix_matches_word_by_word_oracle(rng):

@@ -18,7 +18,6 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 def run_cli(*args, env_extra=None, cwd=None):
     env = dict(os.environ)
-    env.pop("NCLIFT_MODULUS", None)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [SRC, env.get("PYTHONPATH")]))
     if env_extra:
@@ -120,10 +119,9 @@ def test_decode_output_ignores_hash_seed(tmp_path, flags):
     assert texts[0] == texts[1]
 
 
-def test_main_twice_in_one_process(tmp_path, capsys, monkeypatch):
+def test_main_twice_in_one_process(tmp_path, capsys):
     """The parser is built once per process; a flag given to one call
     (--one-shot) must not carry over to the next."""
-    monkeypatch.delenv("NCLIFT_MODULUS", raising=False)
     b = CircuitBuilder(Alphabet("X", 512), P, name="g")
     c = b.finish(b.add(b.mul(b.var(5), b.var(300)),
                        b.mul(b.const(3), b.var(511))))
@@ -241,9 +239,7 @@ def one_node_circuit(path, letters):
     # The m=2 and m=8 stages fit; m=512 fails before any synthesis.
     (["decode", "--n", "2", "--d", "3", "--in", 2], 512 ** 3 + 2 * 512),
 ])
-def test_decoder_budget_exit_3(tmp_path, capsys, monkeypatch, argv,
-                               transitions):
-    monkeypatch.delenv("NCLIFT_MODULUS", raising=False)
+def test_decoder_budget_exit_3(tmp_path, capsys, argv, transitions):
     argv = [one_node_circuit(tmp_path / "c.circ", a) if isinstance(a, int)
             else a for a in argv]
     out = tmp_path / "out"
@@ -276,9 +272,7 @@ NOT_BOTH = "give either --m or --n with --d, not both"
      "give --m, or --n and --d with --one-shot"),
     (["encode", "--n", "2", "--in", 8], "give either --m or both --n and --d"),
 ])
-def test_chain_flag_errors_exit_2(tmp_path, capsys, monkeypatch, argv,
-                                  message):
-    monkeypatch.delenv("NCLIFT_MODULUS", raising=False)
+def test_chain_flag_errors_exit_2(tmp_path, capsys, argv, message):
     argv = [one_node_circuit(tmp_path / "c.circ", a) if isinstance(a, int)
             else a for a in argv]
     out = tmp_path / "out"
@@ -289,18 +283,22 @@ def test_chain_flag_errors_exit_2(tmp_path, capsys, monkeypatch, argv,
     assert not out.exists()
 
 
-def test_modulus_env_and_flag(tmp_path):
+def test_modulus_flag(tmp_path):
+    out = tmp_path / "d.aut"
+    r = run_cli("build-decoder", "--m", "2", "--modulus", "101",
+                "--out", str(out))
+    assert r.returncode == 0
+    assert "modulus 101" in out.read_text().splitlines()[0]
+
+
+def test_modulus_environment_variable_is_not_read(tmp_path):
+    # --modulus is the one way to set the modulus; the environment is
+    # not read.
     out = tmp_path / "d.aut"
     r = run_cli("build-decoder", "--m", "2", "--out", str(out),
                 env_extra={"NCLIFT_MODULUS": "97"})
     assert r.returncode == 0
-    assert "modulus 97" in out.read_text().splitlines()[0]
-    r = run_cli("build-decoder", "--m", "2", "--modulus", "101",
-                "--out", str(out), env_extra={"NCLIFT_MODULUS": "97"})
-    assert r.returncode == 0
-    assert "modulus 101" in out.read_text().splitlines()[0]
-    assert run_cli("build-decoder", "--m", "2", "--out", str(out),
-                   env_extra={"NCLIFT_MODULUS": "91"}).returncode == 2
+    assert "modulus 1000000007" in out.read_text().splitlines()[0]
 
 
 @pytest.mark.parametrize("command", [
@@ -321,15 +319,6 @@ def test_modulus_flag_refused_where_files_carry_it(circuit_file, tmp_path,
     assert exc.value.code == 2
     assert "unrecognized arguments: --modulus 11\n" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
-
-
-def test_modulus_env_unread_where_files_carry_it(circuit_file):
-    plain = run_cli("expand", "--in", str(circuit_file))
-    r = run_cli("expand", "--in", str(circuit_file),
-                env_extra={"NCLIFT_MODULUS": "4"})
-    assert r.returncode == plain.returncode == 0
-    assert r.stdout == plain.stdout
-    assert r.stderr == ""
 
 
 # `nclift accept` at the default seed and modulus.  Check 5's state

@@ -148,7 +148,7 @@ def test_readme_examples_parse():
 
 def test_negative_coefficients_normalize():
     f = parse_poly("poly over X vars 2 modulus 7\n-1 : x0\n")
-    assert f.coeff((0,)).value == 6
+    assert f.coeff((0,)) == 6
 
 
 @pytest.mark.parametrize("text,fragment", [

@@ -4,9 +4,8 @@ import random
 import pytest
 
 from nclift import (DEFAULT_MODULUS, Alphabet, LiftParams, NCPolynomial,
-                    circuit_from_poly, decode_circuit, encode_circuit,
-                    encode_poly, encode_stages, encode_word, exact_cube_root,
-                    expand, format_circuit, index_to_word, iterate_decoder,
+                    circuit_from_poly, cli, decode_circuit, encode_circuit,
+                    encode_poly, encode_stages, encode_word, expand, format_circuit, index_to_word, iterate_decoder,
                     iterate_encoder, lift_report, one_shot_decode_circuit,
                     sample_family)
 from nclift.lifting import SAMPLE_KINDS
@@ -127,14 +126,23 @@ def test_iterate_decoder_inverts_iterate_encoder(rng):
         assert expand(one_shot_decode_circuit(lifted, 2, 2)) == expand(c)
 
 
-def test_exact_cube_root():
-    assert exact_cube_root(1) == 1
-    assert exact_cube_root(8) == 2
-    assert exact_cube_root(10 ** 18) == 10 ** 6
-    assert exact_cube_root((2 ** 18 + 1) ** 3) == 2 ** 18 + 1
-    for bad in (2, 9, 10 ** 18 + 1):
-        with pytest.raises(ValueError):
-            exact_cube_root(bad)
+@pytest.mark.parametrize("n, d", [(2, 5), (3, 5), (2, 7)])
+def test_deep_chains_size_every_stage_exactly(n, d, capsys):
+    # The top alphabets here are far past a float's 53-bit mantissa, so
+    # each stage's size must come from integer arithmetic alone.
+    sizes = [n ** (3 ** (d - k)) for k in range(d + 1)]
+    fam = sample_family("single-monomial", sizes[0], 1, 1729)
+    polys = encode_stages(fam.poly, n, d)
+    circuits = encode_stages(fam.circuit, n, d)
+    assert [f.alphabet.size for f in polys] == sizes
+    assert [c.alphabet.size for c in circuits] == sizes
+    assert expand(circuits[-1], max_degree=3 ** d) == polys[-1]
+    argv = ["report", "--n", str(n), "--d", str(d), "--t", "1",
+            "--kind", "single-monomial"]
+    assert cli.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[2] for line in lines[:d + 1]] == [
+        f"N={size}" for size in sizes]
 
 
 def test_lift_params_bookkeeping():

@@ -1,56 +1,17 @@
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from nclift import DEFAULT_MODULUS, Scalar, is_prime, require_prime_modulus
-
-MODULI = [7, DEFAULT_MODULUS]
-
-residues = st.integers(min_value=-(10**12), max_value=10**12)
+from nclift import DEFAULT_MODULUS, is_prime, require_prime_modulus
+from nclift.scalars import residue
 
 
-@pytest.mark.parametrize("p", MODULI)
-@given(a=residues, b=residues, c=residues)
-def test_field_laws(p, a, b, c):
-    x, y, z = Scalar(a, p), Scalar(b, p), Scalar(c, p)
-    assert x + y == y + x
-    assert (x + y) + z == x + (y + z)
-    assert x * y == y * x
-    assert (x * y) * z == x * (y * z)
-    assert x * (y + z) == x * y + x * z
-    assert x + Scalar.zero(p) == x
-    assert x * Scalar.one(p) == x
-    assert x - x == Scalar.zero(p)
-    assert x + (-x) == Scalar.zero(p)
-
-
-@pytest.mark.parametrize("p", MODULI)
-@given(a=residues)
-def test_inverse_and_division(p, a):
-    x = Scalar(a, p)
-    if x.is_zero():
-        with pytest.raises(ZeroDivisionError):
-            x.inverse()
-    else:
-        assert x * x.inverse() == Scalar.one(p)
-        assert (x / x) == Scalar.one(p)
-        assert x ** (p - 1) == Scalar.one(p)
-        assert x ** (-1) == x.inverse()
-
-
-def test_reduction_and_int_mixing():
+def test_residue_reduces_ints_and_refuses_the_rest():
     p = 7
-    assert Scalar(-1, p).value == 6
-    assert Scalar(15, p).value == 1
-    assert Scalar(3, p) + 5 == Scalar(1, p)
-    assert 5 + Scalar(3, p) == Scalar(1, p)
-    assert 2 * Scalar(4, p) == Scalar(1, p)
-    assert 1 - Scalar(3, p) == Scalar(5, p)
-
-
-def test_modulus_mismatch_rejected():
-    with pytest.raises(ValueError):
-        Scalar(1, 7) + Scalar(1, 11)
+    assert [residue(a, p) for a in (-1, 0, 6, 15, True)] == [6, 0, 6, 1, 1]
+    big = -(10 ** 30)
+    assert residue(big, DEFAULT_MODULUS) == big % DEFAULT_MODULUS
+    for bad in (1.0, 2.5, "3", None):
+        with pytest.raises(TypeError):
+            residue(bad, p)
 
 
 def test_nonprime_modulus_rejected():
@@ -59,6 +20,11 @@ def test_nonprime_modulus_rejected():
             require_prime_modulus(bad)
     assert require_prime_modulus(2) == 2
     assert require_prime_modulus(DEFAULT_MODULUS) == DEFAULT_MODULUS
+    # A float equal to a prime already checked is still not a modulus.
+    require_prime_modulus(7)
+    for bad in (7.0, "7"):
+        with pytest.raises(ValueError, match="is not an int$"):
+            require_prime_modulus(bad)
 
 
 def test_is_prime_both_branches():

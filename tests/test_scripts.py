@@ -5,6 +5,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 LIFT_DEMO_STDOUT = """\
@@ -48,6 +50,19 @@ def test_size_sweep_stdout(capsys):
                                            "prefold", "budget", "ok"]
     assert len(out.splitlines()) == 31
     assert hashlib.sha256(out.encode()).hexdigest() == SIZE_SWEEP_SHA256
+
+
+@pytest.mark.parametrize("name", ["lift_demo", "size_sweep"])
+@pytest.mark.parametrize("modulus", ["4", "1", "x"])
+def test_bad_modulus_is_a_usage_error(capsys, name, modulus):
+    # Exit 2, argparse's usage code; 1 would read as a failed witness.
+    with pytest.raises(SystemExit) as exc:
+        load(name).main(["--modulus", modulus])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"error: argument --modulus: invalid prime value: "
+            f"'{modulus}'\n") in captured.err
 
 
 def test_bench_counts_record_covers_every_workload():
