@@ -12,8 +12,7 @@ from .automata import (Transition, WeightedAutomaton, Weight, build_decoder,
                        index_to_word, one_shot_nominal_states,
                        one_shot_state_count, parse_automaton,
                        series_truncate, word_to_index)
-from .circuits import (AddNode, Circuit, CircuitBuilder, ConstNode,
-                       InputNode, MulNode, SizeReport, circuit_from_poly,
+from .circuits import (Circuit, CircuitBuilder, SizeReport, circuit_from_poly,
                        eval_scalar, expand, format_circuit, parse_circuit)
 from .errors import BudgetError, FormatError, NCLiftError
 from .hadamard import (HadamardWitness, hadamard_circuit, hadamard_eval,
@@ -32,12 +31,11 @@ from .verify import (EquivVerdict, MatrixPoint, circuit_equiv_brute,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AddNode", "Alphabet", "BudgetError", "Circuit", "CircuitBuilder",
-    "ConstNode", "DEFAULT_MODULUS", "DEFAULT_SEED", "EquivVerdict",
-    "FormatError", "HadamardWitness", "InputNode", "LiftParams",
-    "LiftReport", "MatrixPoint", "MulNode", "NCLiftError", "NCPolynomial",
-    "SampleFamily", "SizeReport", "Transition", "Weight",
-    "WeightedAutomaton", "Word", "build_decoder",
+    "Alphabet", "BudgetError", "Circuit", "CircuitBuilder",
+    "DEFAULT_MODULUS", "DEFAULT_SEED", "EquivVerdict", "FormatError",
+    "HadamardWitness", "LiftParams", "LiftReport", "MatrixPoint",
+    "NCLiftError", "NCPolynomial", "SampleFamily", "SizeReport",
+    "Transition", "Weight", "WeightedAutomaton", "Word", "build_decoder",
     "build_one_shot_decoder", "chain_decoders", "circuit_equiv_brute",
     "circuit_equiv_random", "circuit_from_poly", "decode_circuit",
     "encode_circuit", "encode_poly", "encode_stages", "encode_word",

@@ -2,15 +2,19 @@
 
 A circuit is an immutable DAG: a tuple of fan-in <= 2 nodes with dense
 ids 0..len-1, children strictly below parents, and one designated
-output, all checked when the circuit is built.  Multiplication
-children are ordered; nothing ever commutes them.  Gate counts
-(add/mul) are reported separately from leaf counts (input/const) so
-size bounds can be asserted against gates alone.
+output, all checked when the circuit is built.  A node is a plain
+triple (op, a, b): a gate is (ADD or MUL, lhs, rhs), a leaf is
+(VAR, index, 0) or (CONST, residue, 0), and each op is the text
+format's keyword for it.  Multiplication children are ordered;
+nothing ever commutes them.  Gate counts (add/mul) are reported
+separately from leaf counts (input/const) so size bounds can be
+asserted against gates alone.
 """
 
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -27,29 +31,12 @@ DEFAULT_MAX_TERMS = 200_000
 _MAX_PRODUCT_PAIRS = 5_000_000
 
 
-@dataclass(frozen=True)
-class InputNode:
-    var: int
+VAR = "var"
+CONST = "const"
+ADD = "add"
+MUL = "mul"
 
-
-@dataclass(frozen=True)
-class ConstNode:
-    value: int
-
-
-@dataclass(frozen=True)
-class AddNode:
-    lhs: int
-    rhs: int
-
-
-@dataclass(frozen=True)
-class MulNode:
-    lhs: int
-    rhs: int
-
-
-Node = InputNode | ConstNode | AddNode | MulNode
+Node = tuple[str, int, int]
 
 
 @dataclass(frozen=True)
@@ -86,36 +73,39 @@ class Circuit:
         if not nodes:
             raise ValueError("circuit has no nodes")
         for i, node in enumerate(nodes):
-            if isinstance(node, InputNode):
-                if not 0 <= node.var < n:
-                    raise ValueError(f"node {i}: variable x{node.var} "
+            if type(node) is not tuple or len(node) != 3:
+                raise ValueError(f"node {i}: {node!r} is not an "
+                                 f"(op, a, b) triple")
+            op, a, b = node
+            if type(a) is not int or type(b) is not int:
+                field = b if type(a) is int else a
+                raise ValueError(f"node {i}: field {field!r} is not an int")
+            if op == ADD or op == MUL:
+                if not (0 <= a < i and 0 <= b < i):
+                    child = b if 0 <= a < i else a
+                    raise ValueError(f"node {i}: child {child} is not "
+                                     f"strictly below its parent")
+                continue
+            if op == VAR:
+                if not 0 <= a < n:
+                    raise ValueError(f"node {i}: variable x{a} "
                                      f"outside alphabet of size {n}")
-            elif isinstance(node, ConstNode):
-                if not 0 <= node.value < p:
-                    raise ValueError(f"node {i}: constant {node.value} "
+            elif op == CONST:
+                if not 0 <= a < p:
+                    raise ValueError(f"node {i}: constant {a} "
                                      f"not a reduced residue mod {p}")
-            elif isinstance(node, (AddNode, MulNode)):
-                for child in (node.lhs, node.rhs):
-                    if not 0 <= child < i:
-                        raise ValueError(f"node {i}: child {child} is not "
-                                         f"strictly below its parent")
             else:
-                raise ValueError(f"node {i}: unknown node kind {node!r}")
-        if not 0 <= self.output < len(nodes):
-            raise ValueError(f"output {self.output} is not a node id")
+                raise ValueError(f"node {i}: unknown node kind {op!r}")
+            if b != 0:
+                raise ValueError(f"node {i}: {op} leaf has third "
+                                 f"field {b}, not 0")
+        output = self.output
+        if type(output) is not int or not 0 <= output < len(nodes):
+            raise ValueError(f"output {output!r} is not a node id")
 
     def size_report(self) -> SizeReport:
-        adds = muls = inputs = consts = 0
-        for node in self.nodes:
-            if isinstance(node, AddNode):
-                adds += 1
-            elif isinstance(node, MulNode):
-                muls += 1
-            elif isinstance(node, InputNode):
-                inputs += 1
-            else:
-                consts += 1
-        return SizeReport(adds, muls, inputs, consts)
+        n = Counter(op for op, _, _ in self.nodes)
+        return SizeReport(n[ADD], n[MUL], n[VAR], n[CONST])
 
     def degree_bound(self) -> int:
         """Syntactic degree: input 1, const 0, add max, mul sum."""
@@ -123,8 +113,7 @@ class Circuit:
                       lambda a, b: a + b)
 
     def used_vars(self) -> set[int]:
-        return {node.var for node in self.nodes
-                if isinstance(node, InputNode)}
+        return {a for op, a, _ in self.nodes if op == VAR}
 
 
 class CircuitBuilder:
@@ -153,7 +142,7 @@ class CircuitBuilder:
         value = operator.index(value) % self.modulus
         nid = self._const_ids.get(value)
         if nid is None:
-            nid = self._push(ConstNode(value))
+            nid = self._push((CONST, value, 0))
             self._const_ids[value] = nid
             self._const_vals[nid] = value
         return nid
@@ -165,15 +154,15 @@ class CircuitBuilder:
                              f"{self.alphabet.size}")
         nid = self._var_ids.get(i)
         if nid is None:
-            nid = self._push(InputNode(i))
+            nid = self._push((VAR, i, 0))
             self._var_ids[i] = nid
         return nid
 
     def add(self, lhs: int, rhs: int) -> int:
-        return self._push(AddNode(lhs, rhs))
+        return self._push((ADD, lhs, rhs))
 
     def mul(self, lhs: int, rhs: int) -> int:
-        return self._push(MulNode(lhs, rhs))
+        return self._push((MUL, lhs, rhs))
 
     def const_value(self, nid: int) -> int | None:
         """The residue a node is a constant for, else None."""
@@ -198,7 +187,7 @@ def _reachable(nodes: list[Node], output: int) -> tuple[list[Node], int]:
     A walk that meets an id breaking the node rules returns the list as
     given, for the Circuit to refuse by name.
     """
-    if not 0 <= output < len(nodes):
+    if type(output) is not int or not 0 <= output < len(nodes):
         return nodes, output
     keep = set()
     stack = [output]
@@ -207,20 +196,18 @@ def _reachable(nodes: list[Node], output: int) -> tuple[list[Node], int]:
         if i in keep:
             continue
         keep.add(i)
-        node = nodes[i]
-        if isinstance(node, (AddNode, MulNode)):
-            if not (0 <= node.lhs < i and 0 <= node.rhs < i):
+        op, a, b = nodes[i]
+        if op == ADD or op == MUL:
+            if not (type(a) is type(b) is int and 0 <= a < i and 0 <= b < i):
                 return nodes, output
-            stack.append(node.lhs)
-            stack.append(node.rhs)
+            stack.append(a)
+            stack.append(b)
     remap: dict[int, int] = {}
     kept: list[Node] = []
     for i in sorted(keep):
-        node = nodes[i]
-        if isinstance(node, AddNode):
-            node = AddNode(remap[node.lhs], remap[node.rhs])
-        elif isinstance(node, MulNode):
-            node = MulNode(remap[node.lhs], remap[node.rhs])
+        op, a, b = node = nodes[i]
+        if op == ADD or op == MUL:
+            node = (op, remap[a], remap[b])
         remap[i] = len(kept)
         kept.append(node)
     return kept, remap[output]
@@ -241,15 +228,15 @@ def replay(circuit: Circuit, var: Callable, const: Callable,
     vals: list = []
     push = vals.append
     try:
-        for i, node in enumerate(circuit.nodes):
-            if isinstance(node, InputNode):
-                push(var(node.var))
-            elif isinstance(node, ConstNode):
-                push(const(node.value))
-            elif isinstance(node, AddNode):
-                push(add(vals[node.lhs], vals[node.rhs]))
+        for i, (op, a, b) in enumerate(circuit.nodes):
+            if op == MUL:
+                push(mul(vals[a], vals[b]))
+            elif op == ADD:
+                push(add(vals[a], vals[b]))
+            elif op == VAR:
+                push(var(a))
             else:
-                push(mul(vals[node.lhs], vals[node.rhs]))
+                push(const(a))
     except BudgetError as exc:
         raise BudgetError(f"node {i}: {exc}") from exc
     return vals[circuit.output]
@@ -378,15 +365,11 @@ def circuit_from_poly(f: NCPolynomial, name: str = "c") -> Circuit:
 def format_circuit(c: Circuit) -> str:
     lines = [f"circuit {c.name} over {c.alphabet.name} "
              f"vars {c.alphabet.size} modulus {c.modulus}"]
-    for i, node in enumerate(c.nodes):
-        if isinstance(node, InputNode):
-            lines.append(f"node {i} var {node.var}")
-        elif isinstance(node, ConstNode):
-            lines.append(f"node {i} const {node.value}")
-        elif isinstance(node, AddNode):
-            lines.append(f"node {i} add {node.lhs} {node.rhs}")
+    for i, (op, a, b) in enumerate(c.nodes):
+        if op == ADD or op == MUL:
+            lines.append(f"node {i} {op} {a} {b}")
         else:
-            lines.append(f"node {i} mul {node.lhs} {node.rhs}")
+            lines.append(f"node {i} {op} {a}")
     lines.append(f"output {c.output}")
     return "\n".join(lines) + "\n"
 
@@ -418,19 +401,19 @@ def parse_circuit(text: str) -> Circuit:
             raise FormatError(f"line {lineno}: node ids must be dense and "
                               f"ascending (expected {len(nodes)}, got {nid})")
         kind, args = toks[2], toks[3:]
-        if len(args) == 2 and (kind == "add" or kind == "mul"):
+        if len(args) == 2 and (kind == ADD or kind == MUL):
             lhs, rhs = args
             if is_digits(lhs) and is_digits(rhs):
-                cls = AddNode if kind == "add" else MulNode
-                nodes.append(cls(int(lhs), int(rhs)))
+                nodes.append((ADD if kind == ADD else MUL, int(lhs),
+                              int(rhs)))
                 continue
-        elif len(args) == 1 and kind == "var":
+        elif len(args) == 1 and kind == VAR:
             if is_digits(args[0]):
-                nodes.append(InputNode(int(args[0])))
+                nodes.append((VAR, int(args[0]), 0))
                 continue
-        elif len(args) == 1 and kind == "const":
+        elif len(args) == 1 and kind == CONST:
             if is_digits(args[0].removeprefix("-")):
-                nodes.append(ConstNode(int(args[0]) % modulus))
+                nodes.append((CONST, int(args[0]) % modulus, 0))
                 continue
         else:
             raise FormatError(f"line {lineno}: bad node kind {kind!r}")

@@ -47,8 +47,7 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from .automata import WeightedAutomaton
-from .circuits import (AddNode, Circuit, CircuitBuilder, InputNode, MulNode,
-                       replay)
+from .circuits import ADD, MUL, VAR, Circuit, CircuitBuilder, replay
 from .errors import BudgetError
 from .polynomials import NCPolynomial, add_maps, scale_map
 from .scalars import assigned_residue
@@ -497,9 +496,9 @@ def _demands(circuit: Circuit, table: list, sups: list,
         want = dem[v]
         if want is None:
             continue
-        node = nodes[v]
-        if isinstance(node, AddNode):
-            for child in (node.lhs, node.rhs):
+        op, a, b = nodes[v]
+        if op == ADD:
+            for child in (a, b):
                 sup = table[sups[child]]
                 rows = {}
                 for r, cols in want.items():
@@ -507,8 +506,8 @@ def _demands(circuit: Circuit, table: list, sups: list,
                     if hit:
                         rows[r] = hit
                 merge(child, rows)
-        elif isinstance(node, MulNode):
-            left, right = table[sups[node.lhs]], table[sups[node.rhs]]
+        elif op == MUL:
+            left, right = table[sups[a]], table[sups[b]]
             lwant: dict = {}
             rwant: dict = {}
             for r, cols in want.items():
@@ -523,10 +522,10 @@ def _demands(circuit: Circuit, table: list, sups: list,
                         lrow |= low
                         rwant[k] = rwant.get(k, 0) | hit
                 lwant[r] = lrow     # nonzero: demand lies in the support
-            merge(node.lhs, lwant)
-            merge(node.rhs, rwant)
-        elif isinstance(node, InputNode):
-            rows = read[node.var]
+            merge(a, lwant)
+            merge(b, rwant)
+        elif op == VAR:
+            rows = read[a]
             for r, cols in want.items():
                 rows[r] |= cols
     return dem, read

@@ -20,8 +20,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .automata import WeightedAutomaton, build_decoder, index_to_word
-from .circuits import (AddNode, Circuit, InputNode, MulNode, Node,
+from .circuits import (ADD, DEFAULT_MAX_TERMS, MUL, VAR, Circuit, Node,
                        circuit_from_poly)
+from .errors import BudgetError
 from .hadamard import hadamard_bound, hadamard_circuit
 from .polynomials import Alphabet, Letters, NCPolynomial
 from .scalars import DEFAULT_MODULUS, require_prime_modulus
@@ -59,28 +60,26 @@ def encode_circuit(c: Circuit, m: int, *, y_name: str = "Y") -> Circuit:
     nodes: list[Node] = []
     push = nodes.append
     new_id: list[int] = []    # where each node of c landed
-    for node in c.nodes:
-        if isinstance(node, InputNode):
+    for op, a, b in c.nodes:
+        if op == VAR:
             leaves: dict[int, int] = {}
             chain = -1
-            for digit in encode_word(node.var, m):
+            for digit in encode_word(a, m):
                 leaf = leaves.get(digit)
                 if leaf is None:
                     leaf = leaves[digit] = len(nodes)
-                    push(InputNode(digit))
+                    push((VAR, digit, 0))
                 if chain < 0:
                     chain = leaf
                 else:
-                    push(MulNode(chain, leaf))
+                    push((MUL, chain, leaf))
                     chain = len(nodes) - 1
             new_id.append(chain)
             continue
-        if isinstance(node, AddNode):
-            node = AddNode(new_id[node.lhs], new_id[node.rhs])
-        elif isinstance(node, MulNode):
-            node = MulNode(new_id[node.lhs], new_id[node.rhs])
+        if op == ADD or op == MUL:
+            a, b = new_id[a], new_id[b]
         new_id.append(len(nodes))
-        push(node)
+        push((op, a, b))
     return Circuit(c.name, Alphabet(y_name, m), c.modulus, tuple(nodes),
                    new_id[c.output])
 
@@ -278,6 +277,7 @@ def sample_family(kind: str, N: int, t: int, seed: int, *,
     random-sparse: `terms` distinct seeded words, degree exactly t.
     single-monomial: the one word of length t whose letters are the
     base-N digits of `index` (seeded when index is None).
+    A sum of squares over N > DEFAULT_MAX_TERMS raises BudgetError.
     """
     require_prime_modulus(modulus)
     if N < 1:
@@ -288,6 +288,9 @@ def sample_family(kind: str, N: int, t: int, seed: int, *,
     rng = random.Random(seed)
 
     if kind == "sum-of-squares":
+        if N > DEFAULT_MAX_TERMS:
+            raise BudgetError(f"sum-of-squares over {N} variables has {N} "
+                              f"terms, budget is {DEFAULT_MAX_TERMS}")
         body = {(i, i): 1 for i in range(N)}
     elif kind == "single-monomial":
         if index is None:

@@ -11,6 +11,7 @@ so re-labelled but structurally identical objects interoperate.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
@@ -54,13 +55,13 @@ def length_lex_key(letters: Letters) -> tuple[int, Letters]:
 
 @dataclass(frozen=True, eq=False)
 class Word:
-    """A finite product of variables; the empty tuple is the unit."""
+    """A finite product of int letters; the empty tuple is the unit."""
 
     alphabet: Alphabet
     letters: Letters
 
     def __post_init__(self) -> None:
-        letters = tuple(self.letters)
+        letters = tuple(map(operator.index, self.letters))
         object.__setattr__(self, "letters", letters)
         n = self.alphabet.size
         for i in letters:
@@ -166,10 +167,11 @@ def mul_map_term(a: dict, coeff: int, var: int | None, p: int) -> dict:
 class NCPolynomial:
     """Finitely supported word -> residue map with exact mod-p arithmetic.
 
-    Coefficients are ints, reduced mod p when the polynomial is built;
-    canonical form stores no zero coefficient.  The operators +, -, and
-    * implement ring arithmetic; * also accepts an int on either side
-    and scales the polynomial.
+    Coefficients are ints, reduced mod p when the polynomial is built,
+    and letters are ints; both pass through operator.index, so a float
+    is a TypeError.  Canonical form stores no zero coefficient.  The
+    operators +, -, and * implement ring arithmetic; * also accepts an
+    int on either side and scales the polynomial.
     """
 
     __slots__ = ("alphabet", "modulus", "terms")
@@ -185,7 +187,7 @@ class NCPolynomial:
             for word, c in terms.items():
                 if isinstance(word, Word):
                     word = word.letters
-                word = tuple(word)
+                word = tuple(map(operator.index, word))
                 for i in word:
                     if not 0 <= i < n:
                         raise ValueError(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from .circuits import AddNode, Circuit, CircuitBuilder, MulNode
+from .circuits import ADD, MUL, Circuit, CircuitBuilder
 from .polynomials import Alphabet
 
 SUPPORT_CAP = 80  # most terms a generated node's polynomial may have
@@ -57,17 +57,17 @@ def random_circuit(alphabet: Alphabet, modulus: int, rng: random.Random, *,
 
 
 def _swapped(circuit: Circuit, rng: random.Random,
-             cls: type) -> Circuit | None:
-    """Swap the children of one rng-chosen cls gate whose children
+             op: str) -> Circuit | None:
+    """Swap the children of one rng-chosen op gate whose children
     differ."""
-    spots = [i for i, n in enumerate(circuit.nodes)
-             if isinstance(n, cls) and n.lhs != n.rhs]
+    spots = [i for i, (o, a, b) in enumerate(circuit.nodes)
+             if o == op and a != b]
     if not spots:
         return None
     index = rng.choice(spots)
-    node = circuit.nodes[index]
     nodes = list(circuit.nodes)
-    nodes[index] = type(node)(node.rhs, node.lhs)
+    _, a, b = nodes[index]
+    nodes[index] = (op, b, a)
     return Circuit(circuit.name, circuit.alphabet, circuit.modulus,
                    tuple(nodes), circuit.output)
 
@@ -78,7 +78,7 @@ def swap_add_children(circuit: Circuit,
 
     None when the circuit has no two-child add gate to swap.
     """
-    return _swapped(circuit, rng, AddNode)
+    return _swapped(circuit, rng, ADD)
 
 
 def perturb_mul_order(circuit: Circuit,
@@ -88,4 +88,4 @@ def perturb_mul_order(circuit: Circuit,
 
     None when the circuit has no two-child mul gate to swap.
     """
-    return _swapped(circuit, rng, MulNode)
+    return _swapped(circuit, rng, MUL)

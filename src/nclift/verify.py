@@ -93,7 +93,8 @@ def circuit_equiv_random(c1: Circuit, c2: Circuit, trials: int = 10,
 
     dim defaults to floor(max syntactic degree / 2) + 1 and may not be
     set lower: smaller algebras satisfy identities of that degree, so
-    agreement there proves nothing.
+    agreement there proves nothing.  Points of more than
+    DEFAULT_MAX_TERMS residues raise BudgetError before any is drawn.
     """
     _check_comparable(c1, c2)
     if trials < 1:
@@ -104,9 +105,13 @@ def circuit_equiv_random(c1: Circuit, c2: Circuit, trials: int = 10,
     elif dim < needed:
         raise ValueError(f"dimension {dim} below the identity-testing "
                          f"threshold {needed} for these degrees")
+    vars_used = sorted(c1.used_vars() | c2.used_vars())
+    cells = dim * dim * max(len(vars_used), 1)
+    if cells > DEFAULT_MAX_TERMS:
+        raise BudgetError(f"dimension {dim} needs {cells} matrix entries, "
+                          f"budget is {DEFAULT_MAX_TERMS}")
     modulus = c1.modulus
     rng = random.Random(seed)
-    vars_used = sorted(c1.used_vars() | c2.used_vars())
     for _ in range(trials):
         point = random_matrix_point(vars_used, dim, modulus, rng)
         mats = point.as_dict()

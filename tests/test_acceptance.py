@@ -14,12 +14,12 @@ import re
 
 import pytest
 
-from nclift import (DEFAULT_MODULUS, Alphabet, Circuit, MulNode,
-                    build_decoder, encode_circuit, format_automaton,
-                    hadamard_eval, one_shot_nominal_states,
-                    one_shot_state_count)
+from nclift import (DEFAULT_MODULUS, Alphabet, Circuit, build_decoder,
+                    encode_circuit, format_automaton, hadamard_eval,
+                    one_shot_nominal_states, one_shot_state_count)
 from nclift import acceptance
 from nclift.acceptance import AcceptanceSuite
+from nclift.circuits import MUL
 from nclift.randcircuits import random_circuit
 
 from helpers import DECODER_SHA256, random_automaton
@@ -107,8 +107,8 @@ def test_check_7_two_by_two_matrix_point(suite):
 
 def mul_swapped(circuit):
     """The circuit with every mul gate's operands exchanged."""
-    nodes = tuple(MulNode(n.rhs, n.lhs) if isinstance(n, MulNode) else n
-                  for n in circuit.nodes)
+    nodes = tuple((op, b, a) if op == MUL else (op, a, b)
+                  for op, a, b in circuit.nodes)
     return Circuit(circuit.name, circuit.alphabet, circuit.modulus, nodes,
                    circuit.output)
 

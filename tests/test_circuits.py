@@ -2,10 +2,13 @@ import random
 
 import pytest
 
-from nclift import (DEFAULT_MODULUS, AddNode, Alphabet, BudgetError, Circuit,
-                    CircuitBuilder, ConstNode, InputNode, MulNode,
-                    NCPolynomial, circuit_from_poly, eval_scalar, expand)
-from nclift.circuits import eval_matrix_residues, replay
+import nclift
+from nclift import (DEFAULT_MODULUS, Alphabet, BudgetError, Circuit,
+                    CircuitBuilder, NCPolynomial, circuit_from_poly,
+                    eval_scalar, expand, format_circuit, parse_circuit)
+from nclift import circuits
+from nclift.circuits import (ADD, CONST, MUL, VAR, eval_matrix_residues,
+                             replay)
 from nclift.randcircuits import random_circuit
 
 from helpers import matrix_value_of_poly, random_poly
@@ -28,6 +31,27 @@ def test_builder_dedups_leaves():
     assert b.var(0) != b.var(1)
 
 
+def test_nodes_are_plain_triples():
+    # A node is (op, a, b), and each op is its text format keyword.
+    assert (VAR, CONST, ADD, MUL) == ("var", "const", "add", "mul")
+    assert build_sample().nodes == (
+        (VAR, 0, 0), (VAR, 1, 0), (MUL, 0, 1), (CONST, 3, 0), (VAR, 2, 0),
+        (MUL, 3, 4), (ADD, 2, 5))
+    for name in ("InputNode", "ConstNode", "AddNode", "MulNode"):
+        assert not hasattr(nclift, name)
+        assert not hasattr(circuits, name)
+
+
+def test_text_round_trip_keeps_the_triples(rng):
+    for trial in range(60):
+        p = 7 if trial % 2 else P
+        c = random_circuit(X3, p, rng, max_gates=15, max_degree=4)
+        back = parse_circuit(format_circuit(c))
+        assert back == c
+        assert back.nodes == c.nodes
+        assert all(type(node) is tuple for node in back.nodes)
+
+
 def test_size_report_and_degree_bound():
     c = build_sample()
     r = c.size_report()
@@ -40,30 +64,42 @@ def test_size_report_and_degree_bound():
 
 def test_validate_rejects_malformed():
     # Children must point at earlier nodes.
-    nodes = (InputNode(0), AddNode(0, 1))
+    nodes = ((VAR, 0, 0), (ADD, 0, 1))
     with pytest.raises(ValueError, match="node 1"):
         Circuit("bad", X3, P, nodes, 1)
     with pytest.raises(ValueError):
-        Circuit("bad", X3, P, (InputNode(7),), 0)
+        Circuit("bad", X3, P, ((VAR, 7, 0),), 0)
     with pytest.raises(ValueError):
-        Circuit("bad", X3, P, (InputNode(0),), 3)
+        Circuit("bad", X3, P, ((VAR, 0, 0),), 3)
 
 
 @pytest.mark.parametrize("nodes, output, message", [
-    ((InputNode(0), AddNode(-1, 0)), 1,
+    (((VAR, 0, 0), (ADD, -1, 0)), 1,
      "^node 1: child -1 is not strictly below its parent$"),
-    ((InputNode(0), MulNode(0, 1)), 1,
+    (((VAR, 0, 0), (MUL, 0, 1)), 1,
      "^node 1: child 1 is not strictly below its parent$"),
-    ((InputNode(0), AddNode(0, 2), InputNode(1)), 1,
+    (((VAR, 0, 0), (ADD, 0, 2), (VAR, 1, 0)), 1,
      "^node 1: child 2 is not strictly below its parent$"),
-    ((InputNode(0), InputNode(3)), 1,
+    (((VAR, 0, 0), (VAR, 3, 0)), 1,
      "^node 1: variable x3 outside alphabet of size 3$"),
-    ((InputNode(0), InputNode(-1)), 0,
+    (((VAR, 0, 0), (VAR, -1, 0)), 0,
      "^node 1: variable x-1 outside alphabet of size 3$"),
-    ((ConstNode(P),), 0, "^node 0: constant .* not a reduced residue"),
-    ((InputNode(0), InputNode(1)), 2, "^output 2 is not a node id$"),
-    ((InputNode(0),), -1, "^output -1 is not a node id$"),
+    (((CONST, P, 0),), 0, "^node 0: constant .* not a reduced residue"),
+    (((VAR, 0, 0), (VAR, 1, 0)), 2, "^output 2 is not a node id$"),
+    (((VAR, 0, 0),), -1, "^output -1 is not a node id$"),
+    (((VAR, 0, 0),), 0.0, r"^output 0\.0 is not a node id$"),
     ((), 0, "^circuit has no nodes$"),
+    # Every field is an int, every leaf's third field is 0, every node
+    # is an (op, a, b) tuple of a known op.
+    (((VAR, 1.0, 0),), 0, r"^node 0: field 1\.0 is not an int$"),
+    (((VAR, 0, 0), (ADD, 0, 0.0)), 1, r"^node 1: field 0\.0 is not an int$"),
+    (((VAR, True, 0),), 0, "^node 0: field True is not an int$"),
+    (((VAR, 0, 1),), 0, "^node 0: var leaf has third field 1, not 0$"),
+    (((CONST, 3, 2),), 0, "^node 0: const leaf has third field 2, not 0$"),
+    (((VAR, 0, 0), [ADD, 0, 0]), 1, "^node 1: .* is not an .op, a, b. "
+                                    "triple$"),
+    (((VAR, 0),), 0, "^node 0: .* is not an .op, a, b. triple$"),
+    (((VAR, 0, 0), ("neg", 0, 0)), 1, "^node 1: unknown node kind 'neg'$"),
 ])
 def test_invalid_circuit_is_refused_at_construction(nodes, output, message):
     """A circuit that breaks the node rules cannot be built, so it is
@@ -82,10 +118,18 @@ def test_pruning_refuses_what_a_circuit_refuses():
     b.var(2)
     with pytest.raises(ValueError, match="^output -1 is not a node id$"):
         b.finish(-1, prune=True)
+    with pytest.raises(ValueError, match=r"^output 0\.0 is not a node id$"):
+        b.finish(0.0, prune=True)
     b.add(0, 5)
     with pytest.raises(ValueError, match="^node 2: child 5 is not strictly "
                                          "below its parent$"):
         b.finish(2, prune=True)
+    b = CircuitBuilder(X3, P)
+    b.add(b.var(0), b.var(1))
+    b.add(1, 0.0)
+    with pytest.raises(ValueError, match=r"^node 3: field 0\.0 is not an "
+                                         r"int$"):
+        b.finish(3, prune=True)
 
 
 def test_pruned_drops_unreachable():
@@ -180,8 +224,8 @@ def test_expand_budgets():
 
 
 def test_replay_order_and_children_in_a_free_algebra():
-    nodes = (InputNode(0), InputNode(1), ConstNode(5), MulNode(1, 0),
-             AddNode(2, 3), MulNode(4, 1), MulNode(0, 4))
+    nodes = ((VAR, 0, 0), (VAR, 1, 0), (CONST, 5, 0), (MUL, 1, 0),
+             (ADD, 2, 3), (MUL, 4, 1), (MUL, 0, 4))
     algebra = (lambda v: f"x{v}", str, lambda a, b: f"({a}+{b})",
                lambda a, b: f"({a}*{b})")
     for output, want in ((5, "((5+(x1*x0))*x1)"), (6, "(x0*(5+(x1*x0)))"),

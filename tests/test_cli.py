@@ -211,6 +211,17 @@ def test_budget_exit_3(circuit_file):
     assert "budget" in r.stderr
 
 
+def test_equiv_dimension_budget_exit_3(circuit_file, capsys):
+    # The circuit reads x0, x1 and x7: 259^2 * 3 entries per point.
+    argv = ["equiv", "--mode", "random", "--dim", "259", "--left",
+            str(circuit_file), "--right", str(circuit_file)]
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("nclift: budget exceeded: dimension 259 needs "
+                            "201243 matrix entries, budget is 200000\n")
+
+
 def test_synthesis_budget_exit_3(tmp_path, capsys, monkeypatch):
     circuit = tmp_path / "c.circ"
     b = CircuitBuilder(Alphabet("Y", 2), P, name="c")

@@ -6,16 +6,14 @@ from dataclasses import replace
 
 import pytest
 
-from nclift import (DEFAULT_MODULUS, AddNode, Alphabet, BudgetError,
-                    CircuitBuilder, HadamardWitness, InputNode, MulNode,
-                    NCPolynomial, Transition, Weight, build_decoder,
-                    build_one_shot_decoder,
-                    circuit_from_poly, decode_circuit, encode_circuit, expand,
-                    format_automaton, format_circuit, hadamard,
-                    hadamard_circuit, hadamard_eval, hadamard_poly,
-                    hadamard_witness, iterate_encoder,
+from nclift import (DEFAULT_MODULUS, Alphabet, BudgetError, CircuitBuilder,
+                    HadamardWitness, NCPolynomial, Transition, Weight,
+                    build_decoder, build_one_shot_decoder, circuit_from_poly,
+                    decode_circuit, encode_circuit, expand, format_automaton,
+                    format_circuit, hadamard, hadamard_circuit, hadamard_eval,
+                    hadamard_poly, hadamard_witness, iterate_encoder,
                     one_shot_decode_circuit, parse_automaton, sample_family)
-from nclift.circuits import replay
+from nclift.circuits import ADD, MUL, VAR, replay
 from nclift.randcircuits import random_circuit
 
 from helpers import DECODER_SHA256, random_automaton, random_poly
@@ -62,9 +60,8 @@ def test_three_routes_agree_on_shared_subcircuits(rng, p):
         auto = random_automaton(rng, states=q, letters=2, xvars=3,
                                 modulus=p, arrows=rng.randint(1, 2 * q * q))
         c = random_circuit(Y, p, rng, max_gates=15, max_degree=4)
-        reads = [child for node in c.nodes
-                 if isinstance(node, (AddNode, MulNode))
-                 for child in (node.lhs, node.rhs)]
+        reads = [child for op, a, b in c.nodes if op in (ADD, MUL)
+                 for child in (a, b)]
         shared += len(reads) > len(set(reads))
         assert (hadamard_poly(expand(c), auto) == hadamard_eval(c, auto)
                 == expand(hadamard_circuit(c, auto)))
@@ -350,12 +347,12 @@ def dense_demands(circuit, sups, cell):
         want = dem[v]
         if want is None:
             continue
-        node = nodes[v]
-        if isinstance(node, AddNode):
-            for child in (node.lhs, node.rhs):
+        op, a, b = nodes[v]
+        if op == ADD:
+            for child in (a, b):
                 merge(child, [w & s for w, s in zip(want, sups[child])])
-        elif isinstance(node, MulNode):
-            left, right = sups[node.lhs], sups[node.rhs]
+        elif op == MUL:
+            left, right = sups[a], sups[b]
             lwant, rwant = [0] * q, [0] * q
             for r, cols in enumerate(want):
                 ks = left[r] if cols else 0
@@ -367,10 +364,10 @@ def dense_demands(circuit, sups, cell):
                     if hit:
                         lwant[r] |= low
                         rwant[k] |= hit
-            merge(node.lhs, lwant)
-            merge(node.rhs, rwant)
-        elif isinstance(node, InputNode):
-            rows = read[node.var]
+            merge(a, lwant)
+            merge(b, rwant)
+        elif op == VAR:
+            rows = read[a]
             for r in range(q):
                 rows[r] |= want[r]
     return dem, read
@@ -411,8 +408,7 @@ def test_planning_matches_dense_reference_on_random_dags(rng, p):
         auto = random_automaton(rng, states=q, letters=2, xvars=3,
                                 modulus=p, arrows=rng.randint(1, 2 * q * q))
         c = random_circuit(Y, p, rng, max_gates=15, max_degree=4)
-        same += sum(isinstance(node, (AddNode, MulNode))
-                    and node.lhs == node.rhs for node in c.nodes)
+        same += sum(op in (ADD, MUL) and a == b for op, a, b in c.nodes)
         assert_planning_matches_dense(c, auto)
     assert same > 20
 

@@ -3,11 +3,13 @@ import random
 
 import pytest
 
-from nclift import (DEFAULT_MODULUS, Alphabet, LiftParams, NCPolynomial,
-                    circuit_from_poly, cli, decode_circuit, encode_circuit,
-                    encode_poly, encode_stages, encode_word, expand, format_circuit, index_to_word, iterate_decoder,
+from nclift import (DEFAULT_MODULUS, Alphabet, BudgetError, LiftParams,
+                    NCPolynomial, circuit_from_poly, cli, decode_circuit,
+                    encode_circuit, encode_poly, encode_stages, encode_word,
+                    expand, format_circuit, index_to_word, iterate_decoder,
                     iterate_encoder, lift_report, one_shot_decode_circuit,
                     sample_family)
+from nclift.circuits import DEFAULT_MAX_TERMS
 from nclift.lifting import SAMPLE_KINDS
 from nclift.randcircuits import random_circuit
 
@@ -185,6 +187,24 @@ def test_sample_family_sum_of_squares():
     want = NCPolynomial(X, P, {(i, i): 1 for i in range(4)})
     assert fam.poly == want
     assert expand(fam.circuit) == want
+
+
+def test_sample_family_sum_of_squares_budget(capsys):
+    # Refused before any of the N terms is built.
+    N = DEFAULT_MAX_TERMS + 1
+    with pytest.raises(BudgetError, match=f"^sum-of-squares over {N} "
+                                          f"variables has {N} terms, "
+                                          f"budget is {DEFAULT_MAX_TERMS}$"):
+        sample_family("sum-of-squares", N, 2, seed=0)
+    # 59^3 = 205,379 variables: the report exits 3 and prints nothing.
+    argv = ["report", "--n", "59", "--d", "1", "--t", "2", "--kind",
+            "sum-of-squares"]
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("nclift: budget exceeded: sum-of-squares over "
+                            "205379 variables has 205379 terms, budget is "
+                            "200000\n")
 
 
 def test_sample_family_single_monomial():

@@ -167,6 +167,24 @@ def test_letter_range_checked():
         NCPolynomial.variable(5, X3, 7)
 
 
+def test_letters_must_be_ints():
+    # A float letter would be written `x1.0`, which parse_poly refuses.
+    with pytest.raises(TypeError):
+        NCPolynomial(X3, 7, {(1.0,): 2})
+    with pytest.raises(TypeError):
+        NCPolynomial.variable(1.0, X3, 7)
+    with pytest.raises(TypeError):
+        Word(X3, (1.0,))
+    with pytest.raises(TypeError):
+        Word(X3, (0, "1"))
+    # An int-like letter becomes a plain int.
+    assert Word(X3, (True,)).letters == (1,)
+    assert type(Word(X3, (True,)).letters[0]) is int
+    f = NCPolynomial(X3, 7, {(True, 0): 2})
+    assert f.terms == {(1, 0): 2}
+    assert all(type(i) is int for w in f.terms for i in w)
+
+
 def test_mixed_alphabet_and_modulus_rejected():
     f = NCPolynomial.variable(0, X3, 7)
     g = NCPolynomial.variable(0, Alphabet("X", 4), 7)

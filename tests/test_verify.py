@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from nclift import (Alphabet, CircuitBuilder, MatrixPoint, Word,
+from nclift import (Alphabet, BudgetError, CircuitBuilder, MatrixPoint, Word,
                     circuit_equiv_brute, circuit_equiv_random, expand)
-from nclift.circuits import eval_matrix_residues
+from nclift.circuits import ADD, MUL, eval_matrix_residues
 from nclift.randcircuits import (perturb_mul_order, random_circuit,
                                  swap_add_children)
 
@@ -105,6 +105,42 @@ def test_random_never_contradicts_brute():
             assert rand.result == "equal"
         agree += 1
     assert agree >= 15
+
+
+@pytest.mark.parametrize("swap, op", [(swap_add_children, ADD),
+                                      (perturb_mul_order, MUL)])
+def test_swaps_touch_one_gate_of_their_op(rng, swap, op):
+    swapped = 0
+    for _ in range(40):
+        c = random_circuit(X3, PIT_P, rng, max_gates=12, max_degree=4)
+        out = swap(c, rng)
+        if out is None:
+            assert not any(o == op and a != b for o, a, b in c.nodes)
+            continue
+        assert (len(out.nodes), out.output) == (len(c.nodes), c.output)
+        [(old, new)] = [pair for pair in zip(c.nodes, out.nodes)
+                        if pair[0] != pair[1]]
+        assert old[0] == op
+        assert new == (op, old[2], old[1])
+        swapped += 1
+    assert swapped > 20
+
+
+def test_random_mode_budgets_the_point_size():
+    """A point holds dim^2 residues per variable, and an evaluation at
+    least one dim x dim matrix; past the budget nothing is drawn."""
+    b = CircuitBuilder(X3, PIT_P)
+    c = b.finish(b.add(b.var(0), b.add(b.var(1), b.var(2))))
+    # 259^2 * 3 = 201,243 entries; 258^2 * 3 = 199,692 would fit.
+    with pytest.raises(BudgetError, match="^dimension 259 needs 201243 "
+                                          "matrix entries, budget is "
+                                          "200000$"):
+        circuit_equiv_random(c, c, trials=1, dim=259)
+    b0 = CircuitBuilder(X3, PIT_P)
+    k = b0.finish(b0.const(3))
+    with pytest.raises(BudgetError, match="^dimension 448 needs 200704 "):
+        circuit_equiv_random(k, k, trials=1, dim=448)
+    assert circuit_equiv_random(k, k, trials=1, dim=447).is_equal
 
 
 def test_modulus_mismatch_rejected():
