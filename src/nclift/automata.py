@@ -31,6 +31,11 @@ DEFAULT_MAX_TRANSITIONS = 2_000_000
 # Distinct decoders build_decoder keeps.  Decoding a depth-2 chain both
 # stagewise and in one shot uses 3 (m = 2, m = 8 and n = 2, d = 2).
 DECODER_CACHE_SIZE = 8
+# Chain sizes are printed in decimal, and CPython prints an int of at most
+# 4300 digits by default.  A size past that is refused with BudgetError
+# before it is printed, so every size that printed before still does.
+MAX_SIZE_DIGITS = 4300
+SIZE_CAP = 10 ** MAX_SIZE_DIGITS
 
 _T = TypeVar("_T")
 
@@ -249,6 +254,24 @@ def one_shot_state_count(n: int, d: int, *, merged: bool = True) -> int:
     return 1 + 2 * side + (0 if merged else 1)
 
 
+def chain_variables(n: int, d: int) -> int:
+    """n^(3^d), the variable count of a depth-d chain down to n letters.
+
+    Raises BudgetError, naming the count as n^(3^d), once it has more
+    than MAX_SIZE_DIGITS decimal digits.  The count is cubed up one
+    stage at a time and the cubing stops there, so no larger count is
+    ever computed.
+    """
+    size = n
+    for _ in range(d if n > 1 else 0):
+        size = size ** 3
+        if size >= SIZE_CAP:
+            raise BudgetError(f"a depth-{d} chain down to {n} letters has "
+                              f"{n}^(3^{d}) variables, more than "
+                              f"{MAX_SIZE_DIGITS} decimal digits")
+    return size
+
+
 def build_decoder(n: int, d: int = 1, *,
                   modulus: int = DEFAULT_MODULUS,
                   max_states: int = DEFAULT_MAX_STATES,
@@ -279,7 +302,8 @@ def build_decoder(n: int, d: int = 1, *,
 
     State ids: 0, then prefix states by length then base-n value, then
     suffix states in the same order.  Raises BudgetError before building
-    anything if the states or transitions would exceed their budgets.
+    anything if the states or transitions would exceed their budgets,
+    or if the x alphabet would (chain_variables).
 
     The alphabets are named Y and X.  Decoders are memoised on (n, d,
     modulus), the arguments that fix the automaton: every call for the
@@ -297,9 +321,10 @@ def build_decoder(n: int, d: int = 1, *,
         raise ValueError(f"alphabet size must be positive, got {n}")
     if d < 1:
         raise ValueError(f"depth must be positive, got {d}")
+    variables = chain_variables(n, d)
     num_states = one_shot_state_count(n, d)
     # One middle transition per block, one per non-root tree state.
-    num_trans = n ** (3 ** d) + num_states - 1
+    num_trans = variables + num_states - 1
     if num_states > max_states:
         raise BudgetError(f"decoder needs {num_states} states, "
                           f"budget is {max_states}")
@@ -387,8 +412,7 @@ def parse_automaton(text: str) -> WeightedAutomaton:
         raise FormatError(str(exc)) from exc
 
     trans: list[Transition] = []
-    for lineno, line in body:
-        toks = line.split()
+    for lineno, toks, _ in body:
         if toks[0] != "trans" or len(toks) not in (6, 7):
             raise FormatError(f"line {lineno}: expected a trans line")
         try:

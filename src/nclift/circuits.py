@@ -16,6 +16,7 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Mapping, Sequence
 
 from .errors import BudgetError, FormatError
@@ -182,29 +183,31 @@ class CircuitBuilder:
 
 
 def _reachable(nodes: list[Node], output: int) -> tuple[list[Node], int]:
-    """The nodes output reaches, in order and renumbered, and its new id.
+    """The nodes output reaches, in order and renumbered, and its new id;
+    the list itself when output reaches every node.
 
-    A walk that meets an id breaking the node rules returns the list as
-    given, for the Circuit to refuse by name.
+    Children sit below their parents, so one sweep down from output
+    marks every node it reaches before visiting it.  A sweep that meets
+    an id breaking the node rules returns the list as given, for the
+    Circuit to refuse by name.
     """
     if type(output) is not int or not 0 <= output < len(nodes):
         return nodes, output
-    keep = set()
-    stack = [output]
-    while stack:
-        i = stack.pop()
-        if i in keep:
-            continue
-        keep.add(i)
-        op, a, b = nodes[i]
-        if op == ADD or op == MUL:
-            if not (type(a) is type(b) is int and 0 <= a < i and 0 <= b < i):
-                return nodes, output
-            stack.append(a)
-            stack.append(b)
-    remap: dict[int, int] = {}
+    live = bytearray(output + 1)
+    live[output] = 1
+    for i in range(output, -1, -1):
+        if live[i]:
+            op, a, b = nodes[i]
+            if op == ADD or op == MUL:
+                if not (type(a) is type(b) is int and 0 <= a < i
+                        and 0 <= b < i):
+                    return nodes, output
+                live[a] = live[b] = 1
+    if len(live) == len(nodes) and 0 not in live:
+        return nodes, output
+    remap = [0] * len(live)
     kept: list[Node] = []
-    for i in sorted(keep):
+    for i in compress(range(len(live)), live):
         op, a, b = node = nodes[i]
         if op == ADD or op == MUL:
             node = (op, remap[a], remap[b])
@@ -374,6 +377,10 @@ def format_circuit(c: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Each node keyword's op and the token count of its line.
+_NODE_LINES = {ADD: (ADD, 5), MUL: (MUL, 5), VAR: (VAR, 4), CONST: (CONST, 4)}
+
+
 def parse_circuit(text: str) -> Circuit:
     (name, aname, size, modulus), body = read_text(
         text, ("circuit", str, "over", str, "vars", int, "modulus", int))
@@ -383,40 +390,47 @@ def parse_circuit(text: str) -> Circuit:
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 
+    # In ASCII text, str.isdecimal is is_digits without its ASCII test.
+    digits = str.isdecimal if text.isascii() else is_digits
+    node_lines = _NODE_LINES
     nodes: list[Node] = []
+    push = nodes.append
     output: int | None = None
-    for lineno, line in body:
-        toks = line.split()
-        if toks[0] == "output":
+    for lineno, toks, _ in body:
+        if toks[0] != "node":
+            if toks[0] != "output":
+                raise FormatError(f"line {lineno}: expected a node line")
             if output is not None:
                 raise FormatError(f"line {lineno}: duplicate output line")
-            if len(toks) != 2 or not is_digits(toks[1]):
+            if len(toks) != 2 or not digits(toks[1]):
                 raise FormatError(f"line {lineno}: bad output line")
             output = int(toks[1])
             continue
-        if toks[0] != "node" or len(toks) < 4 or not is_digits(toks[1]):
+        if len(toks) < 4 or not digits(toks[1]):
             raise FormatError(f"line {lineno}: expected a node line")
         nid = int(toks[1])
         if nid != len(nodes):
             raise FormatError(f"line {lineno}: node ids must be dense and "
                               f"ascending (expected {len(nodes)}, got {nid})")
-        kind, args = toks[2], toks[3:]
-        if len(args) == 2 and (kind == ADD or kind == MUL):
-            lhs, rhs = args
-            if is_digits(lhs) and is_digits(rhs):
-                nodes.append((ADD if kind == ADD else MUL, int(lhs),
-                              int(rhs)))
+        kind = node_lines.get(toks[2])
+        if kind is None:
+            raise FormatError(f"line {lineno}: bad node kind {toks[2]!r}")
+        op, width = kind
+        if len(toks) != width:
+            raise FormatError(f"line {lineno}: bad node arguments")
+        a = toks[3]
+        if width == 5:
+            b = toks[4]
+            if digits(a) and digits(b):
+                push((op, int(a), int(b)))
                 continue
-        elif len(args) == 1 and kind == VAR:
-            if is_digits(args[0]):
-                nodes.append((VAR, int(args[0]), 0))
+        elif op == VAR:
+            if digits(a):
+                push((VAR, int(a), 0))
                 continue
-        elif len(args) == 1 and kind == CONST:
-            if is_digits(args[0].removeprefix("-")):
-                nodes.append((CONST, int(args[0]) % modulus, 0))
-                continue
-        else:
-            raise FormatError(f"line {lineno}: bad node kind {kind!r}")
+        elif digits(a.removeprefix("-")):
+            push((CONST, int(a) % modulus, 0))
+            continue
         raise FormatError(f"line {lineno}: bad node arguments")
     if output is None:
         raise FormatError("missing output line")

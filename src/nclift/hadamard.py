@@ -13,12 +13,13 @@ an x-polynomial.  Three routes with one answer:
     transition matrices, held as rows of their nonzero cells, no x
     specialised, and reads one entry;
   * hadamard_circuit  synthesises an x-circuit by replaying f's gates
-    on sparse q x q blocks of node ids, one block per gate.  A boolean
-    support pass and a reverse demand pass come first, so each block
-    builds only the cells that the (start, accept) output reads.  The
-    support pass interns the distinct supports and the demand pass
-    keeps only demanded rows, so planning costs follow the cells read,
-    not q.
+    on sparse q x q blocks of node ids, one block per gate, each a dict
+    keyed by the int i << s | j for cell (i, j), s = q.bit_length().
+    A boolean support pass and a reverse demand pass come first, so
+    each block builds only the cells that the (start, accept) output
+    reads.  The support pass interns the distinct supports and the
+    demand pass keeps only demanded rows, so planning costs follow the
+    cells read, not q.
 
 What depends on the automaton alone is built once per automaton, on
 first use, and kept with it (WeightedAutomaton.derived), so the
@@ -236,7 +237,9 @@ def _positions(automaton: WeightedAutomaton) -> _Positions:
 
 
 # ---------------------------------------------------------------------------
-# Circuit synthesis.  Blocks are sparse: {(i, j): node id}, absent = 0.
+# Circuit synthesis.  Blocks are sparse: {cell: node id}, absent = 0, where
+# the cell (i, j) is the int i << s | j with s = q.bit_length(), so j < 2^s
+# and the key is one int to hash, not a tuple to build.
 
 def _node_sum(b: CircuitBuilder, lhs: int, rhs: int) -> int | None:
     """Add two entry nodes; folded constants may cancel to None (zero)."""
@@ -250,30 +253,18 @@ def _node_sum(b: CircuitBuilder, lhs: int, rhs: int) -> int | None:
 _MISS = object()
 
 
-def _node_product(b: CircuitBuilder, lhs: int, rhs: int,
-                  cache: dict) -> int | None:
-    """Multiply two entry nodes, folding constants and reusing repeats.
-
-    Identical operand pairs recur across block cells (shared path
-    segments), so products are memoised per synthesis.
-    """
-    key = (lhs, rhs)
-    hit = cache.get(key, _MISS)
-    if hit is not _MISS:
-        return hit
+def _node_product(b: CircuitBuilder, lhs: int, rhs: int) -> int | None:
+    """Multiply two entry nodes, folding constants and reusing repeats."""
     ca, cb = b.const_value(lhs), b.const_value(rhs)
     if ca == 0 or cb == 0:
-        out = None
-    elif ca is not None and cb is not None:
-        out = b.const(ca * cb % b.modulus)
-    elif ca == 1:
-        out = rhs
-    elif cb == 1:
-        out = lhs
-    else:
-        out = b.mul(lhs, rhs)
-    cache[key] = out
-    return out
+        return None
+    if ca is not None and cb is not None:
+        return b.const(ca * cb % b.modulus)
+    if ca == 1:
+        return rhs
+    if cb == 1:
+        return lhs
+    return b.mul(lhs, rhs)
 
 
 def _block_add(b: CircuitBuilder, x: dict, y: dict) -> dict:
@@ -292,40 +283,57 @@ def _block_add(b: CircuitBuilder, x: dict, y: dict) -> dict:
 
 
 def _block_mul(b: CircuitBuilder, x: dict, y: dict, cache: dict,
-               want: dict) -> dict:
+               want: dict, s: int) -> dict:
     """The cells of x y that `want` asks for: {row: column bitmask},
-    an absent row asking for nothing."""
+    an absent row asking for nothing.  Cells are keyed i << s | j.
+
+    Identical operand pairs recur across block cells (shared path
+    segments), so products are memoised per synthesis in `cache`,
+    keyed lhs << 32 | rhs.  No two pairs share a key, because node ids
+    stay below 2^32: they index the builder's node list, which would
+    need 32 GiB for its pointers alone before an id reached 2^32.
+    """
+    mask = (1 << s) - 1
     rows: dict[int, list[tuple[int, int]]] = {}
-    for (k, j), nid in y.items():
-        rows.setdefault(k, []).append((j, nid))
+    for key, nid in y.items():
+        rows.setdefault(key >> s, []).append((key & mask, nid))
     out: dict = {}
-    for (i, k), left in x.items():
-        row = rows.get(k)
+    for key, left in x.items():
+        i = key >> s
+        row = rows.get(key & mask)
         cols = want.get(i, 0)
         if not row or not cols:
             continue
+        base = i << s
+        high = left << 32
         for j, right in row:
             if not cols >> j & 1:
                 continue
-            prod = _node_product(b, left, right, cache)
+            pair = high | right
+            prod = cache.get(pair, _MISS)
+            if prod is _MISS:
+                prod = cache[pair] = _node_product(b, left, right)
             if prod is None:
                 continue
-            key = (i, j)
-            cur = out.get(key)
+            cell = base | j
+            cur = out.get(cell)
             if cur is None:
-                out[key] = prod
+                out[cell] = prod
             else:
-                s = _node_sum(b, cur, prod)
-                if s is None:
-                    del out[key]
+                total = _node_sum(b, cur, prod)
+                if total is None:
+                    del out[cell]
                 else:
-                    out[key] = s
+                    out[cell] = total
     return out
 
 
-def _restrict(block: dict, want: dict) -> dict:
+def _restrict(block: dict, want: dict, s: int) -> dict:
+    """The cells of block that `want` asks for, keyed i << s | j as in
+    _block_mul."""
+    mask = (1 << s) - 1
     return {key: nid for key, nid in block.items()
-            if want.get(key[0], 0) >> key[1] & 1}
+            if want.get(key >> s, 0) >> (key & mask) & 1}
 
 
 # Rows (supports times q) plus memoised sums and products that one
@@ -637,6 +645,7 @@ def hadamard_circuit(circuit: Circuit, automaton: WeightedAutomaton, *,
     demand = iter(demands)
     cache: dict = {}
     nodes = b.nodes
+    s = automaton.num_states.bit_length()
     max_nodes = MAX_NODES
 
     def over_budget() -> BudgetError:
@@ -648,7 +657,7 @@ def hadamard_circuit(circuit: Circuit, automaton: WeightedAutomaton, *,
         if not want:
             return {}
         rows = letter_rows[letter]
-        return {(i, j): nid for i, cols in sorted(want.items())
+        return {i << s | j: nid for i, cols in sorted(want.items())
                 for j, nid in rows[i] if cols >> j & 1}
 
     def const(c: int) -> dict:
@@ -657,13 +666,13 @@ def hadamard_circuit(circuit: Circuit, automaton: WeightedAutomaton, *,
         if not (want and c):
             return {}
         nid = b.const(c)    # demand lies within the support: diagonal
-        return {(i, i): nid for i in sorted(want)}
+        return {i << s | i: nid for i in sorted(want)}
 
     def add(x: dict, y: dict) -> dict:
         want = next(demand)
         if not want:
             return {}
-        block = _block_add(b, _restrict(x, want), _restrict(y, want))
+        block = _block_add(b, _restrict(x, want, s), _restrict(y, want, s))
         if len(nodes) > max_nodes:
             raise over_budget()
         return block
@@ -672,13 +681,13 @@ def hadamard_circuit(circuit: Circuit, automaton: WeightedAutomaton, *,
         want = next(demand)
         if not want:
             return {}
-        block = _block_mul(b, x, y, cache, want)
+        block = _block_mul(b, x, y, cache, want, s)
         if len(nodes) > max_nodes:
             raise over_budget()
         return block
 
     value = replay(circuit, var, const, add, mul)
-    out = value.get((automaton.start, automaton.accept))
+    out = value.get(automaton.start << s | automaton.accept)
     if out is None:
         out = b.const(0)
     return b.finish(out, prune=True)

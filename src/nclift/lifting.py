@@ -19,7 +19,8 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .automata import WeightedAutomaton, build_decoder, index_to_word
+from .automata import (MAX_SIZE_DIGITS, SIZE_CAP, WeightedAutomaton,
+                       build_decoder, chain_variables, index_to_word)
 from .circuits import (ADD, DEFAULT_MAX_TERMS, MUL, VAR, Circuit, Node,
                        circuit_from_poly)
 from .errors import BudgetError
@@ -91,9 +92,10 @@ def encode_stages(obj, n: int, d: int):
     if d < 0:
         raise ValueError(f"depth must be nonnegative, got {d}")
     size = obj.alphabet.size
-    if size != n ** (3 ** d):
+    variables = chain_variables(n, d)
+    if size != variables:
         raise ValueError(f"a depth-{d} chain down to {n} letters starts "
-                         f"from {n ** (3 ** d)} variables, got {size}")
+                         f"from {variables} variables, got {size}")
     stages = [obj]
     for k in range(1, d + 1):
         m = n ** (3 ** (d - k))    # stage k's alphabet; its cube is k-1's
@@ -163,7 +165,12 @@ def one_shot_decode_circuit(c: Circuit, n: int, d: int, **caps) -> Circuit:
 
 @dataclass(frozen=True)
 class LiftParams:
-    """A depth-d chain over n letters starting from degree-t inputs."""
+    """A depth-d chain over n letters starting from degree-t inputs.
+
+    A chain whose report would print a number of more than
+    MAX_SIZE_DIGITS decimal digits raises BudgetError when it is made:
+    its largest, bound_factor(0), is about 16 n^(3^d).
+    """
 
     n: int
     d: int
@@ -176,10 +183,16 @@ class LiftParams:
             raise ValueError(f"depth must be positive, got {self.d}")
         if self.t < 1:
             raise ValueError(f"degree must be positive, got {self.t}")
+        # First, so that bound_factor never builds a count past the cap.
+        chain_variables(self.n, self.d)
+        if self.bound_factor(0) >= SIZE_CAP:
+            raise BudgetError(f"a depth-{self.d} chain down to {self.n} "
+                              f"letters has a decode bound factor of more "
+                              f"than {MAX_SIZE_DIGITS} decimal digits")
 
     @property
     def variable_count(self) -> int:
-        return self.n ** (3 ** self.d)
+        return chain_variables(self.n, self.d)
 
     @property
     def alphabet_sizes(self) -> tuple[int, ...]:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
+from itertools import count
 from typing import Iterator, Mapping, Sequence
 
 from .errors import FormatError
@@ -366,8 +367,12 @@ def read_text(text: str, keys: Sequence) -> tuple[list, Iterator]:
 
     keys lays the header out: a string is a keyword, str marks a name
     and int a count.  Values come back in order, counts as ints.  The
-    body is an iterator of (line number, text) pairs, with comments cut
-    off and blank lines left out.
+    body is an iterator of (line number, tokens, text) triples, one per
+    line that is not blank once its comment is cut off; tokens is the
+    text split at whitespace, so a parser that reads tokens splits no
+    line again.  Comments are cut only when the text holds a '#', and
+    the body is built from C iterators, so a parser's own loop is the
+    one Python loop over the lines.
     """
     kind = keys[0]
     lines = text.splitlines()
@@ -384,9 +389,11 @@ def read_text(text: str, keys: Sequence) -> tuple[list, Iterator]:
             elif key != tok:
                 break
         else:
-            return values, ((lineno, line) for lineno, raw
-                            in enumerate(lines[1:], start=2)
-                            if (line := raw.split("#", 1)[0]).strip())
+            body = lines[1:]
+            if "#" in text:
+                body = [line.split("#", 1)[0] for line in body]
+            return values, filter(operator.itemgetter(1), zip(
+                count(2), map(str.split, body), body))
     raise FormatError(f"bad {kind} header: {lines[0]!r}")
 
 
@@ -427,7 +434,7 @@ def parse_poly(text: str) -> NCPolynomial:
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
     terms: dict[Letters, int] = {}
-    for lineno, line in body:
+    for lineno, _, line in body:
         head, sep, tail = line.partition(":")
         if not sep:
             raise FormatError(f"line {lineno}: expected '<coeff> : <word>'")

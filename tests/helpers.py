@@ -5,8 +5,11 @@ explicit path enumeration) and deliberately avoids the faster code
 paths under test.
 """
 
-from nclift import (Alphabet, NCPolynomial, Transition, Weight,
-                    WeightedAutomaton)
+from nclift import (Alphabet, Circuit, FormatError, NCPolynomial,
+                    Transition, Weight, WeightedAutomaton)
+from nclift.circuits import ADD, CONST, MUL, VAR
+from nclift.polynomials import is_digits
+from nclift.scalars import require_prime_modulus
 
 # sha256 of format_automaton(build_decoder(n, d)) at the default
 # modulus: state numbering, transition order and weights all show here.
@@ -120,3 +123,91 @@ def random_automaton(rng, *, states=4, letters=2, xvars=3, modulus=97,
     return WeightedAutomaton(Alphabet("Y", letters), Alphabet("X", xvars),
                              modulus, states, rng.randrange(states),
                              rng.randrange(states), tuple(trans))
+
+
+# ---------------------------------------------------------------------------
+# The circuit text parser as it stood before its body became one loop over
+# pre-split lines: read_text's header and body iteration and parse_circuit,
+# kept verbatim as the oracle the current parser is tested against.  It
+# differs in one message only: a known node kind with the wrong number of
+# arguments reads "bad node kind '<kind>'" here.
+
+def reference_read_text(text, keys):
+    """A file's header values and its body lines.
+
+    keys lays the header out: a string is a keyword, str marks a name
+    and int a count.  Values come back in order, counts as ints.  The
+    body is an iterator of (line number, text) pairs, with comments cut
+    off and blank lines left out.
+    """
+    kind = keys[0]
+    lines = text.splitlines()
+    if not lines:
+        raise FormatError(f"empty {kind} file")
+    toks = lines[0].split()
+    values = []
+    if len(toks) == len(keys):
+        for tok, key in zip(toks, keys):
+            if key is str:
+                values.append(tok)
+            elif key is int and is_digits(tok):
+                values.append(int(tok))
+            elif key != tok:
+                break
+        else:
+            return values, ((lineno, line) for lineno, raw
+                            in enumerate(lines[1:], start=2)
+                            if (line := raw.split("#", 1)[0]).strip())
+    raise FormatError(f"bad {kind} header: {lines[0]!r}")
+
+
+def reference_parse_circuit(text):
+    (name, aname, size, modulus), body = reference_read_text(
+        text, ("circuit", str, "over", str, "vars", int, "modulus", int))
+    try:
+        alphabet = Alphabet(aname, size)
+        require_prime_modulus(modulus)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
+
+    nodes = []
+    output = None
+    for lineno, line in body:
+        toks = line.split()
+        if toks[0] == "output":
+            if output is not None:
+                raise FormatError(f"line {lineno}: duplicate output line")
+            if len(toks) != 2 or not is_digits(toks[1]):
+                raise FormatError(f"line {lineno}: bad output line")
+            output = int(toks[1])
+            continue
+        if toks[0] != "node" or len(toks) < 4 or not is_digits(toks[1]):
+            raise FormatError(f"line {lineno}: expected a node line")
+        nid = int(toks[1])
+        if nid != len(nodes):
+            raise FormatError(f"line {lineno}: node ids must be dense and "
+                              f"ascending (expected {len(nodes)}, got {nid})")
+        kind, args = toks[2], toks[3:]
+        if len(args) == 2 and (kind == ADD or kind == MUL):
+            lhs, rhs = args
+            if is_digits(lhs) and is_digits(rhs):
+                nodes.append((ADD if kind == ADD else MUL, int(lhs),
+                              int(rhs)))
+                continue
+        elif len(args) == 1 and kind == VAR:
+            if is_digits(args[0]):
+                nodes.append((VAR, int(args[0]), 0))
+                continue
+        elif len(args) == 1 and kind == CONST:
+            if is_digits(args[0].removeprefix("-")):
+                nodes.append((CONST, int(args[0]) % modulus, 0))
+                continue
+        else:
+            raise FormatError(f"line {lineno}: bad node kind {kind!r}")
+        raise FormatError(f"line {lineno}: bad node arguments")
+    if output is None:
+        raise FormatError("missing output line")
+    try:
+        return Circuit(name, alphabet, modulus, tuple(nodes), output)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc

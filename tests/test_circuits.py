@@ -132,6 +132,70 @@ def test_pruning_refuses_what_a_circuit_refuses():
         b.finish(3, prune=True)
 
 
+def reachable_by_walk(nodes, output):
+    """_reachable's contract, by a depth-first walk that keeps a set of
+    the ids it reached: the reached nodes renumbered in order and the
+    output's new id, or the input as given once a bad id is met."""
+    if type(output) is not int or not 0 <= output < len(nodes):
+        return nodes, output
+    keep = set()
+    stack = [output]
+    while stack:
+        i = stack.pop()
+        if i in keep:
+            continue
+        keep.add(i)
+        op, a, b = nodes[i]
+        if op in (ADD, MUL):
+            if not (type(a) is type(b) is int and 0 <= a < i and 0 <= b < i):
+                return nodes, output
+            stack += [a, b]
+    new_id = {old: new for new, old in enumerate(sorted(keep))}
+    kept = [(op, new_id[a], new_id[b]) if op in (ADD, MUL) else (op, a, b)
+            for op, a, b in (nodes[i] for i in sorted(keep))]
+    return kept, new_id[output]
+
+
+def random_node_list(rng):
+    """Up to 12 nodes, mostly well formed: some unreachable, some gates
+    with a child that is negative, forward, the node itself or not an
+    int, and an output that may be out of range or not an int."""
+    nodes = []
+    for i in range(rng.randint(1, 12)):
+        op = rng.choice([VAR, CONST, ADD, MUL, ADD, MUL])
+        if op in (VAR, CONST) or i == 0 and rng.random() < 0.9:
+            nodes.append((VAR if op in (ADD, MUL) else op, rng.randrange(3),
+                          0))
+            continue
+        children = [rng.randrange(i) if i else 0 for _ in range(2)]
+        if rng.random() < 0.1:
+            children[rng.randrange(2)] = rng.choice(
+                [-1, i, i + 1, len(nodes) + 5, 1.0, True])
+        nodes.append((op, *children))
+    output = len(nodes) - 1 - rng.randrange(min(3, len(nodes)))
+    if rng.random() < 0.1:
+        output = rng.choice([-1, len(nodes), 0.0, None, False])
+    return nodes, output
+
+
+def test_reachable_matches_a_set_based_walk(rng):
+    seen = {"whole": 0, "pruned": 0, "refused": 0}
+    for _ in range(3000):
+        nodes, output = random_node_list(rng)
+        got = circuits._reachable(nodes, output)
+        want = reachable_by_walk(nodes, output)
+        assert got == want
+        if want[0] is nodes:
+            seen["refused"] += 1
+        elif want[0] == nodes:
+            # Every node reached: the list itself comes back, no copy.
+            assert got[0] is nodes
+            seen["whole"] += 1
+        else:
+            seen["pruned"] += 1
+    assert min(seen.values()) > 200, seen
+
+
 def test_pruned_drops_unreachable():
     b = CircuitBuilder(X3, P)
     keep = b.mul(b.var(0), b.var(1))

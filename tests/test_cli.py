@@ -263,6 +263,42 @@ def test_decoder_budget_exit_3(tmp_path, capsys, argv, transitions):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, size", [
+    (["report", "--n", "2", "--d", "9", "--t", "1", "--kind",
+      "single-monomial"], "2^(3^9)"),
+    (["encode", "--n", "2", "--d", "9", "--in", 2], "2^(3^9)"),
+    # build_decoder refuses the alphabet before its own budget message
+    # would print a state count of thousands of digits.
+    (["decode", "--one-shot", "--n", "8", "--d", "9", "--in", 8],
+     "8^(3^9)"),
+])
+def test_deep_chain_budget_exit_3(tmp_path, capsys, argv, size):
+    """Chain sizes past CPython's 4300-digit int printing limit are
+    refused as a budget, named as a power, not printed."""
+    argv = [one_node_circuit(tmp_path / "c.circ", a) if isinstance(a, int)
+            else a for a in argv]
+    if argv[0] != "report":
+        argv += ["--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    n, d = argv[argv.index("--n") + 1], argv[argv.index("--d") + 1]
+    assert captured.err == (f"nclift: budget exceeded: a depth-{d} chain "
+                            f"down to {n} letters has {size} variables, "
+                            f"more than 4300 decimal digits\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_largest_printable_chain_report_is_pinned(capsys):
+    """report --n 2 --d 8 prints N_0 = 2^6561 (1976 digits), under the
+    size budget, byte for byte as before the budget."""
+    assert cli.main(["report", "--n", "2", "--d", "8", "--t", "1",
+                     "--kind", "single-monomial"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "2e67f0f650ac93a6ad1d96b06ab5384fa022b6993d7f5ee725a7c1d406442b2a")
+
+
 NOT_BOTH = "give either --m or --n with --d, not both"
 
 

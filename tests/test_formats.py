@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ from nclift import (DEFAULT_MODULUS, Alphabet, FormatError, NCPolynomial,
                     format_poly, parse_automaton, parse_circuit, parse_poly)
 from nclift.randcircuits import random_circuit
 
-from helpers import random_automaton, random_poly
+from helpers import random_automaton, random_poly, reference_parse_circuit
 
 P = DEFAULT_MODULUS
 X3 = Alphabet("X", 3)
@@ -32,6 +33,24 @@ node 4 var 1
 node 5 mul 3 4
 node 6 add 2 5
 output 6
+"""
+
+
+LONG_CIRCUIT = """\
+circuit h over Y vars 4 modulus 101
+node 0 var 3
+node 1 const 3
+node 2 var 0
+node 3 mul 0 2
+node 4 const 100
+node 5 add 3 1
+node 6 mul 5 4
+node 7 var 1
+node 8 add 6 7
+node 9 mul 8 8
+node 10 const 0
+node 11 add 9 10
+output 11
 """
 
 
@@ -231,11 +250,12 @@ TOKENS = st.one_of(
 
 
 @st.composite
-def mutated_texts(draw):
-    """A valid poly, circuit or automaton text after 1-4 token or
-    character mutations: a token replaced, inserted or deleted, or a
-    character replaced, inserted or deleted."""
-    text = draw(st.sampled_from(VALID_TEXTS))
+def mutated_texts(draw, texts=st.sampled_from(VALID_TEXTS)):
+    """A valid poly, circuit or automaton text (or one drawn from
+    `texts`) after 1-4 token or character mutations: a token replaced,
+    inserted or deleted, or a character replaced, inserted or
+    deleted."""
+    text = draw(texts)
     for _ in range(draw(st.integers(1, 4))):
         if draw(st.booleans()):
             lines = [line.split(" ") for line in text.split("\n")]
@@ -263,6 +283,104 @@ def test_parsers_raise_only_format_errors(text):
             parse(text)
         except FormatError as exc:
             assert "invalid literal" not in str(exc)
+
+
+ARITY_CIRCUIT = ("circuit g over X vars 3 modulus 7\n"
+                 "node 0 var 2\n"
+                 "{line}\n"
+                 "output 1\n")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("node 1 add 0", "line 3: bad node arguments"),
+    ("node 1 mul 0 0 0", "line 3: bad node arguments"),
+    ("node 1 var 1 2", "line 3: bad node arguments"),
+    ("node 1 const", "line 3: expected a node line"),
+    ("node 1 const 1 2", "line 3: bad node arguments"),
+    ("node 1 frob 0", "line 3: bad node kind 'frob'"),
+    ("node 1 Add 0 0", "line 3: bad node kind 'Add'"),
+    ("node 1 output 0 0", "line 3: bad node kind 'output'"),
+])
+def test_node_line_kind_and_arity_messages(line, message):
+    """An unknown kind is a bad kind; a known kind with the wrong number
+    of arguments has bad arguments."""
+    with pytest.raises(FormatError) as err:
+        parse_circuit(ARITY_CIRCUIT.format(line=line))
+    assert str(err.value) == message
+
+
+UNICODE_SPACES = ["\t", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2003",
+                  "\u2028", "\u3000"]
+# Arabic-Indic, fullwidth and Devanagari digits pass str.isdecimal and
+# int() reads them; superscripts pass neither.
+OTHER_DIGITS = ["\u0663", "\uff17", "\u0967", "\u00b9", "\u2076"]
+
+
+@st.composite
+def circuit_variants(draw):
+    """A valid circuit text with the rules of the text format exercised:
+    comments, blank lines, tabs, CR LF, vertical tabs and Unicode
+    spaces, non-ASCII digits, negative or unreduced constants and the
+    output line first.  Most variants still parse; some (a line
+    separator inside a line, a digit no parser takes) must not."""
+    text = draw(st.sampled_from([CIRCUIT_GOLDEN, SMALL_CIRCUIT,
+                                 LONG_CIRCUIT]))
+    head, *body = text.splitlines()
+    if draw(st.booleans()):
+        out = next(i for i, line in enumerate(body)
+                   if line.startswith("output"))
+        body.insert(0, body.pop(out))
+    if draw(st.booleans()):
+        body = [line.replace("const 3", draw(st.sampled_from(
+            ["const -3", "const -0", "const 1000000010", "const -1000000010",
+             "const 10", "const -"]))) for line in body]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(body)))
+        body.insert(at, draw(st.sampled_from(
+            ["", "   ", "\t", "# note", "  # node 9 var 0", "#"])))
+    lines = [head, *body]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["comment", "space", "digit", "pad"]))
+        line = lines[i]
+        if edit == "comment":
+            line += draw(st.sampled_from(["  # c", "#", "\t# x 1 2", "# é"]))
+        elif edit == "pad":
+            line = draw(st.sampled_from(UNICODE_SPACES)) + line + " "
+        elif edit == "space" and " " in line:
+            at = draw(st.sampled_from(
+                [k for k, c in enumerate(line) if c == " "]))
+            line = (line[:at] + draw(st.sampled_from(UNICODE_SPACES))
+                    + line[at + 1:])
+        elif edit == "digit" and any(c.isdigit() for c in line):
+            at = draw(st.sampled_from(
+                [k for k, c in enumerate(line) if c.isdigit()]))
+            line = (line[:at] + draw(st.sampled_from(OTHER_DIGITS))
+                    + line[at + 1:])
+        lines[i] = line
+    end = draw(st.sampled_from(["\n", "\r\n", "\r", "\x0b"]))
+    return end.join(lines) + draw(st.sampled_from([end, ""]))
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except FormatError as exc:
+        return f"FormatError: {exc}"
+
+
+@settings(max_examples=600)
+@given(st.one_of(circuit_variants(), mutated_texts(circuit_variants())))
+def test_parse_circuit_matches_reference(text):
+    """The parser returns the circuit the reference parser returns, or
+    raises FormatError with its message; the one difference is a known
+    node kind with the wrong number of arguments."""
+    got = parse_outcome(parse_circuit, text)
+    want = parse_outcome(reference_parse_circuit, text)
+    if isinstance(want, str):
+        want = re.sub(r"bad node kind '(var|const|add|mul)'$",
+                      "bad node arguments", want)
+    assert got == want
 
 
 def test_cli_exits_2_on_a_mutated_file(tmp_path, capsys):

@@ -68,6 +68,27 @@ def test_three_routes_agree_on_shared_subcircuits(rng, p):
     assert shared > 40
 
 
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 7, 8, 15, 16, 17, 31, 32])
+def test_three_routes_agree_where_cell_keys_widen(rng, q):
+    """Synthesis keys cell (i, j) as i << s | j with s = q.bit_length(),
+    which steps at q = 2^k - 1 -> 2^k; the last row and column of each
+    width must not spill into a neighbour's key."""
+    Y = Alphabet("Y", 2)
+    nonzero = 0
+    for _ in range(20):
+        auto = random_automaton(rng, states=q, letters=2, xvars=3,
+                                modulus=P, arrows=min(2 * q * q, 8 * q))
+        # Paths through the highest states, so their cells are read.
+        auto = replace(auto, start=rng.choice([0, q - 1]),
+                       accept=rng.choice([q - 1, rng.randrange(q)]))
+        c = random_circuit(Y, P, rng, max_gates=12, max_degree=4)
+        via_poly = hadamard_poly(expand(c), auto)
+        assert via_poly == hadamard_eval(c, auto)
+        assert via_poly == expand(hadamard_circuit(c, auto))
+        nonzero += bool(via_poly.terms)
+    assert nonzero >= 5, nonzero
+
+
 def count_gates(monkeypatch) -> list[int]:
     """From now on, count every add and mul any CircuitBuilder emits."""
     emitted = [0]

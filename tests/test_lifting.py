@@ -207,6 +207,29 @@ def test_sample_family_sum_of_squares_budget(capsys):
                             "200000\n")
 
 
+def test_chain_size_budget_is_the_printing_limit():
+    """The report's largest number, bound_factor(0) = 16 n^3 + 28 n^2 +
+    16 n + 3 at d = 1, may have 4300 digits and not 4301: n = 8 * 10^1432
+    gives 8.19 * 10^4299 and n = 9 * 10^1432 gives 1.17 * 10^4301.  The
+    bound is checked against a power of ten, so no refused size is
+    printed, and each accepted report prints in full."""
+    fits = LiftParams(8 * 10 ** 1432, 1, 1)
+    report = lift_report(fits, [1, 3])
+    assert len(str(fits.bound_factor(0))) == 4300
+    assert report.table().count("\n") == 4
+    with pytest.raises(BudgetError, match=r"^a depth-1 chain down to 9\d+ "
+                       r"letters has a decode bound factor of more than "
+                       r"4300 decimal digits$"):
+        LiftParams(9 * 10 ** 1432, 1, 1)
+    # At d = 9 the variable count alone is over, and it is never built.
+    with pytest.raises(BudgetError, match=r"^a depth-9 chain down to 2 "
+                       r"letters has 2\^\(3\^9\) variables"):
+        LiftParams(2, 9, 1)
+    with pytest.raises(BudgetError, match=r"2\^\(3\^1000000\) variables"):
+        encode_stages(sample_family("single-monomial", 2, 1, seed=0).circuit,
+                      2, 10 ** 6)
+
+
 def test_sample_family_single_monomial():
     fam = sample_family("single-monomial", 8, 3, seed=5, index=11, modulus=P)
     assert [w.letters for w in fam.poly.support()] == [index_to_word(11, 8, 3)]

@@ -66,16 +66,19 @@ def test_bad_modulus_is_a_usage_error(capsys, name, modulus):
 
 
 def test_bench_counts_record_covers_every_workload():
-    """The committed counts name every workload and count the check
-    compares, and a moved count is reported by name."""
+    """The committed counts hold one record per seed, each naming every
+    workload and count the check compares, and a moved count is
+    reported by name."""
     bench = load("bench_counts")
-    record = json.loads(bench.COUNTS_FILE.read_text())
-    assert record["seed"] == bench.SEED
-    counts = record["counts"]
-    assert sorted(counts) == sorted(bench.WORKLOADS)
-    for values in counts.values():
-        assert sorted(values) == sorted(bench.COUNTS)
-    assert bench.moved(counts, counts) == []
+    records = json.loads(bench.COUNTS_FILE.read_text())
+    assert [record["seed"] for record in records] == list(bench.SEEDS)
+    for record in records:
+        counts = record["counts"]
+        assert sorted(counts) == sorted(bench.WORKLOADS)
+        for values in counts.values():
+            assert sorted(values) == sorted(bench.COUNTS)
+        assert bench.moved(counts, counts) == []
+    counts = records[0]["counts"]
     moved = {w: dict(v) for w, v in counts.items()}
     was = counts["chain-small"]["hadamard.gates_emitted"]
     moved["chain-small"]["hadamard.gates_emitted"] = was + 1
