@@ -23,7 +23,7 @@ from .lifting import (DEFAULT_SEED, LiftParams, LiftReport, SampleFamily,
                       iterate_decoder, iterate_encoder, lift_report,
                       one_shot_decode_circuit, sample_family)
 from .polynomials import (Alphabet, NCPolynomial, Word, format_poly,
-                          length_lex_key, parse_poly, word_concat)
+                          length_lex_key, parse_poly)
 from .scalars import DEFAULT_MODULUS, is_prime, require_prime_modulus
 from .verify import (EquivVerdict, MatrixPoint, circuit_equiv_brute,
                      circuit_equiv_random)
@@ -46,5 +46,5 @@ __all__ = [
     "one_shot_decode_circuit", "one_shot_nominal_states",
     "one_shot_state_count", "parse_automaton", "parse_circuit",
     "parse_poly", "require_prime_modulus", "sample_family",
-    "series_truncate", "word_concat", "word_to_index",
+    "series_truncate", "word_to_index",
 ]

@@ -22,6 +22,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from itertools import product
 
 from .automata import (Transition, Weight, WeightedAutomaton, build_decoder,
                        one_shot_nominal_states, one_shot_state_count,
@@ -34,7 +35,7 @@ from .lifting import (DEFAULT_SEED, LiftParams, chain_decoders,
                       decode_circuit, encode_circuit, encode_stages,
                       iterate_encoder, lift_report, one_shot_decode_circuit,
                       sample_family)
-from .polynomials import Alphabet, NCPolynomial, Word, add_maps, mul_maps
+from .polynomials import Alphabet, Letters, NCPolynomial, add_maps, mul_maps
 from .randcircuits import (perturb_mul_order, random_circuit,
                            swap_add_children)
 from .scalars import DEFAULT_MODULUS
@@ -121,15 +122,12 @@ class AcceptanceSuite:
         t0 = time.perf_counter()
         decoder = build_decoder(2, modulus=self.modulus)
         series = series_truncate(decoder, 5)
-        y = decoder.y_alphabet
         x = decoder.x_alphabet
-        expected: dict[Word, NCPolynomial] = {
-            Word(y, ()): NCPolynomial.constant(1, x, self.modulus)}
-        for a in range(2):
-            for bb in range(2):
-                for c in range(2):
-                    expected[Word(y, (a, bb, c))] = NCPolynomial.variable(
-                        4 * a + 2 * bb + c, x, self.modulus)
+        expected: dict[Letters, NCPolynomial] = {
+            (): NCPolynomial.constant(1, x, self.modulus)}
+        # product() yields the blocks in base-2 order: (a, b, c) is 4a+2b+c.
+        for i, block in enumerate(product(range(2), repeat=3)):
+            expected[block] = NCPolynomial.variable(i, x, self.modulus)
         elapsed = time.perf_counter() - t0
         time_ok = elapsed < 1.0
         ok = series == expected and time_ok

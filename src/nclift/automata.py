@@ -22,7 +22,7 @@ from types import MappingProxyType
 from typing import Callable, NamedTuple, Sequence, TypeVar
 
 from .errors import BudgetError, FormatError
-from .polynomials import (Alphabet, Letters, NCPolynomial, Word, add_maps,
+from .polynomials import (Alphabet, Letters, NCPolynomial, add_maps,
                           mul_map_term, read_index, read_int, read_text)
 from .scalars import DEFAULT_MODULUS, require_prime_modulus
 
@@ -184,11 +184,10 @@ class WeightedAutomaton:
                         if prev else contrib)
         return {s: m for s, m in out.items() if m}
 
-    def coeff_of_word(self, word: Word | Sequence[int]) -> NCPolynomial:
+    def coeff_of_word(self, word: Sequence[int]) -> NCPolynomial:
         """The x-polynomial this automaton assigns to one y-word."""
-        letters = word.letters if isinstance(word, Word) else tuple(word)
         vec: dict[int, dict] = {self.start: {(): 1}}
-        for a in letters:
+        for a in word:
             if not 0 <= a < self.y_alphabet.size:
                 raise ValueError(f"letter y{a} outside alphabet of size "
                                  f"{self.y_alphabet.size}")
@@ -201,7 +200,7 @@ class WeightedAutomaton:
 
 
 def series_truncate(automaton: WeightedAutomaton, max_length: int, *,
-                    max_words: int = 100_000) -> dict[Word, NCPolynomial]:
+                    max_words: int = 100_000) -> dict[Letters, NCPolynomial]:
     """All nonzero series coefficients on y-words up to a length.
 
     Enumerates every word of length <= max_length, sharing prefix work,
@@ -213,12 +212,12 @@ def series_truncate(automaton: WeightedAutomaton, max_length: int, *,
     if total > max_words:
         raise BudgetError(f"{total} words of length <= {max_length} over "
                           f"{m} letters exceed the budget of {max_words}")
-    out: dict[Word, NCPolynomial] = {}
+    out: dict[Letters, NCPolynomial] = {}
 
     def visit(letters: Letters, vec: dict[int, dict]) -> None:
         terms = vec.get(automaton.accept)
         if terms:
-            out[Word(automaton.y_alphabet, letters)] = NCPolynomial(
+            out[letters] = NCPolynomial(
                 automaton.x_alphabet, automaton.modulus, dict(terms),
                 _trusted=True)
         if len(letters) == max_length:
@@ -248,9 +247,18 @@ def one_shot_nominal_states(n: int, d: int, *, merged: bool = True) -> int:
 
 
 def one_shot_state_count(n: int, d: int, *, merged: bool = True) -> int:
-    """Exact state count of build_decoder(n, d)."""
+    """Exact state count of build_decoder(n, d): 1 + 2 (n + ... + n^L)
+    with L = (3^d - 1)/2 in closed form, so 3^d at n = 1.  A count of
+    more than MAX_SIZE_DIGITS digits raises BudgetError uncomputed; as
+    3^(3k) > 10^k, 3^d is tested with d capped at 3 MAX_SIZE_DIGITS."""
+    if n > 1:
+        chain_variables(n, d)       # the count is below n^(3^d)
+    elif n == 1 and 3 ** min(d, 3 * MAX_SIZE_DIGITS) >= SIZE_CAP:
+        raise BudgetError(f"a one-shot decoder over 1 letter at depth {d} "
+                          f"has 3^{d} states, more than {MAX_SIZE_DIGITS} "
+                          f"decimal digits")
     half = (3 ** d - 1) // 2
-    side = sum(n ** j for j in range(1, half + 1))
+    side = half if n == 1 else (n ** (half + 1) - n) // (n - 1)
     return 1 + 2 * side + (0 if merged else 1)
 
 
@@ -416,12 +424,13 @@ def parse_automaton(text: str) -> WeightedAutomaton:
         if toks[0] != "trans" or len(toks) not in (6, 7):
             raise FormatError(f"line {lineno}: expected a trans line")
         try:
-            source, target = read_int(toks[1]), read_int(toks[3])
+            source = read_int(toks[1], lineno)
+            target = read_int(toks[3], lineno)
         except ValueError as exc:
             raise FormatError(f"line {lineno}: bad state id") from exc
         letter = read_index(toks[2], "y", y.size, lineno)
         try:
-            coeff = read_int(toks[5], signed=True) % modulus
+            coeff = read_int(toks[5], lineno, signed=True) % modulus
         except ValueError as exc:
             raise FormatError(f"line {lineno}: bad coefficient "
                               f"{toks[5]!r}") from exc

@@ -21,7 +21,8 @@ from typing import Callable, Mapping, Sequence
 
 from .errors import BudgetError, FormatError
 from .polynomials import (Alphabet, NCPolynomial, add_maps, check_name,
-                          is_digits, length_lex_key, mul_maps, read_text)
+                          is_digits, length_lex_key, mul_maps, read_text,
+                          too_long)
 from .scalars import assigned_residue, require_prime_modulus
 
 DEFAULT_MAX_DEGREE = 64
@@ -396,42 +397,47 @@ def parse_circuit(text: str) -> Circuit:
     nodes: list[Node] = []
     push = nodes.append
     output: int | None = None
-    for lineno, toks, _ in body:
-        if toks[0] != "node":
-            if toks[0] != "output":
+    # Only int() raises ValueError here, for a number past its digit limit.
+    try:
+        for lineno, toks, _ in body:
+            if toks[0] != "node":
+                if toks[0] != "output":
+                    raise FormatError(f"line {lineno}: expected a node line")
+                if output is not None:
+                    raise FormatError(f"line {lineno}: duplicate output line")
+                if len(toks) != 2 or not digits(toks[1]):
+                    raise FormatError(f"line {lineno}: bad output line")
+                output = int(toks[1])
+                continue
+            if len(toks) < 4 or not digits(toks[1]):
                 raise FormatError(f"line {lineno}: expected a node line")
-            if output is not None:
-                raise FormatError(f"line {lineno}: duplicate output line")
-            if len(toks) != 2 or not digits(toks[1]):
-                raise FormatError(f"line {lineno}: bad output line")
-            output = int(toks[1])
-            continue
-        if len(toks) < 4 or not digits(toks[1]):
-            raise FormatError(f"line {lineno}: expected a node line")
-        nid = int(toks[1])
-        if nid != len(nodes):
-            raise FormatError(f"line {lineno}: node ids must be dense and "
-                              f"ascending (expected {len(nodes)}, got {nid})")
-        kind = node_lines.get(toks[2])
-        if kind is None:
-            raise FormatError(f"line {lineno}: bad node kind {toks[2]!r}")
-        op, width = kind
-        if len(toks) != width:
+            nid = int(toks[1])
+            if nid != len(nodes):
+                raise FormatError(f"line {lineno}: node ids must be dense "
+                                  f"and ascending (expected {len(nodes)}, "
+                                  f"got {nid})")
+            kind = node_lines.get(toks[2])
+            if kind is None:
+                raise FormatError(f"line {lineno}: bad node kind {toks[2]!r}")
+            op, width = kind
+            if len(toks) != width:
+                raise FormatError(f"line {lineno}: bad node arguments")
+            a = toks[3]
+            if width == 5:
+                b = toks[4]
+                if digits(a) and digits(b):
+                    push((op, int(a), int(b)))
+                    continue
+            elif op == VAR:
+                if digits(a):
+                    push((VAR, int(a), 0))
+                    continue
+            elif digits(a.removeprefix("-")):
+                push((CONST, int(a) % modulus, 0))
+                continue
             raise FormatError(f"line {lineno}: bad node arguments")
-        a = toks[3]
-        if width == 5:
-            b = toks[4]
-            if digits(a) and digits(b):
-                push((op, int(a), int(b)))
-                continue
-        elif op == VAR:
-            if digits(a):
-                push((VAR, int(a), 0))
-                continue
-        elif digits(a.removeprefix("-")):
-            push((CONST, int(a) % modulus, 0))
-            continue
-        raise FormatError(f"line {lineno}: bad node arguments")
+    except ValueError:
+        raise too_long(lineno, toks) from None
     if output is None:
         raise FormatError("missing output line")
     try:

@@ -250,14 +250,10 @@ def _node_sum(b: CircuitBuilder, lhs: int, rhs: int) -> int | None:
     return b.add(lhs, rhs)
 
 
-_MISS = object()
-
-
-def _node_product(b: CircuitBuilder, lhs: int, rhs: int) -> int | None:
-    """Multiply two entry nodes, folding constants and reusing repeats."""
+def _node_product(b: CircuitBuilder, lhs: int, rhs: int) -> int:
+    """Multiply two entry nodes, folding constants and reusing repeats.
+    No cell is a zero constant and p is prime, so neither is a product."""
     ca, cb = b.const_value(lhs), b.const_value(rhs)
-    if ca == 0 or cb == 0:
-        return None
     if ca is not None and cb is not None:
         return b.const(ca * cb % b.modulus)
     if ca == 1:
@@ -310,11 +306,9 @@ def _block_mul(b: CircuitBuilder, x: dict, y: dict, cache: dict,
             if not cols >> j & 1:
                 continue
             pair = high | right
-            prod = cache.get(pair, _MISS)
-            if prod is _MISS:
-                prod = cache[pair] = _node_product(b, left, right)
+            prod = cache.get(pair)
             if prod is None:
-                continue
+                prod = cache[pair] = _node_product(b, left, right)
             cell = base | j
             cur = out.get(cell)
             if cur is None:

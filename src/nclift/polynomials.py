@@ -44,11 +44,6 @@ class Alphabet:
             raise ValueError(f"alphabet size must be >= 1, got {self.size}")
 
 
-def ensure_compatible_alphabets(a: Alphabet, b: Alphabet) -> None:
-    if a.size != b.size:
-        raise ValueError(f"alphabet size mismatch: {a.size} vs {b.size}")
-
-
 def length_lex_key(letters: Letters) -> tuple[int, Letters]:
     """Sort key: by length first, ties broken lexicographically."""
     return (len(letters), letters)
@@ -56,7 +51,8 @@ def length_lex_key(letters: Letters) -> tuple[int, Letters]:
 
 @dataclass(frozen=True, eq=False)
 class Word:
-    """A finite product of int letters; the empty tuple is the unit."""
+    """Brute-mode equivalence's witness: letters with their alphabet.
+    Everywhere else a word is a plain Letters tuple."""
 
     alphabet: Alphabet
     letters: Letters
@@ -69,15 +65,9 @@ class Word:
             if not 0 <= i < n:
                 raise ValueError(f"letter x{i} outside alphabet of size {n}")
 
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.letters)
-
     # Equality ignores the alphabet label; size and letters decide.
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Word):
+        if other.__class__ is not self.__class__:
             return NotImplemented
         return (self.alphabet.size == other.alphabet.size
                 and self.letters == other.letters)
@@ -89,14 +79,6 @@ class Word:
         if not self.letters:
             return "1"
         return " ".join(f"x{i}" for i in self.letters)
-
-    def __repr__(self) -> str:
-        return f"Word({self.alphabet.name}, {self.letters!r})"
-
-
-def word_concat(u: Word, v: Word) -> Word:
-    ensure_compatible_alphabets(u.alphabet, v.alphabet)
-    return Word(u.alphabet, u.letters + v.letters)
 
 
 # ---------------------------------------------------------------------------
@@ -150,18 +132,12 @@ def scale_map(a: dict, c: int, p: int) -> dict:
 
 def mul_map_term(a: dict, coeff: int, var: int | None, p: int) -> dict:
     """Right-multiply a term map by coeff (* x_var when var is given)."""
+    suffix = () if var is None else (var,)
     out = {}
-    if var is None:
-        for w, c in a.items():
-            nc = c * coeff % p
-            if nc:
-                out[w] = nc
-    else:
-        suffix = (var,)
-        for w, c in a.items():
-            nc = c * coeff % p
-            if nc:
-                out[w + suffix] = nc
+    for w, c in a.items():
+        nc = c * coeff % p
+        if nc:
+            out[w + suffix] = nc
     return out
 
 
@@ -186,8 +162,6 @@ class NCPolynomial:
             n = alphabet.size
             canon: dict[Letters, int] = {}
             for word, c in terms.items():
-                if isinstance(word, Word):
-                    word = word.letters
                 word = tuple(map(operator.index, word))
                 for i in word:
                     if not 0 <= i < n:
@@ -235,21 +209,19 @@ class NCPolynomial:
             return 0
         return max(len(w) for w in self.terms)
 
-    def coeff(self, word) -> int:
+    def coeff(self, word: Sequence[int]) -> int:
         """The residue coefficient of a word, 0 off the support."""
-        if isinstance(word, Word):
-            word = word.letters
         return self.terms.get(tuple(word), 0)
 
-    def support(self) -> list[Word]:
-        return [Word(self.alphabet, w)
-                for w in sorted(self.terms, key=length_lex_key)]
+    def support(self) -> list[Letters]:
+        """The words with a nonzero coefficient, in length-lex order."""
+        return sorted(self.terms, key=length_lex_key)
 
-    def leading_word(self) -> Word | None:
+    def leading_word(self) -> Letters | None:
         """Length-lex maximal word of the support, None for zero."""
         if not self.terms:
             return None
-        return Word(self.alphabet, max(self.terms, key=length_lex_key))
+        return max(self.terms, key=length_lex_key)
 
     def evaluate(self, assignment) -> int:
         """The residue value at a point; assignment is a sequence or map
@@ -266,7 +238,9 @@ class NCPolynomial:
     # -- ring operations ------------------------------------------------
 
     def _check_compat(self, other: "NCPolynomial") -> None:
-        ensure_compatible_alphabets(self.alphabet, other.alphabet)
+        if self.alphabet.size != other.alphabet.size:
+            raise ValueError(f"alphabet size mismatch: "
+                             f"{self.alphabet.size} vs {other.alphabet.size}")
         if self.modulus != other.modulus:
             raise ValueError(
                 f"modulus mismatch: {self.modulus} vs {other.modulus}")
@@ -346,7 +320,9 @@ class NCPolynomial:
 #   line, and blank lines are skipped.  The printers emit neither.
 # - A number is ASCII digits 0-9 (is_digits); coefficients and
 #   constants may also carry one leading '-'.  Other Unicode digits are
-#   refused, since the printers would write them back as ASCII.
+#   refused, since the printers would write them back as ASCII.  A
+#   number longer than int() converts (sys.get_int_max_str_digits(),
+#   4300 digits by default) is refused by line (too_long).
 #
 # A poly file has one term per line, in length-lex order; the empty
 # word is written as the token 1:
@@ -360,6 +336,12 @@ class NCPolynomial:
 def is_digits(tok: str) -> bool:
     """True when tok is one or more ASCII digits."""
     return tok.isascii() and tok.isdecimal()
+
+
+def too_long(lineno: int, toks: Sequence[str]) -> FormatError:
+    """The error for a line holding a number too long for int()."""
+    return FormatError(f"line {lineno}: number too long "
+                       f"({max(map(len, toks))} characters)")
 
 
 def read_text(text: str, keys: Sequence) -> tuple[list, Iterator]:
@@ -385,7 +367,10 @@ def read_text(text: str, keys: Sequence) -> tuple[list, Iterator]:
             if key is str:
                 values.append(tok)
             elif key is int and is_digits(tok):
-                values.append(int(tok))
+                try:
+                    values.append(int(tok))
+                except ValueError:
+                    raise too_long(1, toks) from None
             elif key != tok:
                 break
         else:
@@ -397,11 +382,15 @@ def read_text(text: str, keys: Sequence) -> tuple[list, Iterator]:
     raise FormatError(f"bad {kind} header: {lines[0]!r}")
 
 
-def read_int(tok: str, *, signed: bool = False) -> int:
-    """tok as an int: ASCII digits, after one '-' when signed."""
+def read_int(tok: str, lineno: int, *, signed: bool = False) -> int:
+    """tok as an int: ASCII digits, after one '-' when signed.  Raises
+    ValueError for any other token, too_long for one int() refuses."""
     if not is_digits(tok.removeprefix("-") if signed else tok):
         raise ValueError(f"not a number: {tok!r}")
-    return int(tok)
+    try:
+        return int(tok)
+    except ValueError:
+        raise too_long(lineno, (tok,)) from None
 
 
 def read_index(tok: str, prefix: str, size: int, lineno: int) -> int:
@@ -409,7 +398,10 @@ def read_index(tok: str, prefix: str, size: int, lineno: int) -> int:
     if tok[:1] != prefix or not is_digits(tok[1:]):
         raise FormatError(f"line {lineno}: expected {prefix}<index>, "
                           f"got {tok!r}")
-    i = int(tok[1:])
+    try:
+        i = int(tok[1:])
+    except ValueError:
+        raise too_long(lineno, (tok,)) from None
     if i >= size:
         raise FormatError(f"line {lineno}: {tok} outside alphabet of "
                           f"size {size}")
@@ -439,7 +431,7 @@ def parse_poly(text: str) -> NCPolynomial:
         if not sep:
             raise FormatError(f"line {lineno}: expected '<coeff> : <word>'")
         try:
-            c = read_int(head.strip(), signed=True)
+            c = read_int(head.strip(), lineno, signed=True)
         except ValueError as exc:
             raise FormatError(f"line {lineno}: bad coefficient "
                               f"{head.strip()!r}") from exc

@@ -5,11 +5,17 @@ explicit path enumeration) and deliberately avoids the faster code
 paths under test.
 """
 
+from pathlib import Path
+
 from nclift import (Alphabet, Circuit, FormatError, NCPolynomial,
                     Transition, Weight, WeightedAutomaton)
 from nclift.circuits import ADD, CONST, MUL, VAR
 from nclift.polynomials import is_digits
 from nclift.scalars import require_prime_modulus
+
+# The nine lines `nclift accept` prints at the default seed and modulus,
+# byte for byte; CI diffs the command's stdout against the same file.
+ACCEPT_LINES = Path(__file__).with_name("accept_lines.txt")
 
 # sha256 of format_automaton(build_decoder(n, d)) at the default
 # modulus: state numbering, transition order and weights all show here.
@@ -37,7 +43,7 @@ def poly_substitute(f, images, alphabet, modulus):
     out = NCPolynomial.zero(alphabet, modulus)
     for w in f.support():
         term = NCPolynomial.constant(f.coeff(w), alphabet, modulus)
-        for i in w.letters:
+        for i in w:
             term = term * images[i]
         out = out + term
     return out

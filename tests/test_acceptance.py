@@ -18,11 +18,11 @@ from nclift import (DEFAULT_MODULUS, Alphabet, Circuit, build_decoder,
                     encode_circuit, format_automaton, hadamard_eval,
                     one_shot_nominal_states, one_shot_state_count)
 from nclift import acceptance
-from nclift.acceptance import AcceptanceSuite
+from nclift.acceptance import AcceptanceSuite, run_acceptance
 from nclift.circuits import MUL
 from nclift.randcircuits import random_circuit
 
-from helpers import DECODER_SHA256, random_automaton
+from helpers import ACCEPT_LINES, DECODER_SHA256, random_automaton
 
 
 @pytest.fixture(scope="module")
@@ -171,3 +171,9 @@ def test_only_the_state_count_check_fails(suite):
     _, results = suite
     failing = sorted(i for i, r in results.items() if not r.passed)
     assert failing == [5]
+
+
+def test_accept_lines_are_pinned():
+    lines: list[str] = []
+    run_acceptance(out=lines.append)
+    assert lines == ACCEPT_LINES.read_text().splitlines()

@@ -71,10 +71,18 @@ def test_series_truncate_decoder():
     table = series_truncate(dec, 6)
     assert len(table) == 1 + 8 + 64
     X = dec.x_alphabet
-    assert table[Word(dec.y_alphabet, ())] == NCPolynomial.constant(1, X, P)
+    assert all(type(w) is tuple for w in table)
+    assert table[()] == NCPolynomial.constant(1, X, P)
     for i in range(8):
-        w = Word(dec.y_alphabet, index_to_word(i, 2, 3))
-        assert table[w] == NCPolynomial.variable(i, X, P)
+        assert table[index_to_word(i, 2, 3)] == NCPolynomial.variable(i, X, P)
+
+
+def test_coeff_of_word_refuses_a_word_record():
+    dec = build_decoder(2, modulus=P)
+    with pytest.raises(TypeError):
+        dec.coeff_of_word(Word(dec.y_alphabet, (0, 1, 1)))
+    want = NCPolynomial.variable(3, dec.x_alphabet, P)
+    assert dec.coeff_of_word((0, 1, 1)) == want
 
 
 def test_series_truncate_budget():
@@ -199,6 +207,16 @@ def test_one_shot_state_counts():
     dec = build_one_shot_decoder(2, 2, modulus=P)
     assert dec.num_states == 61
     assert dec.transition_count == 2**9 + 2 * (2 + 4 + 8 + 16)
+
+
+def test_one_shot_state_count_closed_form():
+    for n in range(1, 5):
+        for d in range(1, 4):
+            half = (3 ** d - 1) // 2
+            side = sum(n ** j for j in range(1, half + 1))
+            assert one_shot_state_count(n, d) == 1 + 2 * side
+            assert one_shot_state_count(n, d, merged=False) == 2 + 2 * side
+    assert one_shot_state_count(1, 7) == 3 ** 7
 
 
 def test_one_shot_block_table_sampled(rng):

@@ -1,6 +1,5 @@
 import hashlib
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +10,8 @@ from nclift import (Alphabet, CircuitBuilder, build_decoder, cli,
                     format_automaton, format_circuit, hadamard,
                     iterate_decoder, iterate_encoder, one_shot_decode_circuit,
                     parse_poly)
+
+from helpers import ACCEPT_LINES
 
 P = 1_000_000_007
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -150,8 +151,7 @@ def test_encode_poly_output(tmp_path, poly_file):
                 "--out", str(out))
     assert r.returncode == 0
     f = parse_poly(out.read_text())
-    assert [w.letters for w in f.support()] == [(1, 1, 1),
-                                                (0, 0, 0, 0, 0, 1)]
+    assert f.support() == [(1, 1, 1), (0, 0, 0, 0, 0, 1)]
 
 
 def test_expand_to_stdout(circuit_file):
@@ -289,6 +289,23 @@ def test_deep_chain_budget_exit_3(tmp_path, capsys, argv, size):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("d, message", [
+    ("20", "decoder needs 3486784401 states, budget is 50000"),
+    ("10000", "a one-shot decoder over 1 letter at depth 10000 has "
+              "3^10000 states, more than 4300 decimal digits"),
+    ("1000000000", "a one-shot decoder over 1 letter at depth 1000000000 "
+                   "has 3^1000000000 states, more than 4300 decimal digits"),
+])
+def test_one_letter_one_shot_decoder_exit_3(tmp_path, capsys, d, message):
+    """A one-letter decoder has 3^d states; the budget refuses it at
+    once, naming a count past 4300 digits as a power."""
+    out = tmp_path / "x.aut"
+    assert cli.main(["build-decoder", "--one-shot", "--n", "1", "--d", d,
+                     "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"nclift: budget exceeded: {message}\n"
+    assert not out.exists()
+
+
 def test_largest_printable_chain_report_is_pinned(capsys):
     """report --n 2 --d 8 prints N_0 = 2^6561 (1976 digits), under the
     size budget, byte for byte as before the budget."""
@@ -368,26 +385,9 @@ def test_modulus_flag_refused_where_files_carry_it(circuit_file, tmp_path,
     assert not (tmp_path / "out").exists()
 
 
-# `nclift accept` at the default seed and modulus.  Check 5's state
-# count sits above its advertised target, so it alone fails.
-ACCEPT_LINES = [
-    "check 1 pass round-trip m=2:100/100 m=3:100/100 time_ok=_",
-    "check 2 pass all-ones identity 200/200",
-    "check 3 pass 8 code words + empty word, zero elsewhere up to "
-    "length 5, match=1 time_ok=_",
-    "check 4 pass witnesses=838 bad=0",
-    "check 5 fail states merged=61/want=33 unmerged=62/want=34 "
-    "expand-equal=537/537 time_ok=_",
-    "check 6 pass chains=36 measured_decodes=51 all within bounds",
-    "check 7 pass distinct=1 commutator_match=1",
-    "check 8 pass pairs=50+50 misclassified=0 brute_contradictions=0",
-    "check 9 pass weight-index mutant caught=1,1 order mutant caught=1",
-]
-
-
 def test_accept_reports_and_flags_failure():
+    # Check 5's state count sits above its advertised target, so it
+    # alone fails, and accept exits 1.
     r = run_cli("accept")
-    # time_ok is the one field that depends on the machine.
-    lines = re.sub(r"time_ok=\d", "time_ok=_", r.stdout).splitlines()
-    assert lines == ACCEPT_LINES
+    assert r.stdout == ACCEPT_LINES.read_text()
     assert r.returncode == 1

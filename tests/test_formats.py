@@ -403,6 +403,29 @@ def test_superscript_digits_are_format_errors(parse, text):
 
 
 SMALL_CIRCUIT = "circuit g over X vars 3 modulus 7\nnode 0 var 2\noutput 0\n"
+LONG = "9" * 5000
+
+
+@pytest.mark.parametrize("parse, text, old, new, where", [
+    (parse_circuit, CIRCUIT_GOLDEN, "const 3", f"const {LONG}",
+     "line 3: number too long (5000 characters)"),
+    (parse_circuit, SMALL_CIRCUIT, "vars 3", f"vars {LONG}",
+     "line 1: number too long (5000 characters)"),
+    (parse_poly, POLY_GOLDEN, "x0 x1", f"x{LONG}",
+     "line 4: number too long (5001 characters)"),
+    (parse_poly, POLY_GOLDEN, "3 : x2", f"{LONG} : x2",
+     "line 3: number too long (5000 characters)"),
+    (parse_automaton, VALID_TEXTS[2], "trans 0 y0 1 scalar 1",
+     f"trans 0 y{LONG} 1 scalar 1",
+     "line 2: number too long (5001 characters)"),
+], ids=["circuit-const", "circuit-header", "poly-letter", "poly-coeff",
+        "automaton-letter"])
+def test_long_numbers_are_format_errors(parse, text, old, new, where):
+    """int() refuses more than 4300 digits; the parsers name the line
+    and the token's length, and echo no token."""
+    assert old in text
+    with pytest.raises(FormatError, match=f"^{re.escape(where)}$"):
+        parse(text.replace(old, new, 1))
 
 
 @pytest.mark.parametrize("parse, text, old, new", [

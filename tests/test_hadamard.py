@@ -451,9 +451,9 @@ def scaled_poly(f: NCPolynomial, point) -> NCPolynomial:
     scaled = {}
     for w in f.support():
         c = f.coeff(w)
-        for a in w.letters:
+        for a in w:
             c = c * point[a] % f.modulus
-        scaled[w.letters] = c
+        scaled[w] = c
     return NCPolynomial(f.alphabet, f.modulus, scaled)
 
 

@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nclift import DEFAULT_MODULUS, Alphabet, NCPolynomial, Word, word_concat
-from nclift.polynomials import mul_maps
+from nclift import DEFAULT_MODULUS, Alphabet, NCPolynomial, Word
+from nclift.polynomials import length_lex_key, mul_maps
 
 from helpers import mul_maps_pairwise, random_poly
 
@@ -82,8 +82,7 @@ def test_leading_word_and_degree_multiplicative(p, data):
         return
     prod = f * g
     assert prod.degree == f.degree + g.degree
-    assert prod.leading_word() == word_concat(f.leading_word(),
-                                              g.leading_word())
+    assert prod.leading_word() == f.leading_word() + g.leading_word()
 
 
 def test_degree_conventions():
@@ -97,7 +96,7 @@ def test_degree_conventions():
 def test_canonical_form_drops_zeros():
     p = 7
     f = NCPolynomial(X3, p, {(0,): 7, (1,): 3})
-    assert f.support() == [Word(X3, (1,))]
+    assert f.support() == [(1,)]
     g = NCPolynomial(X3, p, {(1,): 3})
     assert f == g
     assert NCPolynomial(X3, p, {(0, 1): 14}).is_zero()
@@ -106,7 +105,26 @@ def test_canonical_form_drops_zeros():
 def test_support_is_length_lex_sorted():
     p = 7
     f = NCPolynomial(X3, p, {(2,): 1, (0, 1): 1, (): 1, (1,): 1})
-    assert [w.letters for w in f.support()] == [(), (1,), (2,), (0, 1)]
+    assert f.support() == [(), (1,), (2,), (0, 1)]
+
+
+@given(f=polys(7))
+def test_support_and_leading_word_are_letter_tuples(f):
+    support = f.support()
+    assert support == sorted(f.terms, key=length_lex_key)
+    assert all(type(w) is tuple for w in support)
+    assert f.leading_word() == (support[-1] if support else None)
+
+
+def test_word_is_not_a_word_key():
+    # A Word is brute mode's witness record; polynomials take tuples.
+    f = NCPolynomial(X3, 7, {(0, 1): 2})
+    w = Word(X3, (0, 1))
+    with pytest.raises(TypeError):
+        f.coeff(w)
+    with pytest.raises(TypeError):
+        NCPolynomial(X3, 7, {w: 2})
+    assert f.coeff(w.letters) == 2
 
 
 @pytest.mark.parametrize("p", MODULI)
@@ -199,8 +217,7 @@ def test_word_basics():
     u = Word(X3, (0, 1))
     v = Word(X3, (2,))
     assert str(u) == "x0 x1"
+    assert str(v) == "x2"
     assert str(Word(X3, ())) == "1"
-    assert word_concat(u, v).letters == (0, 1, 2)
-    assert len(u) == 2 and list(u) == [0, 1]
     # Same letters over an equal-sized alphabet compare equal.
     assert Word(Alphabet("Z", 3), (0, 1)) == u

@@ -26,7 +26,9 @@ def test_brute_distinct_with_least_witness():
     assert v.result == "distinct"
     assert isinstance(v.witness, Word)
     assert v.witness.letters == (0, 1)      # length-lex first difference
-    assert expand(c1).coeff(v.witness) != expand(c2).coeff(v.witness)
+    assert str(v.witness) == "x0 x1"
+    w = v.witness.letters
+    assert expand(c1).coeff(w) != expand(c2).coeff(w)
     assert not v.is_equal
 
 
