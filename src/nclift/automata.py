@@ -22,7 +22,7 @@ from types import MappingProxyType
 from typing import Callable, NamedTuple, Sequence, TypeVar
 
 from .errors import BudgetError, FormatError
-from .polynomials import (Alphabet, Letters, NCPolynomial, add_maps,
+from .polynomials import (Alphabet, Letters, NCPolynomial, add_maps, echo,
                           mul_map_term, read_index, read_int, read_text)
 from .scalars import DEFAULT_MODULUS, require_prime_modulus
 
@@ -433,13 +433,14 @@ def parse_automaton(text: str) -> WeightedAutomaton:
             coeff = read_int(toks[5], lineno, signed=True) % modulus
         except ValueError as exc:
             raise FormatError(f"line {lineno}: bad coefficient "
-                              f"{toks[5]!r}") from exc
+                              f"{echo(toks[5])}") from exc
         if toks[4] == "scalar" and len(toks) == 6:
             weight = Weight(coeff)
         elif toks[4] == "term" and len(toks) == 7:
             weight = Weight(coeff, read_index(toks[6], "x", x.size, lineno))
         else:
-            raise FormatError(f"line {lineno}: bad weight {toks[4]!r}")
+            raise FormatError(f"line {lineno}: bad weight "
+                              f"{echo(toks[4])}")
         trans.append(Transition(source, letter, target, weight))
     try:
         return WeightedAutomaton(y, x, modulus, num_states, start, accept,

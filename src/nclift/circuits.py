@@ -14,6 +14,7 @@ asserted against gates alone.
 from __future__ import annotations
 
 import operator
+import struct
 from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
@@ -21,8 +22,8 @@ from typing import Callable, Mapping, Sequence
 
 from .errors import BudgetError, FormatError
 from .polynomials import (Alphabet, NCPolynomial, add_maps, check_name,
-                          is_digits, length_lex_key, mul_maps, read_text,
-                          too_long)
+                          echo, is_digits, length_lex_key, mul_maps,
+                          read_text, too_long)
 from .scalars import assigned_residue, require_prime_modulus
 
 DEFAULT_MAX_DEGREE = 64
@@ -255,48 +256,102 @@ def eval_scalar(circuit: Circuit, assignment) -> int:
                   lambda a, b: a * b % p)
 
 
+def slot_width(dim: int, p: int) -> int:
+    """Bits per residue in eval_matrix_residues' packed matrices: the
+    least multiple of 64 that holds dim*(p-1)^2, the largest sum a
+    cell of a product gathers."""
+    return 64 * max(1, -(-(dim * (p - 1) ** 2).bit_length() // 64))
+
+
 def eval_matrix_residues(circuit: Circuit,
                          mats: Mapping[int, Sequence[Sequence[int]]],
                          dim: int, p: int) -> list[list[int]]:
     """Evaluate at dim x dim integer matrices mod p; return the rows.
 
-    Each value is one flat row-major list of dim*dim residues: a sum is
-    one pass over both lists, and each cell of a product is the dot
-    product of a row slice of the left factor and a column slice
-    (every dim-th residue) of the right.  Every matrix in mats must be
-    dim x dim.
+    Each value is one int that packs its dim*dim residues row-major
+    into slots of W bits: cell (i, j) is bits W*(i*dim + j) up to
+    W*(i*dim + j + 1).  Every slot of every value holds a reduced
+    residue, 0 <= r < p, so no bound is tracked from gate to gate.
+
+    W = slot_width(dim, p), the least multiple of 64 with
+    dim*(p-1)^2 < 2^W: the largest sum a product cell gathers before it
+    is reduced (64 bits for p = 10^9+7 up to dim 18).  A sum is a few
+    big-int operations on the packed values.  Its slot sums are below
+    2p; adding 2^(W-1) - p to every slot sets a slot's top bit exactly
+    where its sum is at least p, and p is subtracted from those slots.
+    A product unpacks the left factor's entries and cuts the right
+    factor's packed rows out by shift and mask: output row i is
+    sum_k a[i][k] * (row k of b), whose slots stay below 2^W; its cells
+    are then reduced mod p and packed again.  Packing goes through
+    little-endian bytes, so the layout does not depend on the host's
+    byte order.  Every matrix in mats must be dim x dim.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    flat = {}
+    cells = dim * dim
+    width = slot_width(dim, p)
+    slot = width // 8    # bytes per cell
+    size = slot * cells
+    row_bits = width * dim
+    row_shifts = range(0, row_bits * dim, row_bits)
+    row_mask = (1 << row_bits) - 1
+    starts = range(0, cells, dim)
+    if width == 64:
+        layout = struct.Struct(f"<{cells}Q")
+
+        def unpack(x: int) -> tuple[int, ...]:
+            return layout.unpack(x.to_bytes(size, "little"))
+
+        def pack(residues) -> int:
+            return int.from_bytes(layout.pack(*residues), "little")
+    else:
+        offsets = range(0, size, slot)
+
+        def unpack(x: int) -> list[int]:
+            raw = x.to_bytes(size, "little")
+            return [int.from_bytes(raw[k:k + slot], "little")
+                    for k in offsets]
+
+        def pack(residues) -> int:
+            return int.from_bytes(b"".join([r.to_bytes(slot, "little")
+                                            for r in residues]), "little")
+
+    one = (1).to_bytes(slot, "little")
+    ones = int.from_bytes(one * cells, "little")
+    # A one and dim zero slots, dim times: the diagonal, then zero slots
+    # past the last cell.
+    identity = int.from_bytes((one + bytes(slot * dim)) * dim, "little")
+    top = width - 1
+    flip = ((1 << top) - p) * ones
+    packed = {}
     for v, m in mats.items():
         if len(m) != dim or any(len(row) != dim for row in m):
             raise ValueError(f"variable x{v} has a matrix that is not "
                              f"{dim}x{dim}")
-        flat[v] = [x % p for row in m for x in row]
-    starts = range(0, dim * dim, dim)
+        packed[v] = pack([x % p for row in m for x in row])
 
-    def var(v: int) -> list[int]:
-        if v not in flat:
+    def var(v: int) -> int:
+        if v not in packed:
             raise ValueError(f"variable x{v} has no assigned matrix")
-        return flat[v]
+        return packed[v]
 
-    def const(c: int) -> list[int]:
-        out = [0] * (dim * dim)
-        out[::dim + 1] = [c % p] * dim
-        return out
+    def const(c: int) -> int:
+        return c % p * identity
 
-    def add(a: list[int], b: list[int]) -> list[int]:
-        return [(x + y) % p for x, y in zip(a, b)]
+    def add(a: int, b: int) -> int:
+        s = a + b
+        return s - ((s + flip) >> top & ones) * p
 
-    def mul(a: list[int], b: list[int]) -> list[int]:
-        rows = [a[i:i + dim] for i in starts]
-        cols = [b[j::dim] for j in range(dim)]
-        return [sum(map(operator.mul, row, col)) % p
-                for row in rows for col in cols]
+    def mul(a: int, b: int) -> int:
+        left = unpack(a)
+        right = [b >> s & row_mask for s in row_shifts]
+        out = 0
+        for i, s in zip(starts, row_shifts):
+            out |= sum(map(operator.mul, left[i:i + dim], right)) << s
+        return pack([c % p for c in unpack(out)])
 
-    value = replay(circuit, var, const, add, mul)
-    return [value[i:i + dim] for i in starts]
+    value = unpack(replay(circuit, var, const, add, mul))
+    return [list(value[i:i + dim]) for i in starts]
 
 
 def expand(circuit: Circuit, max_degree: int = DEFAULT_MAX_DEGREE,
@@ -418,7 +473,8 @@ def parse_circuit(text: str) -> Circuit:
                                   f"got {nid})")
             kind = node_lines.get(toks[2])
             if kind is None:
-                raise FormatError(f"line {lineno}: bad node kind {toks[2]!r}")
+                raise FormatError(f"line {lineno}: bad node kind "
+                                  f"{echo(toks[2])}")
             op, width = kind
             if len(toks) != width:
                 raise FormatError(f"line {lineno}: bad node arguments")

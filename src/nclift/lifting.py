@@ -85,8 +85,17 @@ def encode_circuit(c: Circuit, m: int, *, y_name: str = "Y") -> Circuit:
                    new_id[c.output])
 
 
+# The most nodes (circuits) or word letters (polynomials) one chain of
+# encode_stages keeps, summed over its stages.
+MAX_CHAIN_SIZE = 250_000
+
+
 def encode_stages(obj, n: int, d: int):
-    """The whole chain [stage 0, ..., stage d]; stage 0 is obj itself."""
+    """The whole chain [stage 0, ..., stage d]; stage 0 is obj itself.
+
+    Raises BudgetError before building a stage that could take the
+    stages kept past MAX_CHAIN_SIZE nodes or word letters.
+    """
     if n < 1:
         raise ValueError(f"alphabet size must be positive, got {n}")
     if d < 0:
@@ -96,14 +105,25 @@ def encode_stages(obj, n: int, d: int):
     if size != variables:
         raise ValueError(f"a depth-{d} chain down to {n} letters starts "
                          f"from {variables} variables, got {size}")
+    # A stage has exactly 3x the word letters of the one before, and at
+    # most 5x the nodes: an input becomes up to three leaves and two muls.
+    if isinstance(obj, NCPolynomial):
+        encode, growth, unit = encode_poly, 3, "word letters"
+        measure = lambda f: sum(map(len, f.terms))
+    else:
+        encode, growth, unit = encode_circuit, 5, "nodes"
+        measure = lambda c: len(c.nodes)
     stages = [obj]
+    kept = last = measure(obj)
     for k in range(1, d + 1):
+        if kept + growth * last > MAX_CHAIN_SIZE:
+            raise BudgetError(f"stage {k} of a depth-{d} chain down to {n} "
+                              f"letters could take the chain past "
+                              f"{MAX_CHAIN_SIZE} {unit}")
         m = n ** (3 ** (d - k))    # stage k's alphabet; its cube is k-1's
-        y_name = f"Y{k}"
-        if isinstance(obj, NCPolynomial):
-            stages.append(encode_poly(stages[-1], m, y_name=y_name))
-        else:
-            stages.append(encode_circuit(stages[-1], m, y_name=y_name))
+        stages.append(encode(stages[-1], m, y_name=f"Y{k}"))
+        last = measure(stages[-1])
+        kept += last
     return stages
 
 
@@ -216,7 +236,8 @@ class LiftParams:
             raise ValueError(f"stage {k} outside 0..{self.d}")
         if k == self.d:
             return 1
-        return hadamard_bound(2 * self.alphabet_sizes[k + 1] + 1, 1, 1)
+        size = self.n ** (3 ** (self.d - k - 1))    # N_{k+1}
+        return hadamard_bound(2 * size + 1, 1, 1)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,8 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.\-]*\Z")
 
 def check_name(name: str) -> str:
     if not _NAME_RE.match(name):
-        raise ValueError(f"bad identifier {name!r}: single token required")
+        raise ValueError(f"bad identifier {echo(name)}: single token "
+                         f"required")
     return name
 
 
@@ -344,6 +345,20 @@ def too_long(lineno: int, toks: Sequence[str]) -> FormatError:
                        f"({max(map(len, toks))} characters)")
 
 
+# The most characters of a token or line an error message repeats.
+ECHO_CHARS = 40
+
+
+def echo(text: str, *, quote: bool = True) -> str:
+    """text as an error message shows it: its repr (or text itself when
+    quote is false), and past ECHO_CHARS characters only the first
+    ECHO_CHARS of them followed by the full length."""
+    if len(text) <= ECHO_CHARS:
+        return repr(text) if quote else text
+    head = text[:ECHO_CHARS]
+    return (f"{head!r}" if quote else head) + f"... ({len(text)} characters)"
+
+
 def read_text(text: str, keys: Sequence) -> tuple[list, Iterator]:
     """A file's header values and its body lines.
 
@@ -379,7 +394,7 @@ def read_text(text: str, keys: Sequence) -> tuple[list, Iterator]:
                 body = [line.split("#", 1)[0] for line in body]
             return values, filter(operator.itemgetter(1), zip(
                 count(2), map(str.split, body), body))
-    raise FormatError(f"bad {kind} header: {lines[0]!r}")
+    raise FormatError(f"bad {kind} header: {echo(lines[0])}")
 
 
 def read_int(tok: str, lineno: int, *, signed: bool = False) -> int:
@@ -397,14 +412,14 @@ def read_index(tok: str, prefix: str, size: int, lineno: int) -> int:
     """i from a letter token <prefix><i>, checked against the size."""
     if tok[:1] != prefix or not is_digits(tok[1:]):
         raise FormatError(f"line {lineno}: expected {prefix}<index>, "
-                          f"got {tok!r}")
+                          f"got {echo(tok)}")
     try:
         i = int(tok[1:])
     except ValueError:
         raise too_long(lineno, (tok,)) from None
     if i >= size:
-        raise FormatError(f"line {lineno}: {tok} outside alphabet of "
-                          f"size {size}")
+        raise FormatError(f"line {lineno}: {echo(tok, quote=False)} "
+                          f"outside alphabet of size {size}")
     return i
 
 
@@ -434,7 +449,7 @@ def parse_poly(text: str) -> NCPolynomial:
             c = read_int(head.strip(), lineno, signed=True)
         except ValueError as exc:
             raise FormatError(f"line {lineno}: bad coefficient "
-                              f"{head.strip()!r}") from exc
+                              f"{echo(head.strip())}") from exc
         toks = tail.split()
         word = () if toks == ["1"] else tuple(
             read_index(t, "x", size, lineno) for t in toks)

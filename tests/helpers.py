@@ -5,12 +5,13 @@ explicit path enumeration) and deliberately avoids the faster code
 paths under test.
 """
 
+import operator
 from pathlib import Path
 
 from nclift import (Alphabet, Circuit, FormatError, NCPolynomial,
                     Transition, Weight, WeightedAutomaton)
-from nclift.circuits import ADD, CONST, MUL, VAR
-from nclift.polynomials import is_digits
+from nclift.circuits import ADD, CONST, MUL, VAR, replay
+from nclift.polynomials import echo, is_digits
 from nclift.scalars import require_prime_modulus
 
 # The nine lines `nclift accept` prints at the default seed and modulus,
@@ -80,6 +81,36 @@ def matrix_value_of_poly(f, mats, dim, p):
     return acc
 
 
+def reference_eval_matrix_residues(circuit, mats, dim, p):
+    """Evaluate a circuit at dim x dim integer matrices mod p, one
+    residue at a time; return the rows.
+
+    Each value is one flat row-major list of dim*dim residues: a sum is
+    one pass over both lists, and each cell of a product is the dot
+    product of a row slice of the left factor and a column slice
+    (every dim-th residue) of the right.  The list kernel that
+    circuits.eval_matrix_residues replaced with packed ints, kept as
+    the oracle it is tested against.
+    """
+    flat = {v: [x % p for row in m for x in row] for v, m in mats.items()}
+    starts = range(0, dim * dim, dim)
+
+    def const(c):
+        out = [0] * (dim * dim)
+        out[::dim + 1] = [c % p] * dim
+        return out
+
+    def mul(a, b):
+        rows = [a[i:i + dim] for i in starts]
+        cols = [b[j::dim] for j in range(dim)]
+        return [sum(map(operator.mul, row, col)) % p
+                for row in rows for col in cols]
+
+    value = replay(circuit, flat.__getitem__, const,
+                   lambda a, b: [(x + y) % p for x, y in zip(a, b)], mul)
+    return [value[i:i + dim] for i in starts]
+
+
 def weight_poly(w, x_alphabet, modulus):
     if w.var is None:
         return NCPolynomial.constant(w.coeff, x_alphabet, modulus)
@@ -134,7 +165,8 @@ def random_automaton(rng, *, states=4, letters=2, xvars=3, modulus=97,
 # ---------------------------------------------------------------------------
 # The circuit text parser as it stood before its body became one loop over
 # pre-split lines: read_text's header and body iteration and parse_circuit,
-# kept verbatim as the oracle the current parser is tested against.  It
+# kept as the oracle the current parser is tested against.  Its messages
+# echo tokens and lines through polynomials.echo, as the parser's do.  It
 # differs in one message only: a known node kind with the wrong number of
 # arguments reads "bad node kind '<kind>'" here.
 
@@ -164,7 +196,7 @@ def reference_read_text(text, keys):
             return values, ((lineno, line) for lineno, raw
                             in enumerate(lines[1:], start=2)
                             if (line := raw.split("#", 1)[0]).strip())
-    raise FormatError(f"bad {kind} header: {lines[0]!r}")
+    raise FormatError(f"bad {kind} header: {echo(lines[0])}")
 
 
 def reference_parse_circuit(text):
@@ -209,7 +241,7 @@ def reference_parse_circuit(text):
                 nodes.append((CONST, int(args[0]) % modulus, 0))
                 continue
         else:
-            raise FormatError(f"line {lineno}: bad node kind {kind!r}")
+            raise FormatError(f"line {lineno}: bad node kind {echo(kind)}")
         raise FormatError(f"line {lineno}: bad node arguments")
     if output is None:
         raise FormatError("missing output line")

@@ -8,10 +8,11 @@ from nclift import (DEFAULT_MODULUS, Alphabet, BudgetError, Circuit,
                     eval_scalar, expand, format_circuit, parse_circuit)
 from nclift import circuits
 from nclift.circuits import (ADD, CONST, MUL, VAR, eval_matrix_residues,
-                             replay)
+                             replay, slot_width)
 from nclift.randcircuits import random_circuit
 
-from helpers import matrix_value_of_poly, random_poly
+from helpers import (matrix_value_of_poly, random_poly,
+                     reference_eval_matrix_residues)
 
 X3 = Alphabet("X", 3)
 P = DEFAULT_MODULUS
@@ -253,6 +254,87 @@ def test_eval_matrix_matches_word_by_word_oracle(rng):
         got = eval_matrix_residues(c, mats, dim, P)
         assert got == matrix_value_of_poly(expand(c), mats, dim, P)
     assert eval_matrix_residues(nine, {}, 2, P) == [[9, 0], [0, 9]]
+
+
+# At dims 1-8, 2, 3, 7, 97 and 10^9+7 take 64-bit slots, 2^31-1 moves to
+# 128-bit slots at dim 5, and 2^61-1 and 2^89-1 take 128 and 192 bits.
+KERNEL_MODULI = (2, 3, 7, 97, 1_000_000_007, 2 ** 31 - 1, 2 ** 61 - 1,
+                 2 ** 89 - 1)
+
+
+@pytest.mark.parametrize("dim, p, width", [
+    (1, 2, 64), (8, 97, 64), (18, P, 64), (19, P, 128), (447, P, 128),
+    (4, 2 ** 31 - 1, 64), (5, 2 ** 31 - 1, 128), (1, 2 ** 61 - 1, 128),
+    (1, 2 ** 89 - 1, 192),
+])
+def test_slot_width_is_the_least_multiple_of_64_that_holds_a_cell(
+        dim, p, width):
+    assert slot_width(dim, p) == width
+    assert dim * (p - 1) ** 2 < 2 ** width
+    assert width == 64 or dim * (p - 1) ** 2 >= 2 ** (width - 64)
+
+
+def _eval_both(c, mats, dim, p):
+    got = eval_matrix_residues(c, mats, dim, p)
+    assert got == reference_eval_matrix_residues(c, mats, dim, p)
+    return got
+
+
+@pytest.mark.parametrize("p", KERNEL_MODULI)
+def test_eval_matrix_matches_the_list_kernel(p, rng):
+    """Random circuits at random and all-(p-1) points, dims 1-8."""
+    for dim in range(1, 9):
+        for k in range(4):
+            c = random_circuit(X3, p, rng, max_gates=12, max_degree=6)
+            if k == 0:
+                mats = {i: [[p - 1] * dim] * dim for i in range(3)}
+            else:
+                mats = {i: [[rng.randrange(-p, 2 * p) for _ in range(dim)]
+                            for _ in range(dim)] for i in range(3)}
+            _eval_both(c, mats, dim, p)
+
+
+def test_eval_matrix_in_wide_slots_at_the_default_modulus(rng):
+    dim = 19
+    for k in range(3):
+        c = random_circuit(X3, P, rng, max_gates=12, max_degree=6)
+        mats = {i: [[P - 1 if k == 0 else rng.randrange(P)
+                     for _ in range(dim)] for _ in range(dim)]
+                for i in range(3)}
+        _eval_both(c, mats, dim, P)
+
+
+@pytest.mark.parametrize("p", KERNEL_MODULI)
+def test_eval_matrix_edge_sums_and_doublings(p, rng):
+    """Sums landing on p - 1, on p and on 2p - 2, a product whose cells
+    gather dim*(p-1)^2, and a chain of 80 doublings before a product:
+    every sum is reduced before the next."""
+    for dim in (1, 2, 5):
+        top = [[p - 1] * dim for _ in range(dim)]
+        for v in {1 % p, p // 2, p - 1}:
+            b = CircuitBuilder(X3, p)
+            x, y = b.var(0), b.var(1)
+            mats = {0: [[v] * dim for _ in range(dim)],
+                    1: [[(p - v) % p] * dim for _ in range(dim)],
+                    2: [[(p - 1 - v) % p] * dim for _ in range(dim)]}
+            zero = _eval_both(b.finish(b.add(x, y)), mats, dim, p)
+            assert zero == [[0] * dim for _ in range(dim)]
+            below = _eval_both(b.finish(b.add(x, b.var(2))), mats, dim, p)
+            assert below == [[(p - 1) % p] * dim for _ in range(dim)]
+        b = CircuitBuilder(X3, p)
+        x = b.var(0)
+        assert _eval_both(b.finish(b.add(x, x)), {0: top}, dim, p) == \
+            [[(2 * p - 2) % p] * dim for _ in range(dim)]
+        assert _eval_both(b.finish(b.mul(x, x)), {0: top}, dim, p) == \
+            [[dim * (p - 1) ** 2 % p] * dim for _ in range(dim)]
+        b = CircuitBuilder(X3, p)
+        chain = b.var(0)
+        for _ in range(80):
+            chain = b.add(chain, chain)
+        c = b.finish(b.mul(chain, b.var(1)), prune=True)
+        for first in (top, [[rng.randrange(p) for _ in range(dim)]
+                            for _ in range(dim)]):
+            _eval_both(c, {0: first, 1: top}, dim, p)
 
 
 @pytest.mark.parametrize("bad, dim, message", [

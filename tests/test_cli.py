@@ -306,6 +306,35 @@ def test_one_letter_one_shot_decoder_exit_3(tmp_path, capsys, d, message):
     assert not out.exists()
 
 
+def test_one_letter_chain_report_exit_3(capsys):
+    """At n = 1 every stage keeps one letter and the chain never meets
+    the variable budget; the kept-size budget refuses it instead."""
+    assert cli.main(["report", "--n", "1", "--d", "2000", "--t", "1",
+                     "--kind", "single-monomial"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("nclift: budget exceeded: stage 496 of a "
+                            "depth-2000 chain down to 1 letters could take "
+                            "the chain past 250000 nodes\n")
+    assert cli.main(["report", "--n", "1", "--d", "20", "--t", "1",
+                     "--kind", "single-monomial"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "8d7b21e41d60f215b331500d0b1ec559db56797db0124d3a47855d9d802ac9fc")
+
+
+def test_one_letter_poly_chain_encode_exit_3(tmp_path, capsys):
+    src = tmp_path / "x.poly"
+    src.write_text("poly over X vars 1 modulus 7\n1 : x0\n")
+    out = tmp_path / "out"
+    assert cli.main(["encode", "--n", "1", "--d", "2000", "--in", str(src),
+                     "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "nclift: budget exceeded: stage 11 of a depth-2000 chain down to 1 "
+        "letters could take the chain past 250000 word letters\n")
+    assert not out.exists()
+
+
 def test_largest_printable_chain_report_is_pinned(capsys):
     """report --n 2 --d 8 prints N_0 = 2^6561 (1976 digits), under the
     size budget, byte for byte as before the budget."""

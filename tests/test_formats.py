@@ -428,6 +428,74 @@ def test_long_numbers_are_format_errors(parse, text, old, new, where):
         parse(text.replace(old, new, 1))
 
 
+WORD = "a" * 5000
+HEAD = "a" * 40
+
+
+@pytest.mark.parametrize("parse, text, old, new, where", [
+    (parse_poly, POLY_GOLDEN, "x0 x1", f"x{WORD}",
+     f"line 4: expected x<index>, got 'x{HEAD[1:]}'... (5001 characters)"),
+    (parse_poly, POLY_GOLDEN, "3 : x2", f"{WORD} : x2",
+     f"line 3: bad coefficient '{HEAD}'... (5000 characters)"),
+    (parse_poly, POLY_GOLDEN, "poly over", f"{WORD} over",
+     f"bad poly header: '{HEAD}'... (5033 characters)"),
+    (parse_automaton, VALID_TEXTS[2], "trans 0 y0 1 scalar 1",
+     f"trans 0 y0 1 scalar {WORD}",
+     f"line 2: bad coefficient '{HEAD}'... (5000 characters)"),
+    (parse_automaton, VALID_TEXTS[2], "trans 0 y0 1 scalar 1",
+     f"trans 0 y0 1 {WORD} 1",
+     f"line 2: bad weight '{HEAD}'... (5000 characters)"),
+    (parse_automaton, VALID_TEXTS[2], "trans 0 y0 1 scalar 1",
+     f"trans 0 y{WORD} 1 scalar 1",
+     f"line 2: expected y<index>, got 'y{HEAD[1:]}'... (5001 characters)"),
+    (parse_circuit, CIRCUIT_GOLDEN, "node 0 var 2", f"node 0 {WORD} 2",
+     f"line 2: bad node kind '{HEAD}'... (5000 characters)"),
+    (parse_circuit, CIRCUIT_GOLDEN, "circuit g over",
+     f"circuit 1{WORD} over",
+     f"bad identifier '1{HEAD[1:]}'... (5001 characters): single token "
+     f"required"),
+], ids=["poly-letter", "poly-coeff", "poly-header", "automaton-coeff",
+        "automaton-weight", "automaton-letter", "circuit-kind",
+        "circuit-name"])
+def test_long_tokens_are_echoed_in_part(parse, text, old, new, where):
+    """A message repeats at most 40 characters of a token or line, then
+    its full length."""
+    assert old in text
+    with pytest.raises(FormatError, match=f"^{re.escape(where)}$") as err:
+        parse(text.replace(old, new, 1))
+    assert len(str(err.value)) < 200
+
+
+@pytest.mark.parametrize("parse, text, old, new, where", [
+    (parse_poly, POLY_GOLDEN, "x0 x1", "x0 z1",
+     "line 4: expected x<index>, got 'z1'"),
+    (parse_poly, POLY_GOLDEN, "x0 x1", "x0 x7", "line 4: x7 outside "
+     "alphabet of size 3"),
+    (parse_poly, POLY_GOLDEN, "3 : x2", "3a : x2",
+     "line 3: bad coefficient '3a'"),
+    (parse_poly, POLY_GOLDEN, "poly over X", "poly under X",
+     "bad poly header: 'poly under X vars 3 modulus 1000000007'"),
+    (parse_automaton, VALID_TEXTS[2], "trans 0 y0 1 scalar 1",
+     "trans 0 y0 1 vector 1", "line 2: bad weight 'vector'"),
+    (parse_circuit, CIRCUIT_GOLDEN, "node 0 var 2", "node 0 " + HEAD + " 2",
+     f"line 2: bad node kind '{HEAD}'"),
+], ids=["poly-letter", "poly-range", "poly-coeff", "poly-header",
+        "automaton-weight", "circuit-kind-40"])
+def test_short_tokens_are_echoed_whole(parse, text, old, new, where):
+    assert old in text
+    with pytest.raises(FormatError, match=f"^{re.escape(where)}$"):
+        parse(text.replace(old, new, 1))
+
+
+def test_cli_exits_2_on_a_long_token(tmp_path, capsys):
+    bad = tmp_path / "bad.poly"
+    bad.write_text(POLY_GOLDEN.replace("x0 x1", f"x{WORD}"))
+    assert cli.main(["encode", "--in", str(bad), "--out",
+                     str(tmp_path / "out.poly"), "--m", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("nclift: ") and len(err) < 300
+
+
 @pytest.mark.parametrize("parse, text, old, new", [
     (parse_circuit, SMALL_CIRCUIT, "vars 3", "vars \u0663"),
     (parse_circuit, SMALL_CIRCUIT, "node 0 var 2", "node \u0660 var \u0662"),

@@ -9,6 +9,7 @@ from nclift import (DEFAULT_MODULUS, Alphabet, BudgetError, LiftParams,
                     expand, format_circuit, index_to_word, iterate_decoder,
                     iterate_encoder, lift_report, one_shot_decode_circuit,
                     sample_family)
+from nclift import lifting
 from nclift.circuits import DEFAULT_MAX_TERMS
 from nclift.lifting import SAMPLE_KINDS
 from nclift.randcircuits import random_circuit
@@ -227,6 +228,29 @@ def test_chain_size_budget_is_the_printing_limit():
     with pytest.raises(BudgetError, match=r"2\^\(3\^1000000\) variables"):
         encode_stages(sample_family("single-monomial", 2, 1, seed=0).circuit,
                       2, 10 ** 6)
+
+
+def test_encode_stages_refuses_before_the_kept_size_budget(monkeypatch):
+    """Stages of x0 over one letter keep 1, 3, 9 word letters; the
+    budget refuses the stage that could take the total past it, before
+    building it.  A circuit stage is bounded by 5x the one before."""
+    x = NCPolynomial(Alphabet("X", 1), P, {(0,): 1})
+    monkeypatch.setattr(lifting, "MAX_CHAIN_SIZE", 13)
+    assert [sum(map(len, f.terms)) for f in encode_stages(x, 1, 2)] == \
+        [1, 3, 9]
+    monkeypatch.setattr(lifting, "MAX_CHAIN_SIZE", 12)
+    with pytest.raises(BudgetError, match=r"^stage 2 of a depth-2 chain "
+                       r"down to 1 letters could take the chain past 12 "
+                       r"word letters$"):
+        encode_stages(x, 1, 2)
+    c = circuit_from_poly(x)
+    assert len(c.nodes) == 1
+    monkeypatch.setattr(lifting, "MAX_CHAIN_SIZE", 6)
+    assert [len(s.nodes) for s in encode_stages(c, 1, 1)] == [1, 3]
+    with pytest.raises(BudgetError, match=r"^stage 2 of a depth-2 chain "
+                       r"down to 1 letters could take the chain past 6 "
+                       r"nodes$"):
+        encode_stages(c, 1, 2)
 
 
 def test_sample_family_single_monomial():
