@@ -1,11 +1,13 @@
 """Independent equivalence oracles for circuits.
 
 Brute mode expands both circuits to canonical polynomials and compares;
-it is exact but budget-bound.  Random mode evaluates both at random
+it is exact but budget-bound.  Random mode evaluates c1 - c2 at random
 matrix tuples whose dimension exceeds half the syntactic degree, the
 threshold below which matrix algebras can satisfy nontrivial
-identities; a disagreement is proof of distinctness, agreement on all
-trials is probabilistic evidence of equality.  Distinct verdicts always
+identities; a nonzero value is proof of distinctness, zero on all
+trials is probabilistic evidence of equality.  The difference is one
+circuit on one table of the pair's distinct nodes, so a node the two
+circuits share is evaluated once per point.  Distinct verdicts always
 carry a witness that reproduces the disagreement on its own.
 """
 
@@ -13,12 +15,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import chain
 
-from .circuits import (Circuit, DEFAULT_MAX_DEGREE, DEFAULT_MAX_TERMS,
-                       eval_matrix_residues, expand)
+from .circuits import (ADD, CONST, MUL, Circuit, DEFAULT_MAX_DEGREE,
+                       DEFAULT_MAX_TERMS, Node, eval_matrix_residues, expand)
 from .errors import BudgetError
-from .polynomials import Word, length_lex_key
+from .polynomials import Word
 
 MODE_BRUTE = "brute"
 MODE_RANDOM = "random"
@@ -71,30 +72,68 @@ def circuit_equiv_brute(c1: Circuit, c2: Circuit,
     if f1 == f2:
         return EquivVerdict(MODE_BRUTE, EQUAL)
     t1, t2 = f1.terms, f2.terms
-    differ = chain((w for w, c in t1.items() if t2.get(w) != c),
-                   (w for w in t2 if w not in t1))
-    witness = Word(f1.alphabet, min(differ, key=length_lex_key))
-    return EquivVerdict(MODE_BRUTE, DISTINCT, witness)
+    differ = [w for w, c in t1.items() if t2.get(w) != c]
+    differ += [w for w in t2 if w not in t1]
+    shortest = min(map(len, differ))
+    witness = min(w for w in differ if len(w) == shortest)
+    return EquivVerdict(MODE_BRUTE, DISTINCT, Word(f1.alphabet, witness))
 
 
 def random_matrix_point(vars_used: list[int], dim: int, modulus: int,
                         rng: random.Random) -> MatrixPoint:
-    mats = tuple(
-        (v, tuple(tuple(rng.randrange(modulus) for _ in range(dim))
-                  for _ in range(dim)))
-        for v in vars_used)
+    """One dim x dim matrix per variable, drawn variable by variable
+    and row by row: one flat run of rng.randrange(modulus) calls."""
+    draw = rng.randrange
+    cells = [draw(modulus) for _ in range(len(vars_used) * dim * dim)]
+    rows = [tuple(cells[k:k + dim]) for k in range(0, len(cells), dim)]
+    mats = tuple(zip(vars_used, (tuple(rows[k:k + dim])
+                                 for k in range(0, len(rows), dim))))
     return MatrixPoint(dim, mats)
+
+
+def difference_circuit(c1: Circuit, c2: Circuit) -> Circuit:
+    """c1 - c2 as one circuit over one table of the pair's distinct nodes.
+
+    Both circuits' nodes are hash-consed in order: a leaf is keyed by
+    itself, (op, index or residue, 0), and a gate by its op and its
+    children's merged ids, so a node the two share, or a circuit's own
+    repeated node, appears once.  Three nodes follow, for
+    o1 + (p - 1) * o2.
+    """
+    nodes: list[Node] = []
+    ids: dict[Node, int] = {}
+
+    def merge(circuit: Circuit) -> int:
+        merged: list[int] = []
+        for node in circuit.nodes:
+            op, a, b = node
+            if op == ADD or op == MUL:
+                node = (op, merged[a], merged[b])
+            nid = ids.get(node)
+            if nid is None:
+                nid = ids[node] = len(nodes)
+                nodes.append(node)
+            merged.append(nid)
+        return merged[circuit.output]
+
+    o1, o2 = merge(c1), merge(c2)
+    k = len(nodes)
+    nodes += [(CONST, c1.modulus - 1, 0), (MUL, k, o2), (ADD, o1, k + 1)]
+    return Circuit("difference", c1.alphabet, c1.modulus, tuple(nodes),
+                   k + 2)
 
 
 def circuit_equiv_random(c1: Circuit, c2: Circuit, trials: int = 10,
                          dim: int | None = None,
                          seed: int = 0) -> EquivVerdict:
-    """Identity test at random matrix points over Z_p.
+    """Identity test of c1 - c2 at random matrix points over Z_p.
 
     dim defaults to floor(max syntactic degree / 2) + 1 and may not be
     set lower: smaller algebras satisfy identities of that degree, so
     agreement there proves nothing.  Points of more than
     DEFAULT_MAX_TERMS residues raise BudgetError before any is drawn.
+    The difference is built once, as difference_circuit, and each trial
+    evaluates it once; a nonzero entry makes the point the witness.
     """
     _check_comparable(c1, c2)
     if trials < 1:
@@ -111,12 +150,11 @@ def circuit_equiv_random(c1: Circuit, c2: Circuit, trials: int = 10,
         raise BudgetError(f"dimension {dim} needs {cells} matrix entries, "
                           f"budget is {DEFAULT_MAX_TERMS}")
     modulus = c1.modulus
+    difference = difference_circuit(c1, c2)
     rng = random.Random(seed)
     for _ in range(trials):
         point = random_matrix_point(vars_used, dim, modulus, rng)
-        mats = point.as_dict()
-        a = eval_matrix_residues(c1, mats, dim, modulus)
-        b = eval_matrix_residues(c2, mats, dim, modulus)
-        if a != b:
+        rows = eval_matrix_residues(difference, point.as_dict(), dim, modulus)
+        if any(map(any, rows)):
             return EquivVerdict(MODE_RANDOM, DISTINCT, point)
     return EquivVerdict(MODE_RANDOM, EQUAL)

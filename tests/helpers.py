@@ -6,13 +6,17 @@ paths under test.
 """
 
 import operator
+import random
 from pathlib import Path
 
-from nclift import (Alphabet, Circuit, FormatError, NCPolynomial,
-                    Transition, Weight, WeightedAutomaton)
-from nclift.circuits import ADD, CONST, MUL, VAR, replay
+from nclift import (Alphabet, BudgetError, Circuit, EquivVerdict,
+                    FormatError, MatrixPoint, NCPolynomial, Transition,
+                    Weight, WeightedAutomaton)
+from nclift.circuits import (ADD, CONST, DEFAULT_MAX_TERMS, MUL, VAR,
+                             eval_matrix_residues, replay)
 from nclift.polynomials import echo, is_digits
 from nclift.scalars import require_prime_modulus
+from nclift.verify import DISTINCT, EQUAL, MODE_RANDOM, _check_comparable
 
 # The nine lines `nclift accept` prints at the default seed and modulus,
 # byte for byte; CI diffs the command's stdout against the same file.
@@ -109,6 +113,48 @@ def reference_eval_matrix_residues(circuit, mats, dim, p):
     value = replay(circuit, flat.__getitem__, const,
                    lambda a, b: [(x + y) % p for x, y in zip(a, b)], mul)
     return [value[i:i + dim] for i in starts]
+
+
+# ---------------------------------------------------------------------------
+# Random-mode identity testing as it stood before it evaluated one
+# difference circuit: each point drawn by nested comprehensions, each
+# trial evaluating both circuits and comparing the rows.  The oracle
+# that verify.random_matrix_point and verify.circuit_equiv_random are
+# tested against.
+
+def reference_random_matrix_point(vars_used, dim, modulus, rng):
+    mats = tuple(
+        (v, tuple(tuple(rng.randrange(modulus) for _ in range(dim))
+                  for _ in range(dim)))
+        for v in vars_used)
+    return MatrixPoint(dim, mats)
+
+
+def reference_circuit_equiv_random(c1, c2, trials=10, dim=None, seed=0):
+    _check_comparable(c1, c2)
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    needed = max(c1.degree_bound(), c2.degree_bound()) // 2 + 1
+    if dim is None:
+        dim = needed
+    elif dim < needed:
+        raise ValueError(f"dimension {dim} below the identity-testing "
+                         f"threshold {needed} for these degrees")
+    vars_used = sorted(c1.used_vars() | c2.used_vars())
+    cells = dim * dim * max(len(vars_used), 1)
+    if cells > DEFAULT_MAX_TERMS:
+        raise BudgetError(f"dimension {dim} needs {cells} matrix entries, "
+                          f"budget is {DEFAULT_MAX_TERMS}")
+    modulus = c1.modulus
+    rng = random.Random(seed)
+    for _ in range(trials):
+        point = reference_random_matrix_point(vars_used, dim, modulus, rng)
+        mats = point.as_dict()
+        a = eval_matrix_residues(c1, mats, dim, modulus)
+        b = eval_matrix_residues(c2, mats, dim, modulus)
+        if a != b:
+            return EquivVerdict(MODE_RANDOM, DISTINCT, point)
+    return EquivVerdict(MODE_RANDOM, EQUAL)
 
 
 def weight_poly(w, x_alphabet, modulus):

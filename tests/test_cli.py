@@ -1,15 +1,22 @@
+import contextlib
 import hashlib
+import io
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nclift import (Alphabet, CircuitBuilder, build_decoder, cli,
                     format_automaton, format_circuit, hadamard,
                     iterate_decoder, iterate_encoder, one_shot_decode_circuit,
                     parse_poly)
+from nclift.randcircuits import (perturb_mul_order, random_circuit,
+                                 swap_add_children)
 
 from helpers import ACCEPT_LINES
 
@@ -183,6 +190,69 @@ def test_equiv_refuses_no_trials(circuit_file):
     assert r.returncode == 2
     assert r.stdout == ""
     assert r.stderr == "nclift: trials must be >= 1, got 0\n"
+
+
+@pytest.fixture(scope="module")
+def equiv_files(tmp_path_factory):
+    """Small seeded circuit files: a base, an add-swapped and a
+    mul-perturbed copy, an unrelated circuit, a circuit over another
+    alphabet, one over another modulus, a malformed file and a missing
+    one."""
+    d = tmp_path_factory.mktemp("equiv")
+    rng = random.Random(1729)
+    X4 = Alphabet("X", 4)
+    base = random_circuit(X4, P, rng, max_gates=10, max_degree=6)
+    circuits = {
+        "base": base,
+        "swapped": swap_add_children(base, rng),
+        "perturbed": perturb_mul_order(base, rng),
+        "unrelated": random_circuit(X4, P, rng, max_gates=10, max_degree=6),
+        "alphabet3": random_circuit(Alphabet("X", 3), P, rng, max_gates=6),
+        "modulus7": random_circuit(X4, 7, rng, max_gates=6),
+    }
+    paths = []
+    for name, c in circuits.items():
+        assert c is not None
+        paths.append(d / f"{name}.circ")
+        paths[-1].write_text(format_circuit(c))
+    paths.append(d / "bad.circ")
+    paths[-1].write_text("circuit c over X vars 4\n")
+    paths.append(d / "missing.circ")
+    return [str(path) for path in paths]
+
+
+def _maybe(flag, values):
+    return st.one_of(st.just(()), values.map(lambda v: (flag, str(v))))
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_equiv_fuzz_exit_codes(equiv_files, data):
+    """Any flags on small files: exit 0, 1, 2 or 3, exit 1 only with a
+    distinct verdict, and never an uncaught exception (in-process, an
+    exception that would print a Traceback fails the test)."""
+    draw = data.draw
+    argv = ["equiv", "--left", draw(st.sampled_from(equiv_files)),
+            "--right", draw(st.sampled_from(equiv_files))]
+    for flag, values in (
+            ("--mode", st.sampled_from(["brute", "random", "exact"])),
+            ("--dim", st.one_of(st.integers(-1, 5),
+                                st.sampled_from([259, 448, 10 ** 9]))),
+            ("--trials", st.integers(-1, 6)),
+            ("--seed", st.integers(-2 ** 70, 2 ** 70)),
+            ("--max-degree", st.integers(-1, 8)),
+            ("--max-terms", st.integers(-1, 40))):
+        argv += draw(_maybe(flag, values))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:    # argparse refusing a flag
+            code = exc.code
+    assert code in (0, 1, 2, 3)
+    if code == 1:
+        assert out.getvalue().split("\n", 1)[0] == "distinct"
+    assert "Traceback" not in err.getvalue()
 
 
 def test_report_reruns_byte_identical():

@@ -1,12 +1,19 @@
 import random
+from itertools import chain
 
 import pytest
 
-from nclift import (Alphabet, BudgetError, CircuitBuilder, MatrixPoint, Word,
-                    circuit_equiv_brute, circuit_equiv_random, expand)
-from nclift.circuits import ADD, MUL, eval_matrix_residues
+from nclift import (Alphabet, BudgetError, CircuitBuilder, MatrixPoint,
+                    NCPolynomial, Word, circuit_equiv_brute,
+                    circuit_equiv_random, circuit_from_poly, expand)
+from nclift.circuits import ADD, CONST, MUL, eval_matrix_residues
+from nclift.polynomials import length_lex_key
 from nclift.randcircuits import (perturb_mul_order, random_circuit,
                                  swap_add_children)
+from nclift.verify import difference_circuit, random_matrix_point
+
+from helpers import (random_poly, reference_circuit_equiv_random,
+                     reference_random_matrix_point)
 
 PIT_P = 1_000_000_007
 X3 = Alphabet("X", 3)
@@ -152,3 +159,138 @@ def test_modulus_mismatch_rejected():
     c2 = b2.finish(b2.var(0))
     with pytest.raises(ValueError):
         circuit_equiv_brute(c1, c2)
+
+
+def _least_differing_word(f1, f2):
+    """The brute-mode witness as first written: one min over every
+    differing word by length-lex key."""
+    t1, t2 = f1.terms, f2.terms
+    differ = chain((w for w, c in t1.items() if t2.get(w) != c),
+                   (w for w in t2 if w not in t1))
+    return min(differ, key=length_lex_key)
+
+
+def test_brute_witness_is_the_length_lex_least_difference(rng):
+    """Mixed word lengths, the empty word, and words whose coefficients
+    cancel mod 5 so that they drop out of one side only."""
+    X2 = Alphabet("X", 2)
+    distinct = cancelled = 0
+    lengths = set()
+    for _ in range(150):
+        f = random_poly(rng, X2, 5, max_len=rng.randrange(1, 5),
+                        terms=rng.randrange(1, 9))
+        g = f + random_poly(rng, X2, 5, max_len=rng.randrange(0, 5),
+                            terms=rng.randrange(0, 4))
+        if rng.random() < 0.5:
+            # Cancel some of f's words in g, the empty word among them
+            # when f has it.
+            for w in list(f.terms):
+                if not w or rng.random() < 0.4:
+                    g = g - NCPolynomial.monomial(w, g.coeff(w), X2, 5)
+                    cancelled += 1
+        v = circuit_equiv_brute(circuit_from_poly(f), circuit_from_poly(g))
+        if f == g:
+            assert v.is_equal
+            continue
+        distinct += 1
+        assert v.result == "distinct"
+        assert v.witness.letters == _least_differing_word(f, g)
+        lengths.add(len(v.witness.letters))
+    assert distinct > 100
+    assert cancelled > 20
+    assert lengths == {0, 1, 2, 3, 4}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 99, 1729])
+def test_random_matrix_point_draws_as_the_nested_form(seed):
+    p = 1_000_000_007
+    for dim in range(1, 8):
+        for vars_used in ([], [0], [4, 1], [0, 2, 5, 7]):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            assert (random_matrix_point(vars_used, dim, p, ours)
+                    == reference_random_matrix_point(vars_used, dim, p,
+                                                     theirs))
+            assert ours.getstate() == theirs.getstate()
+
+
+def _pairs(rng, alphabet):
+    """Swapped-add pairs, perturbed-mul pairs, unrelated pairs, and a
+    circuit against itself, in turn; then x1 x0 against 1 x0, whose
+    leaves x1 and 1 differ only in their op."""
+    for i in range(24):
+        base = random_circuit(alphabet, PIT_P, rng, max_gates=14,
+                              max_degree=6)
+        kind = i % 4
+        if kind == 0:
+            other = swap_add_children(base, rng)
+        elif kind == 1:
+            other = perturb_mul_order(base, rng)
+        elif kind == 2:
+            other = random_circuit(alphabet, PIT_P, rng, max_gates=14,
+                                   max_degree=6)
+        else:
+            other = base
+        if other is not None:
+            yield base, other
+    b1 = CircuitBuilder(alphabet, PIT_P)
+    b2 = CircuitBuilder(alphabet, PIT_P)
+    yield (b1.finish(b1.mul(b1.var(1), b1.var(0))),
+           b2.finish(b2.mul(b2.const(1), b2.var(0))))
+
+
+# Dim 19 is the least that takes 128-bit slots at PIT_P
+# (test_slot_width_is_the_least_multiple_of_64_that_holds_a_cell).
+@pytest.mark.parametrize("dim", [None, 4, 5, 19])
+def test_difference_circuit_verdicts_match_two_evaluations(rng, dim):
+    X5 = Alphabet("X", 5)
+    verdicts = set()
+    for k, (c1, c2) in enumerate(_pairs(rng, X5)):
+        for seed in (k, 1729 + k):
+            got = circuit_equiv_random(c1, c2, trials=3, dim=dim, seed=seed)
+            assert got == reference_circuit_equiv_random(c1, c2, trials=3,
+                                                         dim=dim, seed=seed)
+            verdicts.add(got.result)
+            if got.result == "distinct":
+                w = got.witness
+                mats = w.as_dict()
+                assert (eval_matrix_residues(c1, mats, w.dim, PIT_P)
+                        != eval_matrix_residues(c2, mats, w.dim, PIT_P))
+    assert verdicts == {"equal", "distinct"}
+
+
+def test_difference_circuit_evaluates_to_c1_minus_c2(rng):
+    X5 = Alphabet("X", 5)
+    for c1, c2 in _pairs(rng, X5):
+        d = difference_circuit(c1, c2)
+        assert len(d.nodes) <= len(c1.nodes) + len(c2.nodes) + 3
+        dim = 3
+        mats = {v: [[rng.randrange(PIT_P) for _ in range(dim)]
+                    for _ in range(dim)] for v in range(5)}
+        a = eval_matrix_residues(c1, mats, dim, PIT_P)
+        b = eval_matrix_residues(c2, mats, dim, PIT_P)
+        want = [[(x - y) % PIT_P for x, y in zip(ra, rb)]
+                for ra, rb in zip(a, b)]
+        assert eval_matrix_residues(d, mats, dim, PIT_P) == want
+
+
+def test_difference_circuit_shares_the_nodes_of_the_pair(rng):
+    X5 = Alphabet("X", 5)
+    against_itself = 0
+    for _ in range(30):
+        c = random_circuit(X5, PIT_P, rng, max_gates=14, max_degree=6)
+        if len(set(c.nodes)) != len(c.nodes):
+            continue
+        n = len(c.nodes)
+        d = difference_circuit(c, c)
+        # No node of c repeats, so the table is c's own nodes followed
+        # by the three difference nodes.
+        assert d.nodes == c.nodes + ((CONST, PIT_P - 1, 0),
+                                     (MUL, n, c.output),
+                                     (ADD, c.output, n + 1))
+        assert d.output == n + 2
+        against_itself += 1
+        other = swap_add_children(c, rng)
+        if other is not None:
+            # Only the swapped gate and the gates above it are new.
+            assert len(difference_circuit(c, other).nodes) < 2 * n + 3
+    assert against_itself > 20
