@@ -9,6 +9,11 @@ format's keyword for it.  Multiplication children are ordered;
 nothing ever commutes them.  Gate counts (add/mul) are reported
 separately from leaf counts (input/const) so size bounds can be
 asserted against gates alone.
+
+Expansion keys each word by one int, its code (decode_word): a
+product concatenates two words with one shift and one add, and the
+codes of one alphabet sort in length-lex order.  expand decodes the
+codes into letter tuples once, at the end.
 """
 
 from __future__ import annotations
@@ -21,8 +26,8 @@ from itertools import compress
 from typing import Callable, Mapping, Sequence
 
 from .errors import BudgetError, FormatError
-from .polynomials import (Alphabet, NCPolynomial, add_maps, check_name,
-                          echo, is_digits, length_lex_key, mul_maps,
+from .polynomials import (Alphabet, Letters, NCPolynomial, add_maps,
+                          check_name, echo, is_digits, length_lex_key,
                           read_text, too_long)
 from .scalars import assigned_residue, require_prime_modulus
 
@@ -354,20 +359,48 @@ def eval_matrix_residues(circuit: Circuit,
     return [list(value[i:i + dim]) for i in starts]
 
 
-def expand(circuit: Circuit, max_degree: int = DEFAULT_MAX_DEGREE,
-           max_terms: int = DEFAULT_MAX_TERMS) -> NCPolynomial:
-    """The exact polynomial a circuit computes.
+def letter_bits(size: int) -> int:
+    """Bits per letter in the word codes of an alphabet of size letters."""
+    return max(1, (size - 1).bit_length())
 
+
+def decode_word(code: int, bits: int) -> Letters:
+    """The letters of a word code with bits bits per letter.
+
+    A word w is coded as 1 << (bits * |w|) plus its letters packed
+    first letter highest, so the empty word is 1.  Concatenation is
+    ((u - 1) << (bits * |v|)) + v, a word's length is
+    (code.bit_length() - 1) // bits, and numeric order on the codes of
+    one alphabet is length-lex order on the words.
+    """
+    mask = (1 << bits) - 1
+    top = code.bit_length() - 1 - bits
+    return tuple([code >> s & mask for s in range(top, -1, -bits)])
+
+
+def expand_codes(circuit: Circuit, max_degree: int = DEFAULT_MAX_DEGREE,
+                 max_terms: int = DEFAULT_MAX_TERMS) -> dict[int, int]:
+    """The exact polynomial a circuit computes, keyed by word code.
+
+    Codes are decode_word's, at letter_bits of the circuit's alphabet.
     Hard budgets, not truncation: any intermediate polynomial whose
     degree exceeds max_degree or support exceeds max_terms aborts with
     BudgetError naming the node.  The circuit checked its nodes when it
     was built, so none is checked again here.
+
+    A product groups the right factor's words by length.  Two products
+    u*v and u'*v' with |v| = |v'| land on the same word only when u = u'
+    and v = v', so with p prime each group's products are distinct
+    words with nonzero coefficients, one comprehension with no running
+    sum; only merging the groups (add_maps) sums and drops the words
+    whose coefficients cancel.
     """
     p = circuit.modulus
+    bits = letter_bits(circuit.alphabet.size)
 
     def checked(t: dict) -> dict:
         if t:
-            deg = max(map(len, t))
+            deg = (max(t).bit_length() - 1) // bits
             if deg > max_degree:
                 raise BudgetError(f"degree {deg} exceeds budget "
                                   f"{max_degree}")
@@ -377,17 +410,48 @@ def expand(circuit: Circuit, max_degree: int = DEFAULT_MAX_DEGREE,
 
     def const(c: int) -> dict:
         c %= p
-        return checked({(): c} if c else {})
+        return checked({1: c} if c else {})
 
     def mul(a: dict, b: dict) -> dict:
         if len(a) * len(b) > _MAX_PRODUCT_PAIRS:
             raise BudgetError(f"product of {len(a)} x {len(b)} terms "
                               f"exceeds the convolution budget")
-        return checked(mul_maps(a, b, p))
+        groups: dict[int, list] = {}
+        for v, cv in b.items():
+            groups.setdefault(v.bit_length() - 1, []).append((v, cv))
+        out: dict = {}
+        for shift, group in groups.items():
+            heads = [((u - 1) << shift, cu) for u, cu in a.items()]
+            part = {h + v: cu * cv % p for h, cu in heads for v, cv in group}
+            out = add_maps(out, part, p) if out else part
+        return checked(out)
 
-    terms = replay(circuit, lambda v: checked({(v,): 1}), const,
-                   lambda a, b: checked(add_maps(a, b, p)), mul)
-    return NCPolynomial(circuit.alphabet, p, terms, _trusted=True)
+    one = 1 << bits
+    return replay(circuit, lambda v: checked({one + v: 1}), const,
+                  lambda a, b: checked(add_maps(a, b, p)), mul)
+
+
+def expand(circuit: Circuit, max_degree: int = DEFAULT_MAX_DEGREE,
+           max_terms: int = DEFAULT_MAX_TERMS) -> NCPolynomial:
+    """The exact polynomial a circuit computes: expand_codes, under the
+    same budgets, with each word decoded to its letters.  A word is its
+    prefix's letters, decoded once per distinct prefix, and its last
+    letter."""
+    bits = letter_bits(circuit.alphabet.size)
+    mask = (1 << bits) - 1
+    prefixes: dict[int, Letters] = {}
+    terms: dict[Letters, int] = {}
+    for code, c in expand_codes(circuit, max_degree, max_terms).items():
+        if code == 1:
+            terms[()] = c
+            continue
+        head = code >> bits
+        prefix = prefixes.get(head)
+        if prefix is None:
+            prefix = prefixes[head] = decode_word(head, bits)
+        terms[prefix + (code & mask,)] = c
+    return NCPolynomial(circuit.alphabet, circuit.modulus, terms,
+                        _trusted=True)
 
 
 def circuit_from_poly(f: NCPolynomial, name: str = "c") -> Circuit:

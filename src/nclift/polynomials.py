@@ -83,8 +83,10 @@ class Word:
 
 
 # ---------------------------------------------------------------------------
-# Raw term-map kernels.  Keys are letter tuples, values nonzero residues.
-# Shared by polynomial operators, circuit expansion, and automaton runs.
+# Raw term-map kernels.  Keys are letter tuples, values nonzero residues;
+# add_maps takes any keys, and circuit expansion merges word codes with
+# it.  Shared by polynomial operators, circuit expansion, and automaton
+# runs.
 
 def add_maps(a: dict, b: dict, p: int) -> dict:
     out = dict(a)

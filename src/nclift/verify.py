@@ -1,14 +1,15 @@
 """Independent equivalence oracles for circuits.
 
-Brute mode expands both circuits to canonical polynomials and compares;
-it is exact but budget-bound.  Random mode evaluates c1 - c2 at random
-matrix tuples whose dimension exceeds half the syntactic degree, the
-threshold below which matrix algebras can satisfy nontrivial
-identities; a nonzero value is proof of distinctness, zero on all
-trials is probabilistic evidence of equality.  The difference is one
-circuit on one table of the pair's distinct nodes, so a node the two
-circuits share is evaluated once per point.  Distinct verdicts always
-carry a witness that reproduces the disagreement on its own.
+Brute mode expands both circuits, each word keyed by its code, and
+compares the two maps; it is exact but budget-bound.  Random mode
+evaluates c1 - c2 at random matrix tuples whose dimension exceeds half
+the syntactic degree, the threshold below which matrix algebras can
+satisfy nontrivial identities; a nonzero value is proof of
+distinctness, zero on all trials is probabilistic evidence of
+equality.  The difference is one circuit on one table of the pair's
+distinct nodes, so a node the two circuits share is evaluated once per
+point.  Distinct verdicts always carry a witness that reproduces the
+disagreement on its own.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import random
 from dataclasses import dataclass
 
 from .circuits import (ADD, CONST, MUL, Circuit, DEFAULT_MAX_DEGREE,
-                       DEFAULT_MAX_TERMS, Node, eval_matrix_residues, expand)
+                       DEFAULT_MAX_TERMS, Node, decode_word,
+                       eval_matrix_residues, expand_codes, letter_bits)
 from .errors import BudgetError
 from .polynomials import Word
 
@@ -62,21 +64,25 @@ def _check_comparable(c1: Circuit, c2: Circuit) -> None:
 def circuit_equiv_brute(c1: Circuit, c2: Circuit,
                         max_degree: int = DEFAULT_MAX_DEGREE,
                         max_terms: int = DEFAULT_MAX_TERMS) -> EquivVerdict:
-    """Expand and compare; witness is the first differing word."""
+    """Expand both circuits and compare them word by word.
+
+    The expansions are compared as expand_codes' maps, keyed by word
+    code; the witness is the length-lex least word whose coefficients
+    differ, the least differing code, and only it is decoded.
+    """
     _check_comparable(c1, c2)
     try:
-        f1 = expand(c1, max_degree, max_terms)
-        f2 = expand(c2, max_degree, max_terms)
+        t1 = expand_codes(c1, max_degree, max_terms)
+        t2 = expand_codes(c2, max_degree, max_terms)
     except BudgetError:
         return EquivVerdict(MODE_BRUTE, INCONCLUSIVE)
-    if f1 == f2:
+    if t1 == t2:
         return EquivVerdict(MODE_BRUTE, EQUAL)
-    t1, t2 = f1.terms, f2.terms
     differ = [w for w, c in t1.items() if t2.get(w) != c]
     differ += [w for w in t2 if w not in t1]
-    shortest = min(map(len, differ))
-    witness = min(w for w in differ if len(w) == shortest)
-    return EquivVerdict(MODE_BRUTE, DISTINCT, Word(f1.alphabet, witness))
+    bits = letter_bits(c1.alphabet.size)
+    return EquivVerdict(MODE_BRUTE, DISTINCT,
+                        Word(c1.alphabet, decode_word(min(differ), bits)))
 
 
 def random_matrix_point(vars_used: list[int], dim: int, modulus: int,

@@ -9,14 +9,16 @@ import operator
 import random
 from pathlib import Path
 
-from nclift import (Alphabet, BudgetError, Circuit, EquivVerdict,
-                    FormatError, MatrixPoint, NCPolynomial, Transition,
-                    Weight, WeightedAutomaton)
-from nclift.circuits import (ADD, CONST, DEFAULT_MAX_TERMS, MUL, VAR,
+from nclift import (Alphabet, BudgetError, Circuit, CircuitBuilder,
+                    EquivVerdict, FormatError, MatrixPoint, NCPolynomial,
+                    Transition, Weight, WeightedAutomaton)
+from nclift.circuits import (_MAX_PRODUCT_PAIRS, ADD, CONST,
+                             DEFAULT_MAX_DEGREE, DEFAULT_MAX_TERMS, MUL, VAR,
                              eval_matrix_residues, replay)
-from nclift.polynomials import echo, is_digits
+from nclift.polynomials import Word, add_maps, echo, is_digits, mul_maps
 from nclift.scalars import require_prime_modulus
-from nclift.verify import DISTINCT, EQUAL, MODE_RANDOM, _check_comparable
+from nclift.verify import (DISTINCT, EQUAL, INCONCLUSIVE, MODE_BRUTE,
+                           MODE_RANDOM, _check_comparable)
 
 # The nine lines `nclift accept` prints at the default seed and modulus,
 # byte for byte; CI diffs the command's stdout against the same file.
@@ -113,6 +115,82 @@ def reference_eval_matrix_residues(circuit, mats, dim, p):
     value = replay(circuit, flat.__getitem__, const,
                    lambda a, b: [(x + y) % p for x, y in zip(a, b)], mul)
     return [value[i:i + dim] for i in starts]
+
+
+def word_code(letters, bits):
+    """A word's code, one letter at a time: 1, then each letter shifted
+    in below the ones before it.  The definition circuits.decode_word
+    inverts, written apart from it."""
+    code = 1
+    for letter in letters:
+        code = code << bits | letter
+    return code
+
+
+def fourth_power_of_sum(k, p):
+    """(x0 + ... + x_{k-1})^4 over k letters, as a square squared: 2k - 1
+    nodes for the sum, then the square (node 2k - 1) and the fourth
+    power (node 2k), whose product pairs k^2 by k^2 terms."""
+    b = CircuitBuilder(Alphabet("X", k), p)
+    total = b.var(0)
+    for i in range(1, k):
+        total = b.add(total, b.var(i))
+    square = b.mul(total, total)
+    return b.finish(b.mul(square, square))
+
+
+# ---------------------------------------------------------------------------
+# Expansion and brute-mode identity testing as they stood before expansion
+# keyed words by code: every term a letter tuple, every product through
+# polynomials.mul_maps, and the witness found as the least of the
+# shortest differing words.  The oracles that circuits.expand,
+# circuits.expand_codes and verify.circuit_equiv_brute are tested against.
+
+def reference_expand(circuit, max_degree=DEFAULT_MAX_DEGREE,
+                     max_terms=DEFAULT_MAX_TERMS):
+    p = circuit.modulus
+
+    def checked(t: dict) -> dict:
+        if t:
+            deg = max(map(len, t))
+            if deg > max_degree:
+                raise BudgetError(f"degree {deg} exceeds budget "
+                                  f"{max_degree}")
+        if len(t) > max_terms:
+            raise BudgetError(f"{len(t)} terms exceed budget {max_terms}")
+        return t
+
+    def const(c: int) -> dict:
+        c %= p
+        return checked({(): c} if c else {})
+
+    def mul(a: dict, b: dict) -> dict:
+        if len(a) * len(b) > _MAX_PRODUCT_PAIRS:
+            raise BudgetError(f"product of {len(a)} x {len(b)} terms "
+                              f"exceeds the convolution budget")
+        return checked(mul_maps(a, b, p))
+
+    terms = replay(circuit, lambda v: checked({(v,): 1}), const,
+                   lambda a, b: checked(add_maps(a, b, p)), mul)
+    return NCPolynomial(circuit.alphabet, p, terms, _trusted=True)
+
+
+def reference_circuit_equiv_brute(c1, c2, max_degree=DEFAULT_MAX_DEGREE,
+                                  max_terms=DEFAULT_MAX_TERMS):
+    _check_comparable(c1, c2)
+    try:
+        f1 = reference_expand(c1, max_degree, max_terms)
+        f2 = reference_expand(c2, max_degree, max_terms)
+    except BudgetError:
+        return EquivVerdict(MODE_BRUTE, INCONCLUSIVE)
+    if f1 == f2:
+        return EquivVerdict(MODE_BRUTE, EQUAL)
+    t1, t2 = f1.terms, f2.terms
+    differ = [w for w, c in t1.items() if t2.get(w) != c]
+    differ += [w for w in t2 if w not in t1]
+    shortest = min(map(len, differ))
+    witness = min(w for w in differ if len(w) == shortest)
+    return EquivVerdict(MODE_BRUTE, DISTINCT, Word(f1.alphabet, witness))
 
 
 # ---------------------------------------------------------------------------

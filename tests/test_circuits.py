@@ -7,12 +7,15 @@ from nclift import (DEFAULT_MODULUS, Alphabet, BudgetError, Circuit,
                     CircuitBuilder, NCPolynomial, circuit_from_poly,
                     eval_scalar, expand, format_circuit, parse_circuit)
 from nclift import circuits
-from nclift.circuits import (ADD, CONST, MUL, VAR, eval_matrix_residues,
+from nclift.circuits import (ADD, CONST, MUL, VAR, decode_word,
+                             eval_matrix_residues, expand_codes, letter_bits,
                              replay, slot_width)
+from nclift.polynomials import length_lex_key
 from nclift.randcircuits import random_circuit
 
-from helpers import (matrix_value_of_poly, random_poly,
-                     reference_eval_matrix_residues)
+from helpers import (fourth_power_of_sum, matrix_value_of_poly, random_poly,
+                     reference_eval_matrix_residues, reference_expand,
+                     word_code)
 
 X3 = Alphabet("X", 3)
 P = DEFAULT_MODULUS
@@ -367,6 +370,133 @@ def test_expand_budgets():
     c2 = b2.finish(b2.add(b2.var(0), b2.var(1)))
     with pytest.raises(BudgetError, match=r"^node 2: 2 terms exceed "):
         expand(c2, max_terms=1)
+
+
+# One alphabet's letters run past 2^64, so even its one-letter codes do.
+CODE_ALPHABET_SIZES = (1, 2, 3, 8, 512, 2 ** 70 + 3)
+
+
+def coded(f: NCPolynomial) -> dict:
+    """A polynomial's terms keyed by word code."""
+    bits = letter_bits(f.alphabet.size)
+    return {word_code(w, bits): c for w, c in f.terms.items()}
+
+
+@pytest.mark.parametrize("p", [5, P])
+@pytest.mark.parametrize("size", CODE_ALPHABET_SIZES)
+def test_expand_matches_the_tuple_kernel(size, p):
+    rng = random.Random(f"expand:{size}:{p}")
+    X = Alphabet("X", size)
+    degrees = set()
+    for _ in range(30):
+        c = random_circuit(X, p, rng, max_gates=12, max_degree=6)
+        want = reference_expand(c)
+        assert expand(c) == want
+        assert expand_codes(c) == coded(want)
+        degrees.add(want.degree)
+    assert max(degrees) >= 4
+
+
+def _poly_circuit(alphabet, p, *factors):
+    """The product of the given sums of (word, coefficient) terms, each
+    term a chain of gates."""
+    b = CircuitBuilder(alphabet, p)
+    out = None
+    for terms in factors:
+        total = None
+        for word, c in terms:
+            node = b.const(c)
+            for letter in word:
+                node = b.mul(node, b.var(letter))
+            total = node if total is None else b.add(total, node)
+        out = total if out is None else b.mul(out, total)
+    return b.finish(out)
+
+
+@pytest.mark.parametrize("factors, want", [
+    # Constants only.
+    ([[((), 3)], [((), 4)], [((), 2)]], {(): 4}),
+    ([[((), 3)], [((), 0)]], {}),
+    # x0 + 4 x0 is zero mod 5, and so is every product with it.
+    ([[((0,), 1), ((0, 0), 2)], [((0,), 1), ((0,), 4)]], {}),
+    # x0 * x0 x0 (right group of length 2) and 2 x0 x0 * 2 x0 (length 1)
+    # land on x0^3 with 1 + 4 = 0 mod 5: merging the groups cancels.
+    ([[((0,), 1), ((0, 0), 2)], [((0, 0), 1), ((0,), 2)]],
+     {(0, 0): 2, (0, 0, 0, 0): 2}),
+    ([[((0,), 1), ((1,), 1)], [((0,), 1), ((1,), 4)]],
+     {(0, 0): 1, (0, 1): 4, (1, 0): 1, (1, 1): 4}),
+    ([[((0, 1), 1), ((1,), 3)], [((1,), 1), ((), 1)], [((0,), 2)]],
+     {(0, 1, 1, 0): 2, (1, 1, 0): 1, (0, 1, 0): 2, (1, 0): 1}),
+])
+def test_expand_constants_zero_and_cancellation_mod_5(factors, want):
+    for size in (2, 512, 2 ** 70 + 3):
+        X = Alphabet("X", size)
+        c = _poly_circuit(X, 5, *factors)
+        f = NCPolynomial(X, 5, want)
+        assert expand(c) == reference_expand(c) == f
+        assert expand_codes(c) == coded(f)
+
+
+@pytest.mark.parametrize("size", CODE_ALPHABET_SIZES)
+def test_expand_degree_exactly_at_the_budget(size):
+    rng = random.Random(f"degree:{size}")
+    b = CircuitBuilder(Alphabet("X", size), P)
+    node = b.var(rng.randrange(size))
+    for _ in range(7):
+        node = b.mul(node, b.add(b.var(rng.randrange(size)), b.const(1)))
+    c = b.finish(node)
+    assert reference_expand(c, max_degree=8).degree == 8
+    assert expand(c, max_degree=8) == reference_expand(c, max_degree=8)
+    with pytest.raises(BudgetError) as got:
+        expand_codes(c, max_degree=7)
+    with pytest.raises(BudgetError) as want:
+        reference_expand(c, max_degree=7)
+    assert str(got.value) == str(want.value) == (
+        f"node {len(c.nodes) - 1}: degree 8 exceeds budget 7")
+
+
+@pytest.mark.parametrize("circuit, budgets, message", [
+    (fourth_power_of_sum(3, P), {"max_degree": 3},
+     "node 6: degree 4 exceeds budget 3"),
+    (fourth_power_of_sum(3, P), {"max_terms": 80},
+     "node 6: 81 terms exceed budget 80"),
+    (fourth_power_of_sum(3, P), {"max_terms": 2},
+     "node 4: 3 terms exceed budget 2"),
+    (fourth_power_of_sum(48, P), {},
+     "node 96: product of 2304 x 2304 terms exceeds the convolution "
+     "budget"),
+], ids=["degree", "terms", "terms-early", "convolution"])
+def test_expand_budget_messages_unchanged(circuit, budgets, message):
+    for kernel in (expand, expand_codes, reference_expand):
+        with pytest.raises(BudgetError) as exc:
+            kernel(circuit, **budgets)
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("size", CODE_ALPHABET_SIZES)
+def test_codes_sort_in_length_lex_order_and_decode(size):
+    rng = random.Random(f"codes:{size}")
+    bits = letter_bits(size)
+    words = {tuple(rng.randrange(size) for _ in range(rng.randrange(7)))
+             for _ in range(400)}
+    words |= {(), (0,), (size - 1,), (0,) * 6, (size - 1,) * 6}
+    codes = sorted(word_code(w, bits) for w in words)
+    assert [decode_word(code, bits) for code in codes] == sorted(
+        words, key=length_lex_key)
+    for w in words:
+        code = word_code(w, bits)
+        assert (code.bit_length() - 1) // bits == len(w)
+        assert decode_word(code, bits) == w
+
+
+def test_letter_bits_and_long_words_decode_by_a_loop():
+    assert [letter_bits(n) for n in (1, 2, 3, 4, 5, 512, 513, 2 ** 70 + 3)] \
+        == [1, 1, 2, 2, 3, 9, 10, 71]
+    # Far past the recursion limit, one letter per level.
+    for size in (1, 3):
+        word = tuple(i % size for i in range(5000))
+        assert decode_word(word_code(word, letter_bits(size)),
+                           letter_bits(size)) == word
 
 
 def test_replay_order_and_children_in_a_free_algebra():

@@ -8,11 +8,11 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from nclift import (Alphabet, CircuitBuilder, build_decoder, cli,
-                    format_automaton, format_circuit, hadamard,
+                    format_automaton, format_circuit, hadamard, is_prime,
                     iterate_decoder, iterate_encoder, one_shot_decode_circuit,
                     parse_poly)
 from nclift.randcircuits import (perturb_mul_order, random_circuit,
@@ -225,6 +225,18 @@ def _maybe(flag, values):
     return st.one_of(st.just(()), values.map(lambda v: (flag, str(v))))
 
 
+def _main_in_process(argv):
+    """cli.main's exit code, stdout and stderr.  In-process, so an
+    exception that would print a Traceback fails the calling test."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:    # argparse refusing a flag
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
 @settings(max_examples=200)
 @given(st.data())
 def test_equiv_fuzz_exit_codes(equiv_files, data):
@@ -243,16 +255,144 @@ def test_equiv_fuzz_exit_codes(equiv_files, data):
             ("--max-degree", st.integers(-1, 8)),
             ("--max-terms", st.integers(-1, 40))):
         argv += draw(_maybe(flag, values))
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:    # argparse refusing a flag
-            code = exc.code
+    code, out, err = _main_in_process(argv)
     assert code in (0, 1, 2, 3)
     if code == 1:
-        assert out.getvalue().split("\n", 1)[0] == "distinct"
-    assert "Traceback" not in err.getvalue()
+        assert out.split("\n", 1)[0] == "distinct"
+    assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def command_files(tmp_path_factory):
+    """Small seeded inputs for every command, by name: random circuits
+    over 1, 2, 3 and 8 letters and one modulo 7, a circuit with a
+    5,000-digit constant, two polys, two decoders, a malformed file and
+    a missing one; and OUT, the path commands write to."""
+    d = tmp_path_factory.mktemp("commands")
+    rng = random.Random(2718)
+    texts = {f"x{n}.circ": format_circuit(random_circuit(
+        Alphabet("X", n), P, rng, max_gates=8, max_degree=4))
+        for n in (1, 2, 3, 8)}
+    texts["mod7.circ"] = format_circuit(random_circuit(
+        Alphabet("X", 2), 7, rng, max_gates=6))
+    texts["digits.circ"] = ("circuit c over X vars 2 modulus 7\n"
+                            f"node 0 const {'9' * 5000}\noutput 0\n")
+    texts["x8.poly"] = ("poly over X vars 8 modulus 1000000007\n"
+                        "3 : x7\n1 : x0 x1\n")
+    texts["x1.poly"] = "poly over X vars 1 modulus 7\n2 : x0 x0\n1 : 1\n"
+    texts["m2.aut"] = format_automaton(build_decoder(2))
+    texts["m1.aut"] = format_automaton(build_decoder(1, modulus=7))
+    texts["bad.txt"] = "garbage\n"
+    for name, text in texts.items():
+        (d / name).write_text(text)
+    return {name: str(d / name) for name in [*texts, "missing", "OUT"]}
+
+
+# The last re-anchor's probes, and the 5,000-digit constant through
+# every command that reads a circuit.
+@pytest.mark.parametrize("argv, code", [
+    (["report", "--n", "2", "--d", "3", "--t", "2",
+      "--kind", "sum-of-squares"], 3),
+    (["report", "--n", "2", "--d", "9", "--t", "1",
+      "--kind", "single-monomial"], 3),
+    (["report", "--n", "1", "--d", "2000", "--t", "1",
+      "--kind", "single-monomial"], 3),
+    (["build-decoder", "--one-shot", "--n", "1", "--d", "1000000000",
+      "--out", "OUT"], 3),
+    (["expand", "--in", "digits.circ"], 2),
+    (["encode", "--m", "2", "--in", "digits.circ", "--out", "OUT"], 2),
+    (["decode", "--m", "2", "--in", "digits.circ", "--out", "OUT"], 2),
+    (["hadamard", "--circuit", "digits.circ", "--automaton", "m2.aut",
+      "--out", "OUT"], 2),
+    (["equiv", "--left", "x2.circ", "--right", "digits.circ"], 2),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_cli_probes_exit_codes(command_files, argv, code):
+    got, out, err = _main_in_process([command_files.get(a, a)
+                                      for a in argv])
+    assert got == code
+    assert out == ""
+    assert err.startswith("nclift: ")
+    assert "Traceback" not in err
+
+
+# Half of the draws valid sizes, the rest anything from -1 up.
+_SMALL = st.one_of(st.integers(1, 3), st.integers(-1, 3))
+_CHAIN = st.one_of(st.integers(1, 3), st.integers(-1, 3),
+                   st.sampled_from([130, 10 ** 9]))
+_MODULI = st.sampled_from([-7, 0, 1, 2, 3, 4, 10, 1_000_000_007])
+_ONE_SHOT = st.sampled_from([(), ("--one-shot",)])
+# --m alone, --n with --d, or any of the three.
+_CHAIN_FLAGS = st.one_of(
+    st.tuples(_maybe("--m", _CHAIN)),
+    st.tuples(_maybe("--n", _CHAIN), _maybe("--d", _CHAIN)),
+    st.tuples(_maybe("--m", _CHAIN), _maybe("--n", _CHAIN),
+              _maybe("--d", _CHAIN))).map(lambda flags: sum(flags, ()))
+
+# Each command's arguments: IN:<suffixes> is a file drawn half the time
+# from those kinds and half the time from every file, and each other
+# entry a strategy for one or more flags.
+_GRAMMAR = {
+    "encode": ["--in", "IN:.poly .circ", "--out", "OUT", _CHAIN_FLAGS],
+    "decode": ["--in", "IN:.circ", "--out", "OUT", _CHAIN_FLAGS, _ONE_SHOT],
+    "build-decoder": ["--out", "OUT", _CHAIN_FLAGS, _ONE_SHOT,
+                      _maybe("--modulus", _MODULI)],
+    "hadamard": ["--circuit", "IN:.circ", "--automaton", "IN:.aut",
+                 "--out", "OUT"],
+    "expand": ["--in", "IN:.circ", _maybe("--out", st.just("OUT")),
+               _maybe("--max-degree", st.integers(-1, 8)),
+               _maybe("--max-terms", st.integers(-1, 40))],
+    "report": [_SMALL.map(lambda n: ("--n", str(n))),
+               _SMALL.map(lambda d: ("--d", str(d))),
+               _SMALL.map(lambda t: ("--t", str(t))),
+               _maybe("--kind", st.sampled_from(
+                   ["sum-of-squares", "random-sparse", "single-monomial",
+                    "exact"])),
+               _maybe("--terms", st.sampled_from([-1, 0, 1, 5])),
+               _maybe("--seed", st.integers(-2 ** 70, 2 ** 70)),
+               _maybe("--modulus", _MODULI)],
+}
+
+
+@settings(max_examples=500)
+@given(st.data())
+def test_command_fuzz_exit_codes(command_files, data):
+    """Any flags of encode, decode, build-decoder, hadamard, expand and
+    report on small files: exit 0, 2 or 3 (exit 1 is only equiv's and
+    accept's), and never an uncaught exception."""
+    draw = data.draw
+    names = sorted(set(command_files) - {"OUT"})
+    command = draw(st.sampled_from(sorted(_GRAMMAR)))
+    argv = [command]
+    for arg in _GRAMMAR[command]:
+        if not isinstance(arg, str):
+            argv += draw(arg)
+        elif arg.startswith("IN:"):
+            kinds = [n for n in names if n.endswith(tuple(arg[3:].split()))]
+            argv.append(draw(st.one_of(st.sampled_from(kinds),
+                                       st.sampled_from(names))))
+        else:
+            argv.append(arg)
+    code, _, err = _main_in_process([command_files.get(a, a) for a in argv])
+    event(f"{command} exit {code}")
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
+
+
+@settings(max_examples=8)
+@given(seed=st.one_of(st.none(), st.integers(-2 ** 70, 2 ** 70)),
+       modulus=st.one_of(st.none(), _MODULI))
+def test_accept_fuzz_exit_codes(seed, modulus):
+    """accept under any seed and modulus: exit 1, for check 5 fails on
+    purpose, or 2 for a modulus that is not prime.  A run takes about
+    half a second, so this gets a handful of examples."""
+    argv = ["accept"]
+    if seed is not None:
+        argv += ["--seed", str(seed)]
+    if modulus is not None:
+        argv += ["--modulus", str(modulus)]
+    code, _, err = _main_in_process(argv)
+    assert code == (1 if modulus is None or is_prime(modulus) else 2)
+    assert "Traceback" not in err
 
 
 def test_report_reruns_byte_identical():

@@ -6,13 +6,16 @@ import pytest
 from nclift import (Alphabet, BudgetError, CircuitBuilder, MatrixPoint,
                     NCPolynomial, Word, circuit_equiv_brute,
                     circuit_equiv_random, circuit_from_poly, expand)
-from nclift.circuits import ADD, CONST, MUL, eval_matrix_residues
+from nclift.circuits import (ADD, CONST, MUL, eval_matrix_residues,
+                             expand_codes)
 from nclift.polynomials import length_lex_key
 from nclift.randcircuits import (perturb_mul_order, random_circuit,
                                  swap_add_children)
 from nclift.verify import difference_circuit, random_matrix_point
 
-from helpers import (random_poly, reference_circuit_equiv_random,
+from helpers import (fourth_power_of_sum, random_poly,
+                     reference_circuit_equiv_brute,
+                     reference_circuit_equiv_random,
                      reference_random_matrix_point)
 
 PIT_P = 1_000_000_007
@@ -32,7 +35,7 @@ def test_brute_distinct_with_least_witness():
     v = circuit_equiv_brute(c1, c2)
     assert v.result == "distinct"
     assert isinstance(v.witness, Word)
-    assert v.witness.letters == (0, 1)      # length-lex first difference
+    assert v.witness.letters == (0, 1)      # length-lex least difference
     assert str(v.witness) == "x0 x1"
     w = v.witness.letters
     assert expand(c1).coeff(w) != expand(c2).coeff(w)
@@ -201,6 +204,81 @@ def test_brute_witness_is_the_length_lex_least_difference(rng):
     assert lengths == {0, 1, 2, 3, 4}
 
 
+@pytest.mark.parametrize("p", [5, PIT_P])
+@pytest.mark.parametrize("size", [2, 3, 8, 2 ** 70 + 3])
+def test_brute_matches_the_tuple_kernel_on_pairs(size, p):
+    rng = random.Random(f"brute:{size}:{p}")
+    results = set()
+    for c1, c2 in _pairs(rng, Alphabet("X", size), p):
+        got = circuit_equiv_brute(c1, c2)
+        assert got == reference_circuit_equiv_brute(c1, c2)
+        results.add(got.result)
+    assert results == {"equal", "distinct"}
+
+
+def test_brute_on_512_letters_with_codes_past_64_bits():
+    rng = random.Random("brute:512")
+    X = Alphabet("X", 512)
+    b = CircuitBuilder(X, PIT_P)
+    node = b.var(rng.randrange(512))
+    for _ in range(8):
+        node = b.mul(node, b.add(b.var(rng.randrange(512)),
+                                 b.var(rng.randrange(512))))
+    base = b.finish(node)
+    assert max(expand_codes(base)).bit_length() == 9 * 9 + 1
+    lengths = set()
+    for _ in range(6):
+        for other in (swap_add_children(base, rng),
+                      perturb_mul_order(base, rng)):
+            got = circuit_equiv_brute(base, other)
+            assert got == reference_circuit_equiv_brute(base, other)
+            if got.witness is not None:
+                lengths.add(len(got.witness.letters))
+    assert lengths == {9}
+
+
+def test_brute_on_a_one_letter_alphabet():
+    X1 = Alphabet("X", 1)
+    rng = random.Random("brute:1")
+    results = set()
+    for _ in range(20):
+        c1 = random_circuit(X1, PIT_P, rng, max_gates=10, max_degree=5)
+        for c2 in (perturb_mul_order(c1, rng), swap_add_children(c1, rng),
+                   random_circuit(X1, PIT_P, rng, max_gates=10,
+                                  max_degree=5)):
+            if c2 is not None:
+                got = circuit_equiv_brute(c1, c2)
+                assert got == reference_circuit_equiv_brute(c1, c2)
+                results.add(got.result)
+    assert results == {"equal", "distinct"}
+    # One letter commutes with itself: x0 (x0 + 1) = (x0 + 1) x0.
+    b1, b2 = CircuitBuilder(X1, PIT_P), CircuitBuilder(X1, PIT_P)
+    c1 = b1.finish(b1.mul(b1.var(0), b1.add(b1.var(0), b1.const(1))))
+    c2 = b2.finish(b2.mul(b2.add(b2.var(0), b2.const(1)), b2.var(0)))
+    assert circuit_equiv_brute(c1, c2).is_equal
+    b3 = CircuitBuilder(X1, PIT_P)
+    c3 = b3.finish(b3.mul(b3.const(2), b3.var(0)))
+    v = circuit_equiv_brute(c1, c3)
+    assert v == reference_circuit_equiv_brute(c1, c3)
+    assert str(v.witness) == "x0"
+
+
+@pytest.mark.parametrize("k, budgets", [
+    (3, {"max_degree": 3}),
+    (3, {"max_terms": 80}),
+    (3, {"max_terms": 2}),
+    (48, {}),
+], ids=["degree", "terms", "terms-early", "convolution"])
+def test_brute_is_inconclusive_at_each_budget(k, budgets):
+    big = fourth_power_of_sum(k, PIT_P)
+    b = CircuitBuilder(big.alphabet, PIT_P)
+    small = b.finish(b.var(0))
+    for c1, c2 in ((big, big), (small, big), (big, small)):
+        got = circuit_equiv_brute(c1, c2, **budgets)
+        assert got.result == "inconclusive-budget"
+        assert got == reference_circuit_equiv_brute(c1, c2, **budgets)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 99, 1729])
 def test_random_matrix_point_draws_as_the_nested_form(seed):
     p = 1_000_000_007
@@ -213,27 +291,26 @@ def test_random_matrix_point_draws_as_the_nested_form(seed):
             assert ours.getstate() == theirs.getstate()
 
 
-def _pairs(rng, alphabet):
+def _pairs(rng, alphabet, p=PIT_P):
     """Swapped-add pairs, perturbed-mul pairs, unrelated pairs, and a
     circuit against itself, in turn; then x1 x0 against 1 x0, whose
     leaves x1 and 1 differ only in their op."""
     for i in range(24):
-        base = random_circuit(alphabet, PIT_P, rng, max_gates=14,
-                              max_degree=6)
+        base = random_circuit(alphabet, p, rng, max_gates=14, max_degree=6)
         kind = i % 4
         if kind == 0:
             other = swap_add_children(base, rng)
         elif kind == 1:
             other = perturb_mul_order(base, rng)
         elif kind == 2:
-            other = random_circuit(alphabet, PIT_P, rng, max_gates=14,
+            other = random_circuit(alphabet, p, rng, max_gates=14,
                                    max_degree=6)
         else:
             other = base
         if other is not None:
             yield base, other
-    b1 = CircuitBuilder(alphabet, PIT_P)
-    b2 = CircuitBuilder(alphabet, PIT_P)
+    b1 = CircuitBuilder(alphabet, p)
+    b2 = CircuitBuilder(alphabet, p)
     yield (b1.finish(b1.mul(b1.var(1), b1.var(0))),
            b2.finish(b2.mul(b2.const(1), b2.var(0))))
 
