@@ -45,6 +45,7 @@ ADD = "add"
 MUL = "mul"
 
 Node = tuple[str, int, int]
+Matrix = Sequence[Sequence[int]]
 
 
 @dataclass(frozen=True)
@@ -269,14 +270,18 @@ def slot_width(dim: int, p: int) -> int:
 
 
 def eval_matrix_residues(circuit: Circuit,
-                         mats: Mapping[int, Sequence[Sequence[int]]],
-                         dim: int, p: int) -> list[list[int]]:
-    """Evaluate at dim x dim integer matrices mod p; return the rows.
+                         points: Sequence[Mapping[int, Matrix]],
+                         dim: int, p: int) -> list[list[list[int]]]:
+    """Evaluate at each of several points mod p; return one rows list
+    per point.  A point maps each variable to a dim x dim integer
+    matrix, and every matrix of every point must be dim x dim.
 
-    Each value is one int that packs its dim*dim residues row-major
-    into slots of W bits: cell (i, j) is bits W*(i*dim + j) up to
-    W*(i*dim + j + 1).  Every slot of every value holds a reduced
-    residue, 0 <= r < p, so no bound is tracked from gate to gate.
+    The circuit is replayed once for all k = len(points) points.  Each
+    value is one int that packs the k points' dim*dim residues side by
+    side, in slots of W bits: cell (i, j) of point t is slot
+    t*dim*dim + i*dim + j, bits W*slot up to W*(slot + 1).  Every slot
+    of every value holds a reduced residue, 0 <= r < p, so no bound is
+    tracked from gate to gate.
 
     W = slot_width(dim, p), the least multiple of 64 with
     dim*(p-1)^2 < 2^W: the largest sum a product cell gathers before it
@@ -284,23 +289,38 @@ def eval_matrix_residues(circuit: Circuit,
     big-int operations on the packed values.  Its slot sums are below
     2p; adding 2^(W-1) - p to every slot sets a slot's top bit exactly
     where its sum is at least p, and p is subtracted from those slots.
-    A product unpacks the left factor's entries and cuts the right
-    factor's packed rows out by shift and mask: output row i is
-    sum_k a[i][k] * (row k of b), whose slots stay below 2^W; its cells
-    are then reduced mod p and packed again.  Packing goes through
-    little-endian bytes, so the layout does not depend on the host's
-    byte order.  Every matrix in mats must be dim x dim.
+
+    A product with a scalar operand, one equal to c times the identity
+    at every point (c read from slot 0), is the other operand scaled
+    by c: each residue times c, mod p.  A constant node's value is
+    such an operand, since it is the same scalar at every point.  Any
+    other product unpacks the left factor's entries and cuts the right
+    factor's packed rows out by shift and mask: output row i of point
+    t is sum_k a_t[i][k] * (row k of b_t), whose slots stay below 2^W;
+    its cells are then reduced mod p and all k points are packed again
+    at once.  Packing goes through little-endian bytes, so the layout
+    does not depend on the host's byte order.
+
+    Every value holds k*dim*dim residues, so the caller bounds k:
+    random-mode identity testing passes at most DEFAULT_MAX_TERMS
+    residues per call across the points' matrices, what one point of
+    the largest dimension it accepts holds.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    cells = dim * dim
+    if not points:
+        return []
+    cells = dim * dim * len(points)
     width = slot_width(dim, p)
     slot = width // 8    # bytes per cell
     size = slot * cells
     row_bits = width * dim
-    row_shifts = range(0, row_bits * dim, row_bits)
+    row_shifts = range(0, row_bits * dim * len(points), row_bits)
     row_mask = (1 << row_bits) - 1
-    starts = range(0, cells, dim)
+    # Per point: where its rows start among the right factor's, and per
+    # output row where its left entries start and its shift.
+    blocks = [(t, [(i * dim, row_shifts[i]) for i in range(t, t + dim)])
+              for t in range(0, dim * len(points), dim)]
     if width == 64:
         layout = struct.Struct(f"<{cells}Q")
 
@@ -323,22 +343,28 @@ def eval_matrix_residues(circuit: Circuit,
 
     one = (1).to_bytes(slot, "little")
     ones = int.from_bytes(one * cells, "little")
-    # A one and dim zero slots, dim times: the diagonal, then zero slots
-    # past the last cell.
-    identity = int.from_bytes((one + bytes(slot * dim)) * dim, "little")
+    # A one and dim zero slots, dim - 1 times, then a one: the diagonal
+    # of one point, repeated for each point.
+    identity = int.from_bytes(
+        ((one + bytes(slot * dim)) * (dim - 1) + one) * len(points), "little")
+    slot_mask = (1 << width) - 1
     top = width - 1
     flip = ((1 << top) - p) * ones
+    for mats in points:
+        for v, m in mats.items():
+            if len(m) != dim or any(map(dim.__ne__, map(len, m))):
+                raise ValueError(f"variable x{v} has a matrix that is not "
+                                 f"{dim}x{dim}")
     packed = {}
-    for v, m in mats.items():
-        if len(m) != dim or any(len(row) != dim for row in m):
-            raise ValueError(f"variable x{v} has a matrix that is not "
-                             f"{dim}x{dim}")
-        packed[v] = pack([x % p for row in m for x in row])
 
     def var(v: int) -> int:
-        if v not in packed:
-            raise ValueError(f"variable x{v} has no assigned matrix")
-        return packed[v]
+        value = packed.get(v)
+        if value is None:
+            if not all(v in mats for mats in points):
+                raise ValueError(f"variable x{v} has no assigned matrix")
+            value = packed[v] = pack([x % p for mats in points
+                                      for row in mats[v] for x in row])
+        return value
 
     def const(c: int) -> int:
         return c % p * identity
@@ -348,15 +374,25 @@ def eval_matrix_residues(circuit: Circuit,
         return s - ((s + flip) >> top & ones) * p
 
     def mul(a: int, b: int) -> int:
+        c = a & slot_mask
+        if a == c * identity:
+            return pack([x * c % p for x in unpack(b)])
+        c = b & slot_mask
+        if b == c * identity:
+            return pack([x * c % p for x in unpack(a)])
         left = unpack(a)
         right = [b >> s & row_mask for s in row_shifts]
         out = 0
-        for i, s in zip(starts, row_shifts):
-            out |= sum(map(operator.mul, left[i:i + dim], right)) << s
+        for t, rows in blocks:
+            block = right[t:t + dim]
+            for i, s in rows:
+                out |= sum(map(operator.mul, left[i:i + dim], block)) << s
         return pack([c % p for c in unpack(out)])
 
     value = unpack(replay(circuit, var, const, add, mul))
-    return [list(value[i:i + dim]) for i in starts]
+    starts = range(0, dim * dim, dim)
+    return [[list(value[t + i:t + i + dim]) for i in starts]
+            for t in range(0, cells, dim * dim)]
 
 
 def letter_bits(size: int) -> int:

@@ -8,8 +8,9 @@ satisfy nontrivial identities; a nonzero value is proof of
 distinctness, zero on all trials is probabilistic evidence of
 equality.  The difference is one circuit on one table of the pair's
 distinct nodes, so a node the two circuits share is evaluated once per
-point.  Distinct verdicts always carry a witness that reproduces the
-disagreement on its own.
+point, and the trials after the first are evaluated side by side, many
+points in one replay.  Distinct verdicts always carry a witness that
+reproduces the disagreement on its own.
 """
 
 from __future__ import annotations
@@ -88,9 +89,20 @@ def circuit_equiv_brute(c1: Circuit, c2: Circuit,
 def random_matrix_point(vars_used: list[int], dim: int, modulus: int,
                         rng: random.Random) -> MatrixPoint:
     """One dim x dim matrix per variable, drawn variable by variable
-    and row by row: one flat run of rng.randrange(modulus) calls."""
-    draw = rng.randrange
-    cells = [draw(modulus) for _ in range(len(vars_used) * dim * dim)]
+    and row by row.  Each entry is drawn by rejection from
+    rng.getrandbits(modulus.bit_length()), which is the value and the
+    generator state rng.randrange(modulus) leaves on CPython 3.10-3.13,
+    without its per-call overhead."""
+    bits = modulus.bit_length()
+    getrandbits = rng.getrandbits
+
+    def redraw() -> int:
+        while (r := getrandbits(bits)) >= modulus:
+            pass
+        return r
+
+    cells = [r if (r := getrandbits(bits)) < modulus else redraw()
+             for _ in range(len(vars_used) * dim * dim)]
     rows = [tuple(cells[k:k + dim]) for k in range(0, len(cells), dim)]
     mats = tuple(zip(vars_used, (tuple(rows[k:k + dim])
                                  for k in range(0, len(rows), dim))))
@@ -104,7 +116,8 @@ def difference_circuit(c1: Circuit, c2: Circuit) -> Circuit:
     itself, (op, index or residue, 0), and a gate by its op and its
     children's merged ids, so a node the two share, or a circuit's own
     repeated node, appears once.  Three nodes follow, for
-    o1 + (p - 1) * o2.
+    o1 + (p - 1) * o2; eval_matrix_residues evaluates the product by a
+    constant as a scaling.
     """
     nodes: list[Node] = []
     ids: dict[Node, int] = {}
@@ -138,8 +151,12 @@ def circuit_equiv_random(c1: Circuit, c2: Circuit, trials: int = 10,
     set lower: smaller algebras satisfy identities of that degree, so
     agreement there proves nothing.  Points of more than
     DEFAULT_MAX_TERMS residues raise BudgetError before any is drawn.
-    The difference is built once, as difference_circuit, and each trial
-    evaluates it once; a nonzero entry makes the point the witness.
+    The difference is built once, as difference_circuit.  The first
+    trial is evaluated alone, so a distinct pair stops after one
+    evaluation; the rest are drawn in order and evaluated in chunks of
+    as many points as fit DEFAULT_MAX_TERMS residues, one
+    eval_matrix_residues call per chunk.  The witness is the first
+    point, in draw order, whose value is nonzero.
     """
     _check_comparable(c1, c2)
     if trials < 1:
@@ -158,9 +175,15 @@ def circuit_equiv_random(c1: Circuit, c2: Circuit, trials: int = 10,
     modulus = c1.modulus
     difference = difference_circuit(c1, c2)
     rng = random.Random(seed)
-    for _ in range(trials):
-        point = random_matrix_point(vars_used, dim, modulus, rng)
-        rows = eval_matrix_residues(difference, point.as_dict(), dim, modulus)
-        if any(map(any, rows)):
-            return EquivVerdict(MODE_RANDOM, DISTINCT, point)
+    chunk = 1
+    while trials:
+        points = [random_matrix_point(vars_used, dim, modulus, rng)
+                  for _ in range(min(chunk, trials))]
+        values = eval_matrix_residues(
+            difference, [point.as_dict() for point in points], dim, modulus)
+        for point, rows in zip(points, values):
+            if any(map(any, rows)):
+                return EquivVerdict(MODE_RANDOM, DISTINCT, point)
+        trials -= len(points)
+        chunk = DEFAULT_MAX_TERMS // cells
     return EquivVerdict(MODE_RANDOM, EQUAL)

@@ -14,7 +14,7 @@ from nclift import (Alphabet, BudgetError, Circuit, CircuitBuilder,
                     Transition, Weight, WeightedAutomaton)
 from nclift.circuits import (_MAX_PRODUCT_PAIRS, ADD, CONST,
                              DEFAULT_MAX_DEGREE, DEFAULT_MAX_TERMS, MUL, VAR,
-                             eval_matrix_residues, replay)
+                             replay)
 from nclift.polynomials import Word, add_maps, echo, is_digits, mul_maps
 from nclift.scalars import require_prime_modulus
 from nclift.verify import (DISTINCT, EQUAL, INCONCLUSIVE, MODE_BRUTE,
@@ -195,10 +195,11 @@ def reference_circuit_equiv_brute(c1, c2, max_degree=DEFAULT_MAX_DEGREE,
 
 # ---------------------------------------------------------------------------
 # Random-mode identity testing as it stood before it evaluated one
-# difference circuit: each point drawn by nested comprehensions, each
-# trial evaluating both circuits and comparing the rows.  The oracle
-# that verify.random_matrix_point and verify.circuit_equiv_random are
-# tested against.
+# difference circuit: each point drawn by nested comprehensions of
+# rng.randrange, each trial evaluating both circuits, one point at a
+# time in the list kernel, and comparing the rows.  The oracle that
+# verify.random_matrix_point and verify.circuit_equiv_random are tested
+# against.
 
 def reference_random_matrix_point(vars_used, dim, modulus, rng):
     mats = tuple(
@@ -228,8 +229,8 @@ def reference_circuit_equiv_random(c1, c2, trials=10, dim=None, seed=0):
     for _ in range(trials):
         point = reference_random_matrix_point(vars_used, dim, modulus, rng)
         mats = point.as_dict()
-        a = eval_matrix_residues(c1, mats, dim, modulus)
-        b = eval_matrix_residues(c2, mats, dim, modulus)
+        a = reference_eval_matrix_residues(c1, mats, dim, modulus)
+        b = reference_eval_matrix_residues(c2, mats, dim, modulus)
         if a != b:
             return EquivVerdict(MODE_RANDOM, DISTINCT, point)
     return EquivVerdict(MODE_RANDOM, EQUAL)

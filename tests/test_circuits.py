@@ -254,9 +254,9 @@ def test_eval_matrix_matches_word_by_word_oracle(rng):
                         for _ in range(dim)] for i in range(3)}
             cases.append((c, mats, dim))
     for c, mats, dim in cases:
-        got = eval_matrix_residues(c, mats, dim, P)
+        [got] = eval_matrix_residues(c, [mats], dim, P)
         assert got == matrix_value_of_poly(expand(c), mats, dim, P)
-    assert eval_matrix_residues(nine, {}, 2, P) == [[9, 0], [0, 9]]
+    assert eval_matrix_residues(nine, [{}], 2, P) == [[[9, 0], [0, 9]]]
 
 
 # At dims 1-8, 2, 3, 7, 97 and 10^9+7 take 64-bit slots, 2^31-1 moves to
@@ -278,7 +278,7 @@ def test_slot_width_is_the_least_multiple_of_64_that_holds_a_cell(
 
 
 def _eval_both(c, mats, dim, p):
-    got = eval_matrix_residues(c, mats, dim, p)
+    [got] = eval_matrix_residues(c, [mats], dim, p)
     assert got == reference_eval_matrix_residues(c, mats, dim, p)
     return got
 
@@ -340,6 +340,78 @@ def test_eval_matrix_edge_sums_and_doublings(p, rng):
             _eval_both(c, {0: first, 1: top}, dim, p)
 
 
+# Dim 19 is the least that takes 128-bit slots at P; 2^61-1 takes them
+# from dim 1.
+BATCH_MODULI = (2, 3, 97, 1_000_000_007, 2 ** 61 - 1)
+BATCH_DIMS = (*range(1, 8), 18, 19)
+
+
+def _scalar_product_circuits(p):
+    """One circuit per way a product meets a scalar operand: a constant
+    on the left, on the right and on both sides, zero constants, and
+    constant-only subcircuits, one of which sums to zero; and products
+    with x2, which a batch may set to a scalar matrix."""
+    cases = (
+        lambda b: b.mul(b.const(5), b.var(0)),
+        lambda b: b.mul(b.var(1), b.const(p - 1)),
+        lambda b: b.mul(b.const(3), b.const(p - 1)),
+        lambda b: b.add(b.mul(b.const(0), b.var(1)),
+                        b.mul(b.var(0), b.const(0))),
+        lambda b: b.mul(b.add(b.const(1), b.const(p - 1)),
+                        b.mul(b.var(0), b.var(1))),
+        lambda b: b.mul(b.mul(b.var(0), b.var(1)),
+                        b.mul(b.const(2), b.add(b.const(3), b.var(2)))),
+        lambda b: b.mul(b.mul(b.const(2), b.var(2)),
+                        b.mul(b.var(2), b.const(7))),
+        lambda b: b.add(b.mul(b.var(2), b.var(0)),
+                        b.mul(b.var(1), b.var(2))),
+    )
+    out = []
+    for case in cases:
+        b = CircuitBuilder(X3, p)
+        out.append(b.finish(case(b)))
+    return out
+
+
+def _batch(rng, p, dim, k, mode):
+    """k points over x0, x1 and x2.  x2 is drawn like the others, or is
+    c times the identity at every point, or a different scalar matrix
+    at each point, or a scalar matrix at the first point only."""
+    def matrix(scalar=None):
+        if scalar is None:
+            return [[rng.randrange(-p, 2 * p) for _ in range(dim)]
+                    for _ in range(dim)]
+        return [[scalar if i == j else 0 for j in range(dim)]
+                for i in range(dim)]
+
+    c = rng.randrange(p)
+    scalars = {"drawn": [None] * k, "same": [c] * k,
+               "varied": [rng.randrange(p) for _ in range(k)],
+               "first": [c] + [None] * (k - 1)}[mode]
+    return [{0: matrix(), 1: matrix(), 2: matrix(x2)} for x2 in scalars]
+
+
+@pytest.mark.parametrize("p", BATCH_MODULI)
+def test_eval_matrix_batch_matches_the_list_kernel_at_each_point(p, rng):
+    """One replay of k points side by side reads, at each point, what
+    the list kernel reads there alone."""
+    scalar_cases = _scalar_product_circuits(p)
+    modes = ("drawn", "same", "varied", "first")
+    for dim in BATCH_DIMS:
+        for k in range(1, 7):
+            cases = scalar_cases + [random_circuit(X3, p, rng, max_gates=12,
+                                                   max_degree=6)]
+            for n, c in enumerate(cases):
+                points = _batch(rng, p, dim, k, modes[(n + k) % 4])
+                assert eval_matrix_residues(c, points, dim, p) == \
+                    [reference_eval_matrix_residues(c, m, dim, p)
+                     for m in points]
+
+
+def test_eval_matrix_of_no_points_is_empty():
+    assert eval_matrix_residues(build_sample(), [], 3, P) == []
+
+
 @pytest.mark.parametrize("bad, dim, message", [
     ({0: [[1, 2, 3], [4, 5, 6], [7, 8, 9]]}, 2,
      "variable x0 has a matrix that is not 2x2"),
@@ -349,15 +421,20 @@ def test_eval_matrix_edge_sums_and_doublings(p, rng):
     ({}, -1, "dim must be >= 1, got -1"),
 ])
 def test_eval_matrix_refuses_bad_points(bad, dim, message):
-    mats = {v: [[1, 0], [0, 1]] for v in range(3)} | bad
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        eval_matrix_residues(build_sample(), mats, dim, P)
+    good = {v: [[1, 0], [0, 1]] for v in range(3)}
+    mats = good | bad
+    for points in ([mats], [good, mats], [mats, good, good]):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            eval_matrix_residues(build_sample(), points, dim, P)
 
 
 def test_eval_matrix_needs_every_variable():
-    with pytest.raises(ValueError,
-                       match="^variable x2 has no assigned matrix$"):
-        eval_matrix_residues(build_sample(), {0: [[1]], 1: [[1]]}, 1, P)
+    full = {0: [[1]], 1: [[1]], 2: [[1]]}
+    partial = {0: [[1]], 1: [[1]]}
+    for points in ([partial], [full, partial], [partial, full]):
+        with pytest.raises(ValueError,
+                           match="^variable x2 has no assigned matrix$"):
+            eval_matrix_residues(build_sample(), points, 1, P)
 
 
 def test_expand_budgets():

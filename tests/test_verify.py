@@ -6,16 +6,18 @@ import pytest
 from nclift import (Alphabet, BudgetError, CircuitBuilder, MatrixPoint,
                     NCPolynomial, Word, circuit_equiv_brute,
                     circuit_equiv_random, circuit_from_poly, expand)
-from nclift.circuits import (ADD, CONST, MUL, eval_matrix_residues,
-                             expand_codes)
+from nclift.circuits import (ADD, CONST, DEFAULT_MAX_TERMS, MUL,
+                             eval_matrix_residues, expand_codes)
 from nclift.polynomials import length_lex_key
 from nclift.randcircuits import (perturb_mul_order, random_circuit,
                                  swap_add_children)
+from nclift import verify
 from nclift.verify import difference_circuit, random_matrix_point
 
 from helpers import (fourth_power_of_sum, random_poly,
                      reference_circuit_equiv_brute,
                      reference_circuit_equiv_random,
+                     reference_eval_matrix_residues,
                      reference_random_matrix_point)
 
 PIT_P = 1_000_000_007
@@ -65,8 +67,8 @@ def test_random_distinct_with_reusable_point():
     assert v.result == "distinct"
     assert isinstance(v.witness, MatrixPoint)
     w = v.witness
-    assert (eval_matrix_residues(c1, w.as_dict(), w.dim, PIT_P)
-            != eval_matrix_residues(c2, w.as_dict(), w.dim, PIT_P))
+    assert (reference_eval_matrix_residues(c1, w.as_dict(), w.dim, PIT_P)
+            != reference_eval_matrix_residues(c2, w.as_dict(), w.dim, PIT_P))
 
 
 def test_random_dimension_floor():
@@ -279,10 +281,18 @@ def test_brute_is_inconclusive_at_each_budget(k, budgets):
         assert got == reference_circuit_equiv_brute(c1, c2, **budgets)
 
 
+# Small moduli reject up to half the raw draws, 2^31-1 and 2^61-1 almost
+# none, and 10^9+7 about one in fifteen.
+DRAW_MODULI = (2, 3, 5, 2 ** 31 - 1, 1_000_000_007, 2 ** 61 - 1)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 99, 1729])
 def test_random_matrix_point_draws_as_the_nested_form(seed):
-    p = 1_000_000_007
-    for dim in range(1, 8):
+    """Rejection from getrandbits draws what rng.randrange draws, and
+    leaves the generator where it leaves it."""
+    cases = [(PIT_P, dim) for dim in range(5, 8)]
+    cases += [(p, dim) for p in DRAW_MODULI for dim in range(1, 5)]
+    for p, dim in cases:
         for vars_used in ([], [0], [4, 1], [0, 2, 5, 7]):
             ours, theirs = random.Random(seed), random.Random(seed)
             assert (random_matrix_point(vars_used, dim, p, ours)
@@ -322,17 +332,86 @@ def test_difference_circuit_verdicts_match_two_evaluations(rng, dim):
     X5 = Alphabet("X", 5)
     verdicts = set()
     for k, (c1, c2) in enumerate(_pairs(rng, X5)):
-        for seed in (k, 1729 + k):
-            got = circuit_equiv_random(c1, c2, trials=3, dim=dim, seed=seed)
-            assert got == reference_circuit_equiv_random(c1, c2, trials=3,
-                                                         dim=dim, seed=seed)
+        for seed, trials in ((k, 1), (k, 2), (1729 + k, 3), (k, 10)):
+            got = circuit_equiv_random(c1, c2, trials=trials, dim=dim,
+                                       seed=seed)
+            assert got == reference_circuit_equiv_random(
+                c1, c2, trials=trials, dim=dim, seed=seed)
             verdicts.add(got.result)
             if got.result == "distinct":
                 w = got.witness
                 mats = w.as_dict()
-                assert (eval_matrix_residues(c1, mats, w.dim, PIT_P)
-                        != eval_matrix_residues(c2, mats, w.dim, PIT_P))
+                assert (reference_eval_matrix_residues(c1, mats, w.dim, PIT_P)
+                        != reference_eval_matrix_residues(c2, mats, w.dim,
+                                                          PIT_P))
     assert verdicts == {"equal", "distinct"}
+
+
+def _first_separating_trial(c1, c2, trials, dim, seed):
+    """The index of the first of the reference's draws at which c1 and
+    c2 differ, or None."""
+    p = c1.modulus
+    vars_used = sorted(c1.used_vars() | c2.used_vars())
+    draws = random.Random(seed)
+    for t in range(trials):
+        mats = reference_random_matrix_point(vars_used, dim, p,
+                                             draws).as_dict()
+        if (reference_eval_matrix_residues(c1, mats, dim, p)
+                != reference_eval_matrix_residues(c2, mats, dim, p)):
+            return t
+    return None
+
+
+def test_witness_is_the_first_separating_draw_of_a_batch():
+    """Over Z_2, x0 x1 and x1 x0 agree at about a third of the 2 x 2
+    points, so some seeds separate them only at the second trial, the
+    first of the batch after trial 1, and some only at the last, after
+    points of the same batch that read zero."""
+    X2 = Alphabet("X", 2)
+    b1, b2 = CircuitBuilder(X2, 2), CircuitBuilder(X2, 2)
+    c1 = b1.finish(b1.mul(b1.var(0), b1.var(1)))
+    c2 = b2.finish(b2.mul(b2.var(1), b2.var(0)))
+    trials, found = 4, set()
+    for seed in range(2000):
+        t = _first_separating_trial(c1, c2, trials, 2, seed)
+        if t in (1, trials - 1) and t not in found:
+            found.add(t)
+            got = circuit_equiv_random(c1, c2, trials=trials, seed=seed)
+            assert got.result == "distinct"
+            assert got == reference_circuit_equiv_random(c1, c2, trials,
+                                                         seed=seed)
+            if len(found) == 2:
+                break
+    assert found == {1, trials - 1}
+
+
+def test_random_mode_chunks_stay_within_the_point_budget(monkeypatch):
+    """At dim 150, a point over three variables holds 67,500 entries,
+    so the trials after the first go two at a time; each call holds at
+    most DEFAULT_MAX_TERMS entries, and the points are the reference's
+    draws, in order."""
+    b = CircuitBuilder(X3, PIT_P)
+    c = b.finish(b.add(b.var(0), b.mul(b.const(2), b.add(b.var(1),
+                                                          b.var(2)))))
+    calls = []
+    real = verify.eval_matrix_residues
+
+    def spy(circuit, points, dim, p):
+        calls.append(points)
+        return real(circuit, points, dim, p)
+
+    monkeypatch.setattr(verify, "eval_matrix_residues", spy)
+    dim, trials, seed = 150, 7, 5
+    assert circuit_equiv_random(c, c, trials=trials, dim=dim, seed=seed)\
+        .is_equal
+    assert [len(points) for points in calls] == [1, 2, 2, 2]
+    assert all(sum(dim * dim * len(m) for m in points) <= DEFAULT_MAX_TERMS
+               for points in calls)
+    draws = random.Random(seed)
+    assert list(chain.from_iterable(calls)) == [
+        reference_random_matrix_point([0, 1, 2], dim, PIT_P,
+                                      draws).as_dict()
+        for _ in range(trials)]
 
 
 def test_difference_circuit_evaluates_to_c1_minus_c2(rng):
@@ -343,11 +422,11 @@ def test_difference_circuit_evaluates_to_c1_minus_c2(rng):
         dim = 3
         mats = {v: [[rng.randrange(PIT_P) for _ in range(dim)]
                     for _ in range(dim)] for v in range(5)}
-        a = eval_matrix_residues(c1, mats, dim, PIT_P)
-        b = eval_matrix_residues(c2, mats, dim, PIT_P)
+        a = reference_eval_matrix_residues(c1, mats, dim, PIT_P)
+        b = reference_eval_matrix_residues(c2, mats, dim, PIT_P)
         want = [[(x - y) % PIT_P for x, y in zip(ra, rb)]
                 for ra, rb in zip(a, b)]
-        assert eval_matrix_residues(d, mats, dim, PIT_P) == want
+        assert eval_matrix_residues(d, [mats], dim, PIT_P) == [want]
 
 
 def test_difference_circuit_shares_the_nodes_of_the_pair(rng):
