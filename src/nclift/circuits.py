@@ -294,17 +294,19 @@ def eval_matrix_residues(circuit: Circuit,
     at every point (c read from slot 0), is the other operand scaled
     by c: each residue times c, mod p.  A constant node's value is
     such an operand, since it is the same scalar at every point.  Any
-    other product unpacks the left factor's entries and cuts the right
-    factor's packed rows out by shift and mask: output row i of point
-    t is sum_k a_t[i][k] * (row k of b_t), whose slots stay below 2^W;
-    its cells are then reduced mod p and all k points are packed again
-    at once.  Packing goes through little-endian bytes, so the layout
-    does not depend on the host's byte order.
+    other product unpacks the left factor's entries and slices the
+    right factor's packed rows out of its bytes: output row i of point
+    t is sum_k a_t[i][k] * (row k of b_t), whose slots stay below 2^W.
+    The output rows' bytes are joined, their cells reduced mod p, and
+    all k points packed again at once, so a product costs time linear
+    in k.  Packing goes through little-endian bytes, so the layout does
+    not depend on the host's byte order.
 
-    Every value holds k*dim*dim residues, so the caller bounds k:
-    random-mode identity testing passes at most DEFAULT_MAX_TERMS
-    residues per call across the points' matrices, what one point of
-    the largest dimension it accepts holds.
+    Every value holds k*dim*dim residues, and every node's value is
+    kept until the replay ends, so the caller bounds k: random-mode
+    identity testing passes at most verify.MAX_CHUNK_POINTS points and
+    at most DEFAULT_MAX_TERMS residues per call across the points'
+    matrices, what one point of the largest dimension it accepts holds.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
@@ -314,32 +316,30 @@ def eval_matrix_residues(circuit: Circuit,
     width = slot_width(dim, p)
     slot = width // 8    # bytes per cell
     size = slot * cells
-    row_bits = width * dim
-    row_shifts = range(0, row_bits * dim * len(points), row_bits)
-    row_mask = (1 << row_bits) - 1
-    # Per point: where its rows start among the right factor's, and per
-    # output row where its left entries start and its shift.
-    blocks = [(t, [(i * dim, row_shifts[i]) for i in range(t, t + dim)])
-              for t in range(0, dim * len(points), dim)]
+    row_size = slot * dim
+    row_offsets = range(0, size, row_size)
+    # Per output row of every point: where the point's rows start among
+    # the right factor's, and where the row's left entries start.
+    rows = [(r - r % dim, r * dim) for r in range(dim * len(points))]
     if width == 64:
         layout = struct.Struct(f"<{cells}Q")
-
-        def unpack(x: int) -> tuple[int, ...]:
-            return layout.unpack(x.to_bytes(size, "little"))
+        cells_of = layout.unpack
 
         def pack(residues) -> int:
             return int.from_bytes(layout.pack(*residues), "little")
     else:
         offsets = range(0, size, slot)
 
-        def unpack(x: int) -> list[int]:
-            raw = x.to_bytes(size, "little")
+        def cells_of(raw: bytes) -> list[int]:
             return [int.from_bytes(raw[k:k + slot], "little")
                     for k in offsets]
 
         def pack(residues) -> int:
             return int.from_bytes(b"".join([r.to_bytes(slot, "little")
                                             for r in residues]), "little")
+
+    def unpack(x: int):
+        return cells_of(x.to_bytes(size, "little"))
 
     one = (1).to_bytes(slot, "little")
     ones = int.from_bytes(one * cells, "little")
@@ -381,13 +381,13 @@ def eval_matrix_residues(circuit: Circuit,
         if b == c * identity:
             return pack([x * c % p for x in unpack(a)])
         left = unpack(a)
-        right = [b >> s & row_mask for s in row_shifts]
-        out = 0
-        for t, rows in blocks:
-            block = right[t:t + dim]
-            for i, s in rows:
-                out |= sum(map(operator.mul, left[i:i + dim], block)) << s
-        return pack([c % p for c in unpack(out)])
+        raw = b.to_bytes(size, "little")
+        right = [int.from_bytes(raw[k:k + row_size], "little")
+                 for k in row_offsets]
+        out = b"".join([
+            sum(map(operator.mul, left[i:i + dim], right[t:t + dim]))
+            .to_bytes(row_size, "little") for t, i in rows])
+        return pack([c % p for c in cells_of(out)])
 
     value = unpack(replay(circuit, var, const, add, mul))
     starts = range(0, dim * dim, dim)

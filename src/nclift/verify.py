@@ -31,6 +31,12 @@ EQUAL = "equal"
 DISTINCT = "distinct"
 INCONCLUSIVE = "inconclusive-budget"
 
+# The most points one random-mode evaluation holds.  replay keeps every
+# node's value, and each value holds all its points' matrices, so the
+# chunk, not only the point budget, sets the memory a long run of
+# trials takes.
+MAX_CHUNK_POINTS = 16
+
 
 @dataclass(frozen=True)
 class MatrixPoint:
@@ -95,14 +101,12 @@ def random_matrix_point(vars_used: list[int], dim: int, modulus: int,
     without its per-call overhead."""
     bits = modulus.bit_length()
     getrandbits = rng.getrandbits
-
-    def redraw() -> int:
-        while (r := getrandbits(bits)) >= modulus:
-            pass
-        return r
-
-    cells = [r if (r := getrandbits(bits)) < modulus else redraw()
-             for _ in range(len(vars_used) * dim * dim)]
+    cells = []
+    for _ in range(len(vars_used) * dim * dim):
+        r = getrandbits(bits)
+        while r >= modulus:
+            r = getrandbits(bits)
+        cells.append(r)
     rows = [tuple(cells[k:k + dim]) for k in range(0, len(cells), dim)]
     mats = tuple(zip(vars_used, (tuple(rows[k:k + dim])
                                  for k in range(0, len(rows), dim))))
@@ -154,9 +158,10 @@ def circuit_equiv_random(c1: Circuit, c2: Circuit, trials: int = 10,
     The difference is built once, as difference_circuit.  The first
     trial is evaluated alone, so a distinct pair stops after one
     evaluation; the rest are drawn in order and evaluated in chunks of
-    as many points as fit DEFAULT_MAX_TERMS residues, one
-    eval_matrix_residues call per chunk.  The witness is the first
-    point, in draw order, whose value is nonzero.
+    at most MAX_CHUNK_POINTS points, and no more than fit
+    DEFAULT_MAX_TERMS residues, one eval_matrix_residues call per
+    chunk.  The witness is the first point, in draw order, whose value
+    is nonzero.
     """
     _check_comparable(c1, c2)
     if trials < 1:
@@ -185,5 +190,5 @@ def circuit_equiv_random(c1: Circuit, c2: Circuit, trials: int = 10,
             if any(map(any, rows)):
                 return EquivVerdict(MODE_RANDOM, DISTINCT, point)
         trials -= len(points)
-        chunk = DEFAULT_MAX_TERMS // cells
+        chunk = min(MAX_CHUNK_POINTS, DEFAULT_MAX_TERMS // cells)
     return EquivVerdict(MODE_RANDOM, EQUAL)

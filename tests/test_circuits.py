@@ -12,6 +12,7 @@ from nclift.circuits import (ADD, CONST, MUL, VAR, decode_word,
                              replay, slot_width)
 from nclift.polynomials import length_lex_key
 from nclift.randcircuits import random_circuit
+from nclift.verify import MAX_CHUNK_POINTS
 
 from helpers import (fourth_power_of_sum, matrix_value_of_poly, random_poly,
                      reference_eval_matrix_residues, reference_expand,
@@ -398,7 +399,7 @@ def test_eval_matrix_batch_matches_the_list_kernel_at_each_point(p, rng):
     scalar_cases = _scalar_product_circuits(p)
     modes = ("drawn", "same", "varied", "first")
     for dim in BATCH_DIMS:
-        for k in range(1, 7):
+        for k in (*range(1, 7), MAX_CHUNK_POINTS):
             cases = scalar_cases + [random_circuit(X3, p, rng, max_gates=12,
                                                    max_degree=6)]
             for n, c in enumerate(cases):

@@ -12,7 +12,8 @@ from nclift.polynomials import length_lex_key
 from nclift.randcircuits import (perturb_mul_order, random_circuit,
                                  swap_add_children)
 from nclift import verify
-from nclift.verify import difference_circuit, random_matrix_point
+from nclift.verify import (MAX_CHUNK_POINTS, difference_circuit,
+                          random_matrix_point)
 
 from helpers import (fourth_power_of_sum, random_poly,
                      reference_circuit_equiv_brute,
@@ -385,10 +386,18 @@ def test_witness_is_the_first_separating_draw_of_a_batch():
     assert found == {1, trials - 1}
 
 
-def test_random_mode_chunks_stay_within_the_point_budget(monkeypatch):
-    """At dim 150, a point over three variables holds 67,500 entries,
-    so the trials after the first go two at a time; each call holds at
-    most DEFAULT_MAX_TERMS entries, and the points are the reference's
+# At dim 150 a point over three variables holds 67,500 entries, so the
+# trials after the first go two at a time; at dim 2 they go
+# MAX_CHUNK_POINTS at a time.
+@pytest.mark.parametrize("dim, trials, sizes", [
+    (150, 7, [1, 2, 2, 2]),
+    (2, 2 * MAX_CHUNK_POINTS + 8,
+     [1, MAX_CHUNK_POINTS, MAX_CHUNK_POINTS, 7]),
+])
+def test_random_mode_chunks_stay_within_the_point_budget(monkeypatch, dim,
+                                                         trials, sizes):
+    """Each call holds at most MAX_CHUNK_POINTS points and at most
+    DEFAULT_MAX_TERMS entries, and the points are the reference's
     draws, in order."""
     b = CircuitBuilder(X3, PIT_P)
     c = b.finish(b.add(b.var(0), b.mul(b.const(2), b.add(b.var(1),
@@ -401,10 +410,10 @@ def test_random_mode_chunks_stay_within_the_point_budget(monkeypatch):
         return real(circuit, points, dim, p)
 
     monkeypatch.setattr(verify, "eval_matrix_residues", spy)
-    dim, trials, seed = 150, 7, 5
+    seed = 5
     assert circuit_equiv_random(c, c, trials=trials, dim=dim, seed=seed)\
         .is_equal
-    assert [len(points) for points in calls] == [1, 2, 2, 2]
+    assert [len(points) for points in calls] == sizes
     assert all(sum(dim * dim * len(m) for m in points) <= DEFAULT_MAX_TERMS
                for points in calls)
     draws = random.Random(seed)
