@@ -257,7 +257,7 @@ class AcceptanceSuite:
                               b.mul(b.const(p - 1),
                                     b.mul(b.var(1), b.var(0)))))
 
-        e01, e10, commutator = (eval_matrix_residues(c, [point], 2, p)[0]
+        e01, e10, commutator = (eval_matrix_residues(c, [point], 2)[0]
                                 for c in (c01, c10, comm))
         want = [[1, 0], [0, p - 1]]
         distinct = e01 != e10

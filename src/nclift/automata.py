@@ -203,31 +203,37 @@ def series_truncate(automaton: WeightedAutomaton, max_length: int, *,
                     max_words: int = 100_000) -> dict[Letters, NCPolynomial]:
     """All nonzero series coefficients on y-words up to a length.
 
-    Enumerates every word of length <= max_length, sharing prefix work,
-    and returns {word: coefficient} for the nonzero ones.  Refuses up
-    front if the word count would exceed max_words.
+    Enumerates every word of length <= max_length one length at a
+    time, each word's state vector one step on from its prefix's, and
+    returns {word: coefficient} for the nonzero ones in length-lex
+    order.  A word whose vector is empty has no live extension, so it
+    leaves the layer.  Refuses a negative length with ValueError, and
+    up front with BudgetError if the word count would exceed max_words.
     """
+    if max_length < 0:
+        raise ValueError(f"length must be nonnegative, got {max_length}")
     m = automaton.y_alphabet.size
     total = sum(m ** j for j in range(max_length + 1))
     if total > max_words:
         raise BudgetError(f"{total} words of length <= {max_length} over "
                           f"{m} letters exceed the budget of {max_words}")
     out: dict[Letters, NCPolynomial] = {}
-
-    def visit(letters: Letters, vec: dict[int, dict]) -> None:
-        terms = vec.get(automaton.accept)
-        if terms:
-            out[letters] = NCPolynomial(
-                automaton.x_alphabet, automaton.modulus, dict(terms),
-                _trusted=True)
-        if len(letters) == max_length:
-            return
-        for a in range(m):
-            nxt = automaton._advance(vec, a)
-            if nxt:
-                visit(letters + (a,), nxt)
-
-    visit((), {automaton.start: {(): 1}})
+    layer: list[tuple[Letters, dict[int, dict]]] = [
+        ((), {automaton.start: {(): 1}})]
+    for length in range(max_length + 1):
+        longer = []
+        for letters, vec in layer:
+            terms = vec.get(automaton.accept)
+            if terms:
+                out[letters] = NCPolynomial(
+                    automaton.x_alphabet, automaton.modulus, dict(terms),
+                    _trusted=True)
+            if length < max_length:
+                for a in range(m):
+                    nxt = automaton._advance(vec, a)
+                    if nxt:
+                        longer.append((letters + (a,), nxt))
+        layer = longer
     return out
 
 

@@ -271,10 +271,11 @@ def slot_width(dim: int, p: int) -> int:
 
 def eval_matrix_residues(circuit: Circuit,
                          points: Sequence[Mapping[int, Matrix]],
-                         dim: int, p: int) -> list[list[list[int]]]:
-    """Evaluate at each of several points mod p; return one rows list
-    per point.  A point maps each variable to a dim x dim integer
-    matrix, and every matrix of every point must be dim x dim.
+                         dim: int) -> list[list[list[int]]]:
+    """Evaluate at each of several points mod p = circuit.modulus;
+    return one rows list per point.  A point maps each variable to a
+    dim x dim integer matrix, and every matrix of every point must be
+    dim x dim.
 
     The circuit is replayed once for all k = len(points) points.  Each
     value is one int that packs the k points' dim*dim residues side by
@@ -302,16 +303,15 @@ def eval_matrix_residues(circuit: Circuit,
     in k.  Packing goes through little-endian bytes, so the layout does
     not depend on the host's byte order.
 
-    Every value holds k*dim*dim residues, and every node's value is
-    kept until the replay ends, so the caller bounds k: random-mode
-    identity testing passes at most verify.MAX_CHUNK_POINTS points and
-    at most DEFAULT_MAX_TERMS residues per call across the points'
-    matrices, what one point of the largest dimension it accepts holds.
+    One call holds k*dim*dim slots for each node value it keeps, and
+    every node's value is kept until the replay ends, so the caller
+    bounds k.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     if not points:
         return []
+    p = circuit.modulus
     cells = dim * dim * len(points)
     width = slot_width(dim, p)
     slot = width // 8    # bytes per cell

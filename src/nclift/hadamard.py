@@ -263,18 +263,25 @@ def _node_product(b: CircuitBuilder, lhs: int, rhs: int) -> int:
     return b.mul(lhs, rhs)
 
 
-def _block_add(b: CircuitBuilder, x: dict, y: dict) -> dict:
-    out = dict(x)
+def _block_add(b: CircuitBuilder, x: dict, y: dict, want: dict,
+               s: int) -> dict:
+    """The cells of x + y that `want` asks for, keyed i << s | j as in
+    _block_mul: x's asked-for cells in order, then y's merged in."""
+    mask = (1 << s) - 1
+    out = {key: nid for key, nid in x.items()
+           if want.get(key >> s, 0) >> (key & mask) & 1}
     for key, nid in y.items():
+        if not want.get(key >> s, 0) >> (key & mask) & 1:
+            continue
         cur = out.get(key)
         if cur is None:
             out[key] = nid
         else:
-            s = _node_sum(b, cur, nid)
-            if s is None:
+            total = _node_sum(b, cur, nid)
+            if total is None:
                 del out[key]
             else:
-                out[key] = s
+                out[key] = total
     return out
 
 
@@ -320,14 +327,6 @@ def _block_mul(b: CircuitBuilder, x: dict, y: dict, cache: dict,
                 else:
                     out[cell] = total
     return out
-
-
-def _restrict(block: dict, want: dict, s: int) -> dict:
-    """The cells of block that `want` asks for, keyed i << s | j as in
-    _block_mul."""
-    mask = (1 << s) - 1
-    return {key: nid for key, nid in block.items()
-            if want.get(key >> s, 0) >> (key & mask) & 1}
 
 
 # Rows (supports times q) plus memoised sums and products that one
@@ -666,7 +665,7 @@ def hadamard_circuit(circuit: Circuit, automaton: WeightedAutomaton, *,
         want = next(demand)
         if not want:
             return {}
-        block = _block_add(b, _restrict(x, want, s), _restrict(y, want, s))
+        block = _block_add(b, x, y, want, s)
         if len(nodes) > max_nodes:
             raise over_budget()
         return block

@@ -308,10 +308,15 @@ def sample_family(kind: str, N: int, t: int, seed: int, *,
     """Deterministic sample inputs over N variables.
 
     sum-of-squares: x_0 x_0 + ... + x_{N-1} x_{N-1} (degree 2).
-    random-sparse: `terms` distinct seeded words, degree exactly t.
+    random-sparse: `terms` distinct seeded words, degree exactly t;
+    drawing stops after 100 * terms attempts, or once the family holds
+    every word of length 1..t, so asking for more words than exist
+    returns them all.
     single-monomial: the one word of length t whose letters are the
     base-N digits of `index` (seeded when index is None).
-    A sum of squares over N > DEFAULT_MAX_TERMS raises BudgetError.
+    Before anything is drawn, BudgetError refuses a sum of squares over
+    N > DEFAULT_MAX_TERMS, terms > DEFAULT_MAX_TERMS, and a single
+    monomial of t > MAX_CHAIN_SIZE letters.
     """
     require_prime_modulus(modulus)
     if N < 1:
@@ -327,15 +332,26 @@ def sample_family(kind: str, N: int, t: int, seed: int, *,
                               f"terms, budget is {DEFAULT_MAX_TERMS}")
         body = {(i, i): 1 for i in range(N)}
     elif kind == "single-monomial":
+        if t > MAX_CHAIN_SIZE:
+            raise BudgetError(f"a single monomial of {t} letters exceeds "
+                              f"the chain budget of {MAX_CHAIN_SIZE}")
         if index is None:
             index = rng.randrange(N ** t)
         body = {index_to_word(index, N, t): 1}
     elif kind == "random-sparse":
         if terms < 1:
             raise ValueError(f"need at least one term, got {terms}")
+        if terms > DEFAULT_MAX_TERMS:
+            raise BudgetError(f"{terms} terms exceed the budget of "
+                              f"{DEFAULT_MAX_TERMS}")
+        words = 0    # words of length 1..t, counted up to terms
+        for length in range(1, t + 1):
+            words += N ** length
+            if words >= terms:
+                break
         body = {}
         attempts = 0
-        while len(body) < terms:
+        while len(body) < min(terms, words):
             attempts += 1
             if attempts > 100 * terms:
                 break

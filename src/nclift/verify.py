@@ -151,41 +151,46 @@ def circuit_equiv_random(c1: Circuit, c2: Circuit, trials: int = 10,
                          seed: int = 0) -> EquivVerdict:
     """Identity test of c1 - c2 at random matrix points over Z_p.
 
-    dim defaults to floor(max syntactic degree / 2) + 1 and may not be
-    set lower: smaller algebras satisfy identities of that degree, so
-    agreement there proves nothing.  Points of more than
-    DEFAULT_MAX_TERMS residues raise BudgetError before any is drawn.
-    The difference is built once, as difference_circuit.  The first
-    trial is evaluated alone, so a distinct pair stops after one
-    evaluation; the rest are drawn in order and evaluated in chunks of
-    at most MAX_CHUNK_POINTS points, and no more than fit
-    DEFAULT_MAX_TERMS residues, one eval_matrix_residues call per
-    chunk.  The witness is the first point, in draw order, whose value
-    is nonzero.
+    The difference is built first, as difference_circuit, and it alone
+    is walked after that: its table holds every node of both circuits,
+    reachable or not, so its degree is the larger of the two and its
+    variables are every variable either circuit names.  dim defaults
+    to floor(that degree / 2) + 1 and may not be set lower: smaller
+    algebras satisfy identities of that degree, so agreement there
+    proves nothing.  A point holds dim*dim residues per variable;
+    points of more than DEFAULT_MAX_TERMS residues raise BudgetError
+    before any is drawn.
+
+    Chunks: the first trial is evaluated alone, so a distinct pair
+    stops after one evaluation; the rest are drawn in order and
+    evaluated in chunks of at most MAX_CHUNK_POINTS points, and no
+    more than fit DEFAULT_MAX_TERMS residues, one eval_matrix_residues
+    call per chunk.  The witness is the first point, in draw order,
+    whose value is nonzero.
     """
     _check_comparable(c1, c2)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    needed = max(c1.degree_bound(), c2.degree_bound()) // 2 + 1
+    difference = difference_circuit(c1, c2)
+    needed = difference.degree_bound() // 2 + 1
     if dim is None:
         dim = needed
     elif dim < needed:
         raise ValueError(f"dimension {dim} below the identity-testing "
                          f"threshold {needed} for these degrees")
-    vars_used = sorted(c1.used_vars() | c2.used_vars())
+    vars_used = sorted(difference.used_vars())
     cells = dim * dim * max(len(vars_used), 1)
     if cells > DEFAULT_MAX_TERMS:
         raise BudgetError(f"dimension {dim} needs {cells} matrix entries, "
                           f"budget is {DEFAULT_MAX_TERMS}")
     modulus = c1.modulus
-    difference = difference_circuit(c1, c2)
     rng = random.Random(seed)
     chunk = 1
     while trials:
         points = [random_matrix_point(vars_used, dim, modulus, rng)
                   for _ in range(min(chunk, trials))]
         values = eval_matrix_residues(
-            difference, [point.as_dict() for point in points], dim, modulus)
+            difference, [point.as_dict() for point in points], dim)
         for point, rows in zip(points, values):
             if any(map(any, rows)):
                 return EquivVerdict(MODE_RANDOM, DISTINCT, point)

@@ -116,8 +116,8 @@ def mul_swapped(circuit):
 def test_check_7_fails_under_swapped_products(monkeypatch):
     real = acceptance.eval_matrix_residues
     monkeypatch.setattr(acceptance, "eval_matrix_residues",
-                        lambda c, points, dim, p: real(mul_swapped(c),
-                                                       points, dim, p))
+                        lambda c, points, dim: real(mul_swapped(c),
+                                                    points, dim))
     r = AcceptanceSuite().check_matrix_witness()
     assert r.line() == "check 7 fail distinct=1 commutator_match=0"
 

@@ -85,6 +85,23 @@ def test_coeff_of_word_refuses_a_word_record():
     assert dec.coeff_of_word((0, 1, 1)) == want
 
 
+def test_series_truncate_walks_long_words_without_recursing():
+    """1,201 one-letter words, under the budget: each third is a code
+    word, so x0^k is the coefficient of the word of length 3k."""
+    dec = build_decoder(1, modulus=P)
+    table = series_truncate(dec, 1200)
+    assert len(table) == 401
+    assert list(table) == [(0,) * (3 * k) for k in range(401)]
+    assert table[(0,) * 1200] == NCPolynomial.monomial(
+        (0,) * 400, 1, dec.x_alphabet, P)
+
+
+@pytest.mark.parametrize("length", [-1, -1200])
+def test_series_truncate_refuses_a_negative_length(length):
+    with pytest.raises(ValueError, match="^length must be nonnegative"):
+        series_truncate(build_decoder(1, modulus=P), length)
+
+
 def test_series_truncate_budget():
     dec = build_decoder(3, modulus=P)
     with pytest.raises(BudgetError):

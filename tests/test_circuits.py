@@ -255,9 +255,9 @@ def test_eval_matrix_matches_word_by_word_oracle(rng):
                         for _ in range(dim)] for i in range(3)}
             cases.append((c, mats, dim))
     for c, mats, dim in cases:
-        [got] = eval_matrix_residues(c, [mats], dim, P)
+        [got] = eval_matrix_residues(c, [mats], dim)
         assert got == matrix_value_of_poly(expand(c), mats, dim, P)
-    assert eval_matrix_residues(nine, [{}], 2, P) == [[[9, 0], [0, 9]]]
+    assert eval_matrix_residues(nine, [{}], 2) == [[[9, 0], [0, 9]]]
 
 
 # At dims 1-8, 2, 3, 7, 97 and 10^9+7 take 64-bit slots, 2^31-1 moves to
@@ -279,7 +279,7 @@ def test_slot_width_is_the_least_multiple_of_64_that_holds_a_cell(
 
 
 def _eval_both(c, mats, dim, p):
-    [got] = eval_matrix_residues(c, [mats], dim, p)
+    [got] = eval_matrix_residues(c, [mats], dim)
     assert got == reference_eval_matrix_residues(c, mats, dim, p)
     return got
 
@@ -395,7 +395,8 @@ def _batch(rng, p, dim, k, mode):
 @pytest.mark.parametrize("p", BATCH_MODULI)
 def test_eval_matrix_batch_matches_the_list_kernel_at_each_point(p, rng):
     """One replay of k points side by side reads, at each point, what
-    the list kernel reads there alone."""
+    the list kernel reads there alone, mod the circuit's own modulus:
+    the batch moduli take 64- and 128-bit slots."""
     scalar_cases = _scalar_product_circuits(p)
     modes = ("drawn", "same", "varied", "first")
     for dim in BATCH_DIMS:
@@ -404,13 +405,14 @@ def test_eval_matrix_batch_matches_the_list_kernel_at_each_point(p, rng):
                                                    max_degree=6)]
             for n, c in enumerate(cases):
                 points = _batch(rng, p, dim, k, modes[(n + k) % 4])
-                assert eval_matrix_residues(c, points, dim, p) == \
-                    [reference_eval_matrix_residues(c, m, dim, p)
+                assert c.modulus == p
+                assert eval_matrix_residues(c, points, dim) == \
+                    [reference_eval_matrix_residues(c, m, dim, c.modulus)
                      for m in points]
 
 
 def test_eval_matrix_of_no_points_is_empty():
-    assert eval_matrix_residues(build_sample(), [], 3, P) == []
+    assert eval_matrix_residues(build_sample(), [], 3) == []
 
 
 @pytest.mark.parametrize("bad, dim, message", [
@@ -426,7 +428,7 @@ def test_eval_matrix_refuses_bad_points(bad, dim, message):
     mats = good | bad
     for points in ([mats], [good, mats], [mats, good, good]):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            eval_matrix_residues(build_sample(), points, dim, P)
+            eval_matrix_residues(build_sample(), points, dim)
 
 
 def test_eval_matrix_needs_every_variable():
@@ -435,7 +437,7 @@ def test_eval_matrix_needs_every_variable():
     for points in ([partial], [full, partial], [partial, full]):
         with pytest.raises(ValueError,
                            match="^variable x2 has no assigned matrix$"):
-            eval_matrix_residues(build_sample(), points, 1, P)
+            eval_matrix_residues(build_sample(), points, 1)
 
 
 def test_expand_budgets():

@@ -3,6 +3,7 @@ import hashlib
 import io
 import os
 import random
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -237,6 +238,22 @@ def _main_in_process(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+@contextlib.contextmanager
+def _within(seconds):
+    """Fail the calling test once seconds of wall time pass, so a probe
+    whose budget regressed fails instead of hanging the run."""
+    def expire(signum, frame):
+        pytest.fail(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @settings(max_examples=200)
 @given(st.data())
 def test_equiv_fuzz_exit_codes(equiv_files, data):
@@ -297,6 +314,10 @@ def command_files(tmp_path_factory):
       "--kind", "single-monomial"], 3),
     (["report", "--n", "1", "--d", "2000", "--t", "1",
       "--kind", "single-monomial"], 3),
+    (["report", "--n", "2", "--d", "2", "--t", "2",
+      "--terms", "1000000000"], 3),
+    (["report", "--n", "2", "--d", "1", "--t", "1000000",
+      "--kind", "single-monomial"], 3),
     (["build-decoder", "--one-shot", "--n", "1", "--d", "1000000000",
       "--out", "OUT"], 3),
     (["expand", "--in", "digits.circ"], 2),
@@ -307,12 +328,25 @@ def command_files(tmp_path_factory):
     (["equiv", "--left", "x2.circ", "--right", "digits.circ"], 2),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_cli_probes_exit_codes(command_files, argv, code):
-    got, out, err = _main_in_process([command_files.get(a, a)
-                                      for a in argv])
+    with _within(5):
+        got, out, err = _main_in_process([command_files.get(a, a)
+                                          for a in argv])
     assert got == code
     assert out == ""
     assert err.startswith("nclift: ")
     assert "Traceback" not in err
+
+
+def test_report_asking_for_more_words_than_exist_returns_them_all():
+    """Over one variable at t = 1 there is one word; the draws stop
+    once the family holds it, with the output of drawing to the cap."""
+    with _within(5):
+        code, out, err = _main_in_process(
+            ["report", "--n", "1", "--d", "1", "--t", "1",
+             "--terms", "200000"])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "984e8fda987cf690a386eb881283541bae9021179c3dabd3a29cc0d873459cc8")
 
 
 # Half of the draws valid sizes, the rest anything from -1 up.

@@ -348,6 +348,31 @@ def test_difference_circuit_verdicts_match_two_evaluations(rng, dim):
     assert verdicts == {"equal", "distinct"}
 
 
+def test_random_mode_draws_for_a_variable_no_output_reaches():
+    """x0 x1 holds a dead x2 (finished without prune), so the points
+    carry a matrix for x2 as the reference's do: a draw over the
+    reachable variables alone would give other points."""
+    X4 = Alphabet("X", 4)
+    b = CircuitBuilder(X4, PIT_P)
+    b.mul(b.var(2), b.var(3))
+    dead = b.finish(b.mul(b.var(0), b.var(1)))
+    assert dead.used_vars() == {0, 1, 2, 3}
+    pairs = []
+    for first, second in ((0, 1), (1, 0)):
+        b = CircuitBuilder(X4, PIT_P)
+        pairs.append(b.finish(b.mul(b.var(first), b.var(second))))
+    for other in pairs:
+        for c1, c2 in ((dead, other), (other, dead)):
+            for seed in (0, 1, 7, 1729):
+                got = circuit_equiv_random(c1, c2, trials=5, seed=seed)
+                assert got == reference_circuit_equiv_random(
+                    c1, c2, trials=5, seed=seed)
+                if got.witness is not None:
+                    assert set(got.witness.as_dict()) == {0, 1, 2, 3}
+    assert circuit_equiv_random(dead, pairs[0]).is_equal
+    assert not circuit_equiv_random(dead, pairs[1]).is_equal
+
+
 def _first_separating_trial(c1, c2, trials, dim, seed):
     """The index of the first of the reference's draws at which c1 and
     c2 differ, or None."""
@@ -405,9 +430,9 @@ def test_random_mode_chunks_stay_within_the_point_budget(monkeypatch, dim,
     calls = []
     real = verify.eval_matrix_residues
 
-    def spy(circuit, points, dim, p):
+    def spy(circuit, points, dim):
         calls.append(points)
-        return real(circuit, points, dim, p)
+        return real(circuit, points, dim)
 
     monkeypatch.setattr(verify, "eval_matrix_residues", spy)
     seed = 5
@@ -435,7 +460,7 @@ def test_difference_circuit_evaluates_to_c1_minus_c2(rng):
         b = reference_eval_matrix_residues(c2, mats, dim, PIT_P)
         want = [[(x - y) % PIT_P for x, y in zip(ra, rb)]
                 for ra, rb in zip(a, b)]
-        assert eval_matrix_residues(d, [mats], dim, PIT_P) == [want]
+        assert eval_matrix_residues(d, [mats], dim) == [want]
 
 
 def test_difference_circuit_shares_the_nodes_of_the_pair(rng):
