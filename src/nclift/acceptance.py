@@ -5,12 +5,10 @@ expansion, literal series enumeration, hand-evaluated fixtures) rather
 than from the code under test.  Check 4 collects size witnesses from
 every Hadamard synthesis the other checks perform.  Check 7 evaluates
 its 2x2 point with the integer kernel behind identity testing
-(eval_matrix_residues).  Check 9 rebuilds two deliberately broken
-variants (a decoder with a mis-ordered weight index, an evaluator with
-swapped product operands) and confirms the suite's own mini-checks
-catch both.  The swapped evaluator is its own: dense q x q grids of
-term maps built from the automaton's steps, never hadamard_eval's
-tables.
+(eval_matrix_residues).  Check 9 confirms the suite's own mini-checks
+catch two planted defects: a decoder with a mis-ordered weight index,
+and the order mutant, hadamard_eval on the circuit with every mul
+gate's operands exchanged (mul_swapped).
 
 Report format: one line per check, `check <id> <pass|fail> <details>`,
 in id order.  Timing targets enter as a time_ok flag instead of raw
@@ -21,27 +19,33 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 
 from .automata import (Transition, Weight, WeightedAutomaton, build_decoder,
                        one_shot_nominal_states, one_shot_state_count,
                        series_truncate)
-from .circuits import (Circuit, CircuitBuilder, eval_matrix_residues, expand,
-                       replay)
+from .circuits import (MUL, Circuit, CircuitBuilder, eval_matrix_residues,
+                       expand)
 from .hadamard import (HadamardWitness, hadamard_circuit, hadamard_eval,
                        hadamard_witness)
 from .lifting import (DEFAULT_SEED, LiftParams, chain_decoders,
                       decode_circuit, encode_circuit, encode_stages,
                       iterate_encoder, lift_report, one_shot_decode_circuit,
                       sample_family)
-from .polynomials import Alphabet, Letters, NCPolynomial, add_maps, mul_maps
+from .polynomials import Alphabet, Letters, NCPolynomial
 from .randcircuits import (perturb_mul_order, random_circuit,
                            swap_add_children)
 from .scalars import DEFAULT_MODULUS
 from .verify import DISTINCT, EQUAL, circuit_equiv_brute, circuit_equiv_random
 
 PIT_MODULUS = 1_000_000_007
+
+
+def mul_swapped(circuit: Circuit) -> Circuit:
+    """The circuit with every mul gate's operands exchanged."""
+    return replace(circuit, nodes=tuple(
+        (op, b, a) if op == MUL else (op, a, b) for op, a, b in circuit.nodes))
 
 
 @dataclass(frozen=True)
@@ -331,45 +335,6 @@ class AcceptanceSuite:
                                  base.modulus, base.num_states, base.start,
                                  base.accept, tuple(trans))
 
-    def _eval_swapped(self, circuit: Circuit,
-                      automaton: WeightedAutomaton) -> NCPolynomial:
-        """hadamard_eval with the product operand order deliberately
-        reversed at every mul gate.
-
-        Its own evaluator: dense q x q grids of term maps built from the
-        automaton's steps, not hadamard_eval's sparse rows."""
-        p, states = circuit.modulus, range(automaton.num_states)
-
-        def letter(a: int) -> list[list[dict]]:
-            # The automaton merged its steps: one per (source, target).
-            grid = [[{} for _ in states] for _ in states]
-            for src, tgt, coeff, var in automaton.steps(a):
-                grid[src][tgt] = {() if var is None else (var,): coeff}
-            return grid
-
-        def const(c: int) -> list[list[dict]]:
-            one = {(): c % p} if c % p else {}
-            return [[one if i == j else {} for j in states] for i in states]
-
-        def add(a, b) -> list[list[dict]]:
-            return [[add_maps(u, v, p) for u, v in zip(ra, rb)]
-                    for ra, rb in zip(a, b)]
-
-        def swapped_mul(a, b) -> list[list[dict]]:
-            out = [[{} for _ in states] for _ in states]
-            for i in states:
-                for k in states:
-                    if b[i][k]:
-                        for j in states:
-                            out[i][j] = add_maps(
-                                out[i][j], mul_maps(b[i][k], a[k][j], p), p)
-            return out
-
-        value = replay(circuit, letter, const, add, swapped_mul)
-        return NCPolynomial(automaton.x_alphabet, p,
-                            value[automaton.start][automaton.accept],
-                            _trusted=True)
-
     def check_mutation_sensitivity(self) -> CheckResult:
         p = self.modulus
         x = Alphabet("X", 8)
@@ -384,7 +349,7 @@ class AcceptanceSuite:
             NCPolynomial.variable(1, x, p)
 
         decoder = build_decoder(2, modulus=p)
-        broken_eval = self._eval_swapped(enc, decoder) != ref
+        broken_eval = hadamard_eval(mul_swapped(enc), decoder) != ref
 
         ok = broken_trip and broken_table and broken_eval
         return CheckResult(9, ok,

@@ -17,6 +17,7 @@ order.  They invert the block encoders in the lifting module.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, NamedTuple, Sequence, TypeVar
@@ -24,7 +25,7 @@ from typing import Callable, NamedTuple, Sequence, TypeVar
 from .errors import BudgetError, FormatError
 from .polynomials import (Alphabet, Letters, NCPolynomial, add_maps, echo,
                           mul_map_term, read_index, read_int, read_text)
-from .scalars import DEFAULT_MODULUS, require_prime_modulus
+from .scalars import DEFAULT_MODULUS, require_prime_modulus, residue
 
 DEFAULT_MAX_STATES = 50_000
 DEFAULT_MAX_TRANSITIONS = 2_000_000
@@ -96,9 +97,14 @@ class WeightedAutomaton:
         Canonical: sorted by strictly increasing (source, letter,
         target), coefficients in 1..p-1, so parallel arrows are merged
         and zero weights dropped.  Every transition list is checked,
-        merged and sorted, whatever order it comes in.
+        merged and sorted, whatever order it comes in.  States, letters
+        and variables pass through operator.index and coefficients
+        through residue, so a float anywhere is a TypeError.
         """
         p = require_prime_modulus(self.modulus)
+        index = operator.index
+        for field in ("num_states", "start", "accept"):
+            object.__setattr__(self, field, index(getattr(self, field)))
         q = self.num_states
         if q < 1:
             raise ValueError("an automaton needs at least one state")
@@ -108,6 +114,10 @@ class WeightedAutomaton:
         letters, xvars = self.y_alphabet.size, self.x_alphabet.size
         merged: dict[tuple[int, int, int], Weight] = {}
         for source, letter, target, (coeff, var) in self.transitions:
+            source, letter, target = map(index, (source, letter, target))
+            if var is not None:
+                var = index(var)
+            coeff = residue(coeff, p)
             if not 0 <= source < q:
                 raise ValueError(f"transition source {source} out of range")
             if not 0 <= target < q:
@@ -121,7 +131,7 @@ class WeightedAutomaton:
             key = (source, letter, target)
             prev = merged.get(key)
             if prev is None:
-                merged[key] = Weight(coeff % p, var)
+                merged[key] = Weight(coeff, var)
             elif prev.var == var:
                 merged[key] = Weight((prev.coeff + coeff) % p, var)
             else:

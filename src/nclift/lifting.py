@@ -15,6 +15,7 @@ while tripling degrees; LiftParams/lift_report keep those books.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from typing import Sequence
@@ -197,6 +198,9 @@ class LiftParams:
     t: int
 
     def __post_init__(self) -> None:
+        for field in ("n", "d", "t"):
+            object.__setattr__(self, field,
+                               operator.index(getattr(self, field)))
         if self.n < 1:
             raise ValueError(f"alphabet size must be positive, got {self.n}")
         if self.d < 1:
@@ -319,6 +323,9 @@ def sample_family(kind: str, N: int, t: int, seed: int, *,
     monomial of t > MAX_CHAIN_SIZE letters.
     """
     require_prime_modulus(modulus)
+    N, t, terms = operator.index(N), operator.index(t), operator.index(terms)
+    if index is not None:
+        index = operator.index(index)
     if N < 1:
         raise ValueError(f"need at least one variable, got {N}")
     if t < 1:

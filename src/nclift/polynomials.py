@@ -41,6 +41,7 @@ class Alphabet:
 
     def __post_init__(self) -> None:
         check_name(self.name)
+        object.__setattr__(self, "size", operator.index(self.size))
         if self.size < 1:
             raise ValueError(f"alphabet size must be >= 1, got {self.size}")
 

@@ -14,15 +14,12 @@ import re
 
 import pytest
 
-from nclift import (DEFAULT_MODULUS, Alphabet, Circuit, build_decoder,
-                    encode_circuit, format_automaton, hadamard_eval,
-                    one_shot_nominal_states, one_shot_state_count)
+from nclift import (build_decoder, format_automaton, one_shot_nominal_states,
+                    one_shot_state_count)
 from nclift import acceptance
-from nclift.acceptance import AcceptanceSuite, run_acceptance
-from nclift.circuits import MUL
-from nclift.randcircuits import random_circuit
+from nclift.acceptance import AcceptanceSuite, mul_swapped, run_acceptance
 
-from helpers import ACCEPT_LINES, DECODER_SHA256, random_automaton
+from helpers import ACCEPT_LINES, DECODER_SHA256
 
 
 @pytest.fixture(scope="module")
@@ -105,14 +102,6 @@ def test_check_7_two_by_two_matrix_point(suite):
     assert "commutator_match=1" in r.details
 
 
-def mul_swapped(circuit):
-    """The circuit with every mul gate's operands exchanged."""
-    nodes = tuple((op, b, a) if op == MUL else (op, a, b)
-                  for op, a, b in circuit.nodes)
-    return Circuit(circuit.name, circuit.alphabet, circuit.modulus, nodes,
-                   circuit.output)
-
-
 def test_check_7_fails_under_swapped_products(monkeypatch):
     real = acceptance.eval_matrix_residues
     monkeypatch.setattr(acceptance, "eval_matrix_residues",
@@ -136,29 +125,19 @@ def test_check_9_mutants_are_caught(suite):
     assert r.passed, r.details
 
 
-def test_swapped_evaluator_is_hadamard_eval_of_the_swapped_circuit(rng):
-    """Check 9's own evaluator, on circuits whose swap changes the
-    value, is hadamard_eval of the circuit with every mul swapped."""
-    p = DEFAULT_MODULUS
-    cases = []
-    for m in (2, 3):
-        decoder = build_decoder(m, modulus=p)
-        for _ in range(15):
-            c = random_circuit(Alphabet("X", m ** 3), p, rng, max_gates=10,
-                               max_degree=3)
-            cases.append((encode_circuit(c, m), decoder))
-    for _ in range(15):
-        auto = random_automaton(rng, states=4, letters=2, xvars=3)
-        c = random_circuit(auto.y_alphabet, auto.modulus, rng, max_gates=10,
-                           max_degree=4)
-        cases.append((c, auto))
-    suite = AcceptanceSuite()
-    changed = 0
-    for c, auto in cases:
-        got = suite._eval_swapped(c, auto)
-        assert got == hadamard_eval(mul_swapped(c), auto)
-        changed += got != hadamard_eval(c, auto)
-    assert changed >= len(cases) // 2
+def test_check_9_fails_when_the_order_mutant_is_the_circuit(monkeypatch):
+    monkeypatch.setattr(acceptance, "mul_swapped", lambda c: c)
+    r = AcceptanceSuite().check_mutation_sensitivity()
+    assert r.line() == ("check 9 fail weight-index mutant caught=1,1 "
+                        "order mutant caught=0")
+
+
+def test_check_9_fails_when_the_mutant_decoder_is_sound(monkeypatch):
+    monkeypatch.setattr(AcceptanceSuite, "_mutant_decoder",
+                        lambda self: build_decoder(2))
+    r = AcceptanceSuite().check_mutation_sensitivity()
+    assert r.line() == ("check 9 fail weight-index mutant caught=0,0 "
+                        "order mutant caught=1")
 
 
 def test_mutants_leave_the_shared_decoder_intact(suite):

@@ -10,7 +10,8 @@ from nclift import (DEFAULT_MODULUS, Alphabet, BudgetError, NCPolynomial,
                     Transition, Weight, WeightedAutomaton, Word, automata,
                     build_decoder, build_one_shot_decoder, chain_decoders,
                     format_automaton, index_to_word, one_shot_nominal_states,
-                    one_shot_state_count, series_truncate, word_to_index)
+                    one_shot_state_count, parse_automaton, series_truncate,
+                    word_to_index)
 
 from helpers import DECODER_SHA256, coeff_by_paths, random_automaton
 
@@ -207,6 +208,32 @@ def test_automaton_validation():
     with pytest.raises(ValueError):
         WeightedAutomaton(Y, X, 97, 2, 0, 0,
                           (Transition(0, 0, 1, Weight(1, 9)),))
+
+
+def test_automaton_fields_must_be_ints():
+    """A float field is refused, never kept: kept, it would reach
+    coeff_of_word as a float coefficient, and format_automaton would
+    write a file that parse_automaton refuses."""
+    Y, X = Alphabet("Y", 2), Alphabet("X", 2)
+    one = Transition(0, 0, 1, Weight(1, 1))
+    for q, start, accept in ((2.5, 0, 0), (2, 0.0, 0), (2, 0, 1.0)):
+        with pytest.raises(TypeError):
+            WeightedAutomaton(Y, X, 97, q, start, accept, (one,))
+    for bad in (Transition(1.0, 0, 1, Weight(1)),
+                Transition(0, 1.0, 1, Weight(1)),
+                Transition(0, 0, 1.0, Weight(1)),
+                Transition(0, 0, 1, Weight(1.5)),
+                Transition(0, 0, 1, Weight(1, 1.0))):
+        with pytest.raises(TypeError):
+            WeightedAutomaton(Y, X, 97, 2, 0, 0, (bad,))
+    # An int-like field becomes a plain int, so the text parses back.
+    auto = WeightedAutomaton(Y, X, 97, 2, False, True,
+                             (Transition(False, True, True,
+                                         Weight(True, True)),))
+    assert (auto.start, auto.accept) == (0, 1)
+    assert auto.transitions == (Transition(0, 1, 1, Weight(1, 1)),)
+    assert parse_automaton(format_automaton(auto)) == auto
+    assert type(auto.coeff_of_word((1,)).coeff((1,))) is int
 
 
 @pytest.mark.parametrize("n, d", sorted(DECODER_SHA256))

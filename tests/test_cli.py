@@ -620,6 +620,27 @@ def test_chain_flag_errors_exit_2(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, message", [
+    ("decode", "decode chain starts from 2 letters, circuit has 8"),
+    ("hadamard", "circuit reads 8 letters, automaton has 2"),
+])
+def test_letter_count_mismatch_exit_2(tmp_path, capsys, command, message):
+    circuit = one_node_circuit(tmp_path / "c.circ", 8)
+    if command == "decode":
+        argv = ["decode", "--m", "2", "--in", circuit]
+    else:
+        automaton = tmp_path / "d.aut"
+        automaton.write_text(format_automaton(build_decoder(2)))
+        argv = ["hadamard", "--circuit", circuit,
+                "--automaton", str(automaton)]
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"nclift: {message}\n"
+    assert not out.exists()
+
+
 def test_modulus_flag(tmp_path):
     out = tmp_path / "d.aut"
     r = run_cli("build-decoder", "--m", "2", "--modulus", "101",

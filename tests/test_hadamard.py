@@ -586,15 +586,23 @@ def test_zero_circuit_gives_zero():
 
 
 def test_incompatible_inputs_rejected():
-    dec = build_decoder(2, modulus=P)
-    b = CircuitBuilder(Alphabet("Y", 3), P)     # letter count differs
-    c = b.finish(b.var(0))
-    with pytest.raises(ValueError):
-        hadamard_circuit(c, dec)
-    b7 = CircuitBuilder(Alphabet("Y", 2), 7)    # modulus differs
-    c7 = b7.finish(b7.var(0))
-    with pytest.raises(ValueError):
-        hadamard_eval(c7, dec)
+    """Every route refuses another letter count or modulus, by name."""
+    dec = build_decoder(2, modulus=7)
+    b = CircuitBuilder(Alphabet("X", 8), 7)     # letter count differs
+    c8 = b.finish(b.var(0))
+    b = CircuitBuilder(Alphabet("Y", 2), 5)     # modulus differs
+    c5 = b.finish(b.var(0))
+    for route in (hadamard_circuit, hadamard_eval, hadamard_witness):
+        with pytest.raises(ValueError, match="^circuit reads 8 letters, "
+                                             "automaton has 2$"):
+            route(c8, dec)
+        with pytest.raises(ValueError, match="^modulus mismatch: 5 vs 7$"):
+            route(c5, dec)
+    with pytest.raises(ValueError, match="^polynomial has 8 letters, "
+                                         "automaton has 2$"):
+        hadamard_poly(expand(c8), dec)
+    with pytest.raises(ValueError, match="^modulus mismatch: 5 vs 7$"):
+        hadamard_poly(expand(c5), dec)
 
 
 def test_default_name_marks_derivation():

@@ -101,9 +101,20 @@ def test_encode_requires_cube_alphabet():
     f = NCPolynomial.variable(0, Alphabet("X", 7), P)
     with pytest.raises(ValueError):
         encode_poly(f, 2)
-    c = circuit_from_poly(NCPolynomial.variable(0, Alphabet("X", 9), P))
-    with pytest.raises(ValueError):
+    c = circuit_from_poly(NCPolynomial.variable(0, Alphabet("X", 3), P))
+    with pytest.raises(ValueError, match="^encoder with m=2 needs 8 "
+                                         "variables, circuit has 3$"):
         encode_circuit(c, 2)
+
+
+def test_decode_refuses_another_letter_count():
+    c = circuit_from_poly(NCPolynomial.variable(0, Alphabet("X", 8), P))
+    for decode in (lambda: decode_circuit(c, 2),
+                   lambda: iterate_decoder(c, 2, 1),
+                   lambda: one_shot_decode_circuit(c, 2, 1)):
+        with pytest.raises(ValueError, match="^decode chain starts from 2 "
+                                             "letters, circuit has 8$"):
+            decode()
 
 
 def test_stage_chain_shapes():
@@ -274,3 +285,22 @@ def test_sample_family_random_sparse(rng):
 def test_sample_family_rejects_unknown_kind():
     with pytest.raises(ValueError):
         sample_family("mystery", 8, 2, seed=0)
+
+
+@pytest.mark.parametrize("kind, N, t, options", [
+    ("random-sparse", 8, 2, {"terms": 2.5}),
+    ("random-sparse", 8.0, 2, {}),
+    ("random-sparse", 8, 2.0, {}),
+    ("single-monomial", 8, 2, {"index": 3.0}),
+])
+def test_sample_family_counts_must_be_ints(kind, N, t, options):
+    with pytest.raises(TypeError):
+        sample_family(kind, N, t, 0, **options)
+
+
+def test_lift_params_must_be_ints():
+    # Kept, a float would print as N=8.0 and bound_factor=275.0.
+    for n, d, t in ((2.0, 1, 1), (2, 1.0, 1), (2, 1, 1.0)):
+        with pytest.raises(TypeError):
+            LiftParams(n, d, t)
+    assert type(LiftParams(True, 1, 1).n) is int

@@ -203,14 +203,22 @@ def test_letters_must_be_ints():
     assert all(type(i) is int for w in f.terms for i in w)
 
 
+def test_alphabet_size_must_be_an_int():
+    # A float size would be written `vars 2.5`, which parse_circuit refuses.
+    for size in (2.5, 2.0, "2"):
+        with pytest.raises(TypeError):
+            Alphabet("X", size)
+    assert type(Alphabet("X", True).size) is int
+
+
 def test_mixed_alphabet_and_modulus_rejected():
     f = NCPolynomial.variable(0, X3, 7)
-    g = NCPolynomial.variable(0, Alphabet("X", 4), 7)
-    h = NCPolynomial.variable(0, X3, 11)
-    with pytest.raises(ValueError):
-        f + g
-    with pytest.raises(ValueError):
-        f * h
+    g = NCPolynomial.variable(0, Alphabet("X", 8), 7)
+    h = NCPolynomial.variable(0, X3, 5)
+    with pytest.raises(ValueError, match="^alphabet size mismatch: 8 vs 3$"):
+        g + f
+    with pytest.raises(ValueError, match="^modulus mismatch: 5 vs 7$"):
+        h * f
 
 
 def test_word_basics():

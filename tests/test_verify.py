@@ -159,12 +159,24 @@ def test_random_mode_budgets_the_point_size():
 
 
 def test_modulus_mismatch_rejected():
-    b1 = CircuitBuilder(X3, PIT_P)
+    b1 = CircuitBuilder(X3, 5)
     c1 = b1.finish(b1.var(0))
     b2 = CircuitBuilder(X3, 7)
     c2 = b2.finish(b2.var(0))
-    with pytest.raises(ValueError):
-        circuit_equiv_brute(c1, c2)
+    for mode in (circuit_equiv_brute, circuit_equiv_random):
+        with pytest.raises(ValueError, match="^modulus mismatch: 5 vs 7$"):
+            mode(c1, c2)
+
+
+def test_alphabet_mismatch_rejected():
+    b1 = CircuitBuilder(Alphabet("X", 8), PIT_P)
+    c1 = b1.finish(b1.var(0))
+    b2 = CircuitBuilder(X3, PIT_P)
+    c2 = b2.finish(b2.var(0))
+    for mode in (circuit_equiv_brute, circuit_equiv_random):
+        with pytest.raises(ValueError, match="^circuits read different "
+                                             "alphabets: 8 vs 3$"):
+            mode(c1, c2)
 
 
 def _least_differing_word(f1, f2):
