@@ -13,9 +13,9 @@ Example:
 import argparse
 import sys
 
-from nclift import (DEFAULT_MODULUS, DEFAULT_SEED, LiftParams, build_decoder,
-                    encode_stages, expand, hadamard_circuit, hadamard_witness,
-                    lift_report, require_prime_modulus, sample_family)
+from nclift import (DEFAULT_MODULUS, DEFAULT_SEED, LiftParams, decode_stages,
+                    encode_stages, expand, hadamard_witness, lift_report,
+                    require_prime_modulus, sample_family)
 
 
 def prime(text: str) -> int:
@@ -32,28 +32,29 @@ def run(args: argparse.Namespace) -> int:
           f"seed={args.seed}")
 
     stages = encode_stages(fam.circuit, args.n, args.d)
-    report = lift_report(params, [s.size_report().gates for s in stages])
-    print(report.table())
+    print(lift_report(params, stages).table())
 
     reference = expand(fam.circuit)
     assert reference == fam.poly, "sample circuit disagrees with its poly"
 
-    current = stages[-1]
-    for k in range(args.d, 0, -1):
-        m = sizes[k]
-        if m > 8:
-            print(f"stage {k}: alphabet {m} too wide to decode here, stop")
-            return 0
-        dec = build_decoder(m, modulus=args.modulus)
-        print(hadamard_witness(current, dec).line())
-        current = hadamard_circuit(current, dec, name=current.name)
-        want = expand(stages[k - 1])
-        got = expand(current)
-        status = "ok" if got == want else "MISMATCH"
-        print(f"decode {sizes[k]} -> {sizes[k - 1]} letters: {status}")
-        if got != want:
-            return 1
-    print("round trip exact")
+    # Decode the stages of at most 8 letters; check each at the next record.
+    fit = sum(1 for m in sizes[1:] if m <= 8)
+    walk = decode_stages(stages[-1], args.n, fit)
+    for done, (current, dec) in enumerate(walk):
+        k = args.d - done    # current is stage k
+        if done:
+            want = expand(stages[k])
+            got = expand(current)
+            status = "ok" if got == want else "MISMATCH"
+            print(f"decode {sizes[k + 1]} -> {sizes[k]} letters: {status}")
+            if got != want:
+                return 1
+        if dec is not None:
+            print(hadamard_witness(current, dec).line())
+    if k:
+        print(f"stage {k}: alphabet {sizes[k]} too wide to decode here, stop")
+    else:
+        print("round trip exact")
     return 0
 
 

@@ -18,7 +18,7 @@ from .errors import BudgetError, FormatError, NCLiftError
 from .hadamard import (HadamardWitness, hadamard_circuit, hadamard_eval,
                        hadamard_poly, hadamard_witness)
 from .lifting import (DEFAULT_SEED, LiftParams, LiftReport, SampleFamily,
-                      chain_decoders, decode_circuit, encode_circuit,
+                      decode_circuit, decode_stages, encode_circuit,
                       encode_poly, encode_stages, encode_word,
                       iterate_decoder, iterate_encoder, lift_report,
                       one_shot_decode_circuit, sample_family)
@@ -36,13 +36,13 @@ __all__ = [
     "HadamardWitness", "LiftParams", "LiftReport", "MatrixPoint",
     "NCLiftError", "NCPolynomial", "SampleFamily", "SizeReport",
     "Transition", "Weight", "WeightedAutomaton", "Word", "build_decoder",
-    "build_one_shot_decoder", "chain_decoders", "circuit_equiv_brute",
+    "build_one_shot_decoder", "circuit_equiv_brute",
     "circuit_equiv_random", "circuit_from_poly", "decode_circuit",
-    "encode_circuit", "encode_poly", "encode_stages", "encode_word",
-    "eval_scalar", "expand", "format_automaton", "format_circuit",
-    "format_poly", "hadamard_circuit", "hadamard_eval", "hadamard_poly",
-    "hadamard_witness", "index_to_word", "is_prime", "iterate_decoder",
-    "iterate_encoder", "length_lex_key", "lift_report",
+    "decode_stages", "encode_circuit", "encode_poly", "encode_stages",
+    "encode_word", "eval_scalar", "expand", "format_automaton",
+    "format_circuit", "format_poly", "hadamard_circuit", "hadamard_eval",
+    "hadamard_poly", "hadamard_witness", "index_to_word", "is_prime",
+    "iterate_decoder", "iterate_encoder", "length_lex_key", "lift_report",
     "one_shot_decode_circuit", "one_shot_nominal_states",
     "one_shot_state_count", "parse_automaton", "parse_circuit",
     "parse_poly", "require_prime_modulus", "sample_family",

@@ -29,10 +29,9 @@ from .circuits import (MUL, Circuit, CircuitBuilder, eval_matrix_residues,
                        expand)
 from .hadamard import (HadamardWitness, hadamard_circuit, hadamard_eval,
                        hadamard_witness)
-from .lifting import (DEFAULT_SEED, LiftParams, chain_decoders,
-                      decode_circuit, encode_circuit, encode_stages,
-                      iterate_encoder, lift_report, one_shot_decode_circuit,
-                      sample_family)
+from .lifting import (DEFAULT_SEED, LiftParams, decode_circuit,
+                      encode_circuit, encode_stages, iterate_encoder,
+                      lift_report, one_shot_decode_circuit, sample_family)
 from .polynomials import Alphabet, Letters, NCPolynomial
 from .randcircuits import (perturb_mul_order, random_circuit,
                            swap_add_children)
@@ -152,8 +151,9 @@ class AcceptanceSuite:
     def check_one_shot(self) -> CheckResult:
         t0 = time.perf_counter()
         n, d = 2, 2
-        oneshot, = chain_decoders(n, d, self.modulus, one_shot=True)
-        dec2, dec8 = chain_decoders(n, d, self.modulus)
+        oneshot = build_decoder(n, d, modulus=self.modulus)
+        dec2 = build_decoder(2, modulus=self.modulus)
+        dec8 = build_decoder(8, modulus=self.modulus)
         merged = oneshot.num_states
         unmerged = one_shot_state_count(n, d, merged=False)
         want_merged = one_shot_nominal_states(n, d)
@@ -217,8 +217,7 @@ class AcceptanceSuite:
                                         self.seed * 100 + counter, terms=3,
                                         modulus=self.modulus)
                     stages = encode_stages(fam.circuit, n, d)
-                    report = lift_report(
-                        params, [s.size_report().gates for s in stages])
+                    report = lift_report(params, stages)
                     for k, row in enumerate(report.rows):
                         if (row.alphabet_size != sizes[k]
                                 or row.degree != degs[k]):

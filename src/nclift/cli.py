@@ -24,7 +24,7 @@ from .circuits import (DEFAULT_MAX_DEGREE, DEFAULT_MAX_TERMS, Circuit,
                        expand, format_circuit, parse_circuit)
 from .errors import BudgetError, FormatError
 from .hadamard import hadamard_circuit, hadamard_witness
-from .lifting import (DEFAULT_SEED, LiftParams, chain_decoders, encode_stages,
+from .lifting import (DEFAULT_SEED, LiftParams, decode_stages, encode_stages,
                       lift_report, sample_family)
 from .polynomials import NCPolynomial, format_poly, parse_poly
 from .scalars import DEFAULT_MODULUS, require_prime_modulus
@@ -83,12 +83,6 @@ def _chain_params(args) -> tuple[int, int]:
     return args.n, args.d
 
 
-def _measure(obj) -> int:
-    if isinstance(obj, Circuit):
-        return obj.size_report().gates
-    return len(obj.terms)
-
-
 def cmd_encode(args) -> int:
     obj = _load(getattr(args, "in"), "poly", "circuit")
     n, d = _chain_params(args)
@@ -98,8 +92,7 @@ def cmd_encode(args) -> int:
         t = max(1, obj.degree_bound())
     else:
         t = max(1, obj.degree)
-    report = lift_report(LiftParams(n, d, t),
-                         [_measure(s) for s in stages])
+    report = lift_report(LiftParams(n, d, t), stages)
     for line in report.lines():
         print(line)
     return 0
@@ -127,14 +120,10 @@ def cmd_hadamard(args) -> int:
 def cmd_decode(args) -> int:
     circuit = _load(getattr(args, "in"), "circuit")
     n, d = _chain_params(args)
-    if circuit.alphabet.size != n:
-        raise ValueError(f"decode chain starts from {n} letters, "
-                         f"circuit has {circuit.alphabet.size}")
-    result = circuit
-    for decoder in chain_decoders(n, d, circuit.modulus,
-                                  one_shot=args.one_shot):
-        print(hadamard_witness(result, decoder).line())
-        result = hadamard_circuit(result, decoder, name=result.name)
+    for result, decoder in decode_stages(circuit, n, d,
+                                         one_shot=args.one_shot):
+        if decoder is not None:
+            print(hadamard_witness(result, decoder).line())
     _save(args.out, result)
     return 0
 
@@ -178,8 +167,7 @@ def cmd_report(args) -> int:
     fam = sample_family(args.kind, params.variable_count, args.t, args.seed,
                         terms=args.terms, modulus=modulus)
     stages = encode_stages(fam.circuit, args.n, args.d)
-    report = lift_report(params,
-                         [s.size_report().gates for s in stages])
+    report = lift_report(params, stages)
     for line in report.lines():
         print(line)
     print()

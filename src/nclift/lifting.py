@@ -20,8 +20,8 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .automata import (MAX_SIZE_DIGITS, SIZE_CAP, WeightedAutomaton,
-                       build_decoder, chain_variables, index_to_word)
+from .automata import (MAX_SIZE_DIGITS, SIZE_CAP, build_decoder,
+                       chain_variables, index_to_word)
 from .circuits import (ADD, DEFAULT_MAX_TERMS, MUL, VAR, Circuit, Node,
                        circuit_from_poly)
 from .errors import BudgetError
@@ -133,29 +133,34 @@ def iterate_encoder(obj, n: int, d: int):
     return encode_stages(obj, n, d)[-1]
 
 
-def chain_decoders(n: int, d: int, modulus: int, *, one_shot: bool = False,
-                   **caps) -> list[WeightedAutomaton]:
-    """The decoders that undo a depth-d chain down to n letters.
+def decode_stages(c: Circuit, n: int, d: int, *, one_shot: bool = False,
+                  **caps):
+    """Walk a depth-d decode chain from n letters back up.
 
-    In the order they apply: the decoders on n, n^3, ..., n^(3^(d-1))
-    letters, or with one_shot the single build_decoder(n, d).  All are
-    built before the caller synthesises anything, so a decoder over
-    its budget fails the chain up front; the budget caps pass through
-    as keyword arguments.
+    Yields (stage input, decoder) before each synthesis, then (result,
+    None).  The first draw refuses a circuit that does not read n
+    letters, then builds every decoder, so one over its budget fails the
+    chain before any synthesis: those on n, n^3, ..., n^(3^(d-1))
+    letters, or with one_shot build_decoder(n, d); caps pass through.
     """
-    if one_shot:
-        return [build_decoder(n, d, modulus=modulus, **caps)]
-    return [build_decoder(n ** (3 ** k), modulus=modulus, **caps)
-            for k in range(d)]
-
-
-def _decode(c: Circuit, n: int, d: int, **options) -> Circuit:
     if c.alphabet.size != n:
         raise ValueError(f"decode chain starts from {n} letters, circuit "
                          f"has {c.alphabet.size}")
-    for decoder in chain_decoders(n, d, c.modulus, **options):
+    if one_shot:
+        decoders = [build_decoder(n, d, modulus=c.modulus, **caps)]
+    else:
+        decoders = [build_decoder(n ** (3 ** k), modulus=c.modulus, **caps)
+                    for k in range(d)]
+    for decoder in decoders:
+        yield c, decoder
         c = hadamard_circuit(c, decoder, name=c.name)
-    return c
+    yield c, None
+
+
+def _decode(c: Circuit, n: int, d: int, **options) -> Circuit:
+    for result, _ in decode_stages(c, n, d, **options):
+        pass
+    return result
 
 
 def decode_circuit(c: Circuit, m: int) -> Circuit:
@@ -276,18 +281,23 @@ class LiftReport:
         return "\n".join([header, *body, note]) + "\n"
 
 
-def lift_report(params: LiftParams,
-                stage_gates: Sequence[int]) -> LiftReport:
-    """Assemble the N_k / deg_k / measured-gates table for one chain."""
+def lift_report(params: LiftParams, stages: Sequence) -> LiftReport:
+    """Assemble the N_k / deg_k / measured-size table for one chain: a
+    circuit stage is measured by its gates, a polynomial by its terms."""
     sizes = params.alphabet_sizes
     degs = params.degrees
-    if len(stage_gates) != params.d + 1:
-        raise ValueError(f"expected {params.d + 1} stage sizes, got "
-                         f"{len(stage_gates)}")
-    rows = tuple(StageRow(k, sizes[k], degs[k], int(stage_gates[k]),
-                          params.bound_factor(k))
-                 for k in range(params.d + 1))
-    return LiftReport(params, rows)
+    if len(stages) != params.d + 1:
+        raise ValueError(f"expected {params.d + 1} stages, got "
+                         f"{len(stages)}")
+    rows = []
+    for k, stage in enumerate(stages):
+        if isinstance(stage, NCPolynomial):
+            size = len(stage.terms)
+        else:
+            size = stage.size_report().gates
+        rows.append(StageRow(k, sizes[k], degs[k], size,
+                             params.bound_factor(k)))
+    return LiftReport(params, tuple(rows))
 
 
 # ---------------------------------------------------------------------------

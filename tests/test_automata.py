@@ -8,10 +8,10 @@ import pytest
 import nclift
 from nclift import (DEFAULT_MODULUS, Alphabet, BudgetError, NCPolynomial,
                     Transition, Weight, WeightedAutomaton, Word, automata,
-                    build_decoder, build_one_shot_decoder, chain_decoders,
-                    format_automaton, index_to_word, one_shot_nominal_states,
-                    one_shot_state_count, parse_automaton, series_truncate,
-                    word_to_index)
+                    build_decoder, build_one_shot_decoder, circuit_from_poly,
+                    decode_stages, format_automaton, index_to_word,
+                    one_shot_nominal_states, one_shot_state_count,
+                    parse_automaton, series_truncate, word_to_index)
 
 from helpers import DECODER_SHA256, coeff_by_paths, random_automaton
 
@@ -295,7 +295,10 @@ def test_decoders_are_shared_under_every_name():
     dec = build_decoder(2, 2)
     assert build_one_shot_decoder(2, 2) is dec
     assert build_decoder(2, 2, modulus=P, max_states=61) is dec
-    assert chain_decoders(2, 2, P, one_shot=True)[0] is dec
+    # The one-shot decode walk's first record carries the cached decoder.
+    c = circuit_from_poly(NCPolynomial.variable(0, Alphabet("Y", 2), P))
+    _, first = next(decode_stages(c, 2, 2, one_shot=True))
+    assert first is dec
 
 
 @pytest.mark.parametrize("options, y, x, p", [

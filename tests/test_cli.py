@@ -482,6 +482,27 @@ def test_synthesis_budget_exit_3(tmp_path, capsys, monkeypatch):
         "budget is 1\n")
 
 
+def test_decode_synthesis_budget_prints_the_failing_stage(tmp_path, capsys,
+                                                         monkeypatch):
+    """The decode walk hands over each stage before its synthesis, so the
+    stage that runs out of budget still prints its witness line."""
+    b = CircuitBuilder(Alphabet("X", 512), P, name="g")
+    c = b.finish(b.add(b.mul(b.var(5), b.var(300)),
+                       b.mul(b.const(3), b.var(511))))
+    src, out = tmp_path / "enc.circ", tmp_path / "dec.circ"
+    src.write_text(format_circuit(iterate_encoder(c, 2, 2)))
+    monkeypatch.setattr(hadamard, "MAX_NODES", 1)
+    code = cli.main(["decode", "--n", "2", "--d", "2", "--in", str(src),
+                     "--out", str(out)])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ("hadamard q=5 in_gates=19 out_gates=4300 "
+                            "bound=4975 ok=1\n")
+    assert captured.err == ("nclift: budget exceeded: node 1: synthesis "
+                            "emitted 5 nodes, budget is 1\n")
+    assert not out.exists()
+
+
 def one_node_circuit(path, letters):
     b = CircuitBuilder(Alphabet("Y", letters), P, name="c")
     path.write_text(format_circuit(b.finish(b.var(0))))

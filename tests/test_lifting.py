@@ -3,12 +3,12 @@ import random
 
 import pytest
 
-from nclift import (DEFAULT_MODULUS, Alphabet, BudgetError, LiftParams,
-                    NCPolynomial, circuit_from_poly, cli, decode_circuit,
-                    encode_circuit, encode_poly, encode_stages, encode_word,
-                    expand, format_circuit, index_to_word, iterate_decoder,
-                    iterate_encoder, lift_report, one_shot_decode_circuit,
-                    sample_family)
+from nclift import (DEFAULT_MODULUS, Alphabet, BudgetError, CircuitBuilder,
+                    LiftParams, NCPolynomial, circuit_from_poly, cli,
+                    decode_circuit, encode_circuit, encode_poly,
+                    encode_stages, encode_word, expand, format_circuit,
+                    index_to_word, iterate_decoder, iterate_encoder,
+                    lift_report, one_shot_decode_circuit, sample_family)
 from nclift import lifting
 from nclift.circuits import DEFAULT_MAX_TERMS
 from nclift.lifting import SAMPLE_KINDS
@@ -182,14 +182,20 @@ def test_lift_params_bookkeeping():
 
 
 def test_lift_report_lines():
+    # x0 x1 + x1 x2 has 3 gates over 3 inputs, and encoding gives each
+    # input two muls: the report measures 3 and 9 gates.
+    b = CircuitBuilder(Alphabet("X", 8), P, name="g")
+    c = b.finish(b.add(b.mul(b.var(0), b.var(1)),
+                       b.mul(b.var(1), b.var(2))))
+    stages = encode_stages(c, 2, 1)
     params = LiftParams(2, 1, 2)
-    report = lift_report(params, [3, 9])
+    report = lift_report(params, stages)
     assert report.rows[0].line() == "stage k=0 N=8 deg=2 gates=3 bound_factor=275"
     assert report.rows[1].line() == "stage k=1 N=2 deg=6 gates=9 bound_factor=1"
     assert len(report.lines()) == 2
     assert "2*q^3 + q^2" in report.table()
-    with pytest.raises(ValueError):
-        lift_report(params, [3])
+    with pytest.raises(ValueError, match="^expected 2 stages, got 1$"):
+        lift_report(params, stages[:1])
 
 
 def test_sample_family_sum_of_squares():
@@ -225,7 +231,12 @@ def test_chain_size_budget_is_the_printing_limit():
     bound is checked against a power of ten, so no refused size is
     printed, and each accepted report prints in full."""
     fits = LiftParams(8 * 10 ** 1432, 1, 1)
-    report = lift_report(fits, [1, 3])
+    # Polynomial stages are measured by their terms: 1 and 3.
+    x = Alphabet("X", 2)
+    stages = [NCPolynomial(x, P, {(0,): 1}),
+              NCPolynomial(x, P, {(0,): 1, (1,): 1, (0, 1): 1})]
+    report = lift_report(fits, stages)
+    assert [row.gates for row in report.rows] == [1, 3]
     assert len(str(fits.bound_factor(0))) == 4300
     assert report.table().count("\n") == 4
     with pytest.raises(BudgetError, match=r"^a depth-1 chain down to 9\d+ "

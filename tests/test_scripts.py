@@ -25,6 +25,25 @@ decode 8 -> 512 letters: ok
 round trip exact
 """
 
+# At d = 3 the chain runs 2^27 -> 512 -> 8 -> 2 letters; the demo
+# decodes the two stages of at most 8 letters and stops at 512.
+LIFT_DEMO_STOP_STDOUT = """\
+family random-sparse N=134217728 t=1 seed=1729
+  k          N_k    deg_k      gates   bound_factor
+  0    134217728        1          3     2154831875
+  1          512        3          7          10115
+  2            8        9         19            275
+  3            2       27         47              1
+bound factor per decode stage: 2*q^3 + q^2 with q = 2*N_{k+1} + 1 \
+(exponent 3, plain matrix product)
+
+hadamard q=5 in_gates=47 out_gates=11050 bound=12425 ok=1
+decode 2 -> 8 letters: ok
+hadamard q=17 in_gates=19 out_gates=174267 bound=189006 ok=1
+decode 8 -> 512 letters: ok
+stage 1: alphabet 512 too wide to decode here, stop
+"""
+
 # 31 lines: a header and ten trials for each of m = 2, 3, 4.
 SIZE_SWEEP_SHA256 = (
     "2d558ec91fc0edcacb66995ae1238fb325497d00d9c3c219ec083fed60992c00")
@@ -41,6 +60,12 @@ def test_lift_demo_stdout(capsys):
     argv = ["--n", "2", "--d", "2", "--t", "2", "--kind", "random-sparse"]
     assert load("lift_demo").main(argv) == 0
     assert capsys.readouterr().out == LIFT_DEMO_STDOUT
+
+
+def test_lift_demo_stops_at_the_first_wide_alphabet(capsys):
+    argv = ["--n", "2", "--d", "3", "--t", "1", "--terms", "2"]
+    assert load("lift_demo").main(argv) == 0
+    assert capsys.readouterr().out == LIFT_DEMO_STOP_STDOUT
 
 
 def test_size_sweep_stdout(capsys):
