@@ -21,7 +21,7 @@ from __future__ import annotations
 import operator
 import struct
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from itertools import compress
 from typing import Callable, Mapping, Sequence
 
@@ -66,54 +66,39 @@ class SizeReport:
 
 @dataclass(frozen=True)
 class Circuit:
+    """A checked circuit.  Circuit(...) checks the name, the modulus and
+    every node, and raises ValueError naming the first fault.
+
+    _trusted=True skips every check.  It is for the package's own
+    builders whose nodes are already known to be good: parse_circuit
+    and CircuitBuilder check each node as it is read or appended,
+    encode_circuit and difference_circuit rebuild checked circuits, and
+    each passes the nodes as a tuple.
+    """
+
     name: str
     alphabet: Alphabet
     modulus: int
     nodes: tuple[Node, ...]
     output: int
+    _trusted: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
-        """Check every node; raise ValueError naming the first bad one."""
+    def __post_init__(self, _trusted: bool) -> None:
+        if _trusted:
+            return
         check_name(self.name)
         p = require_prime_modulus(self.modulus)
         nodes = tuple(self.nodes)
         object.__setattr__(self, "nodes", nodes)
         n = self.alphabet.size
-        if not nodes:
-            raise ValueError("circuit has no nodes")
         for i, node in enumerate(nodes):
-            if type(node) is not tuple or len(node) != 3:
-                raise ValueError(f"node {i}: {node!r} is not an "
-                                 f"(op, a, b) triple")
-            op, a, b = node
-            if type(a) is not int or type(b) is not int:
-                field = b if type(a) is int else a
-                raise ValueError(f"node {i}: field {field!r} is not an int")
-            if op == ADD or op == MUL:
-                if not (0 <= a < i and 0 <= b < i):
-                    child = b if 0 <= a < i else a
-                    raise ValueError(f"node {i}: child {child} is not "
-                                     f"strictly below its parent")
-                continue
-            if op == VAR:
-                if not 0 <= a < n:
-                    raise ValueError(f"node {i}: variable x{a} "
-                                     f"outside alphabet of size {n}")
-            elif op == CONST:
-                if not 0 <= a < p:
-                    raise ValueError(f"node {i}: constant {a} "
-                                     f"not a reduced residue mod {p}")
-            else:
-                raise ValueError(f"node {i}: unknown node kind {op!r}")
-            if b != 0:
-                raise ValueError(f"node {i}: {op} leaf has third "
-                                 f"field {b}, not 0")
-        output = self.output
-        if type(output) is not int or not 0 <= output < len(nodes):
-            raise ValueError(f"output {output!r} is not a node id")
+            fault = _node_fault(i, node, n, p)
+            if fault is not None:
+                raise ValueError(fault)
+        _check_output(self.output, len(nodes))
 
     def size_report(self) -> SizeReport:
-        n = Counter(op for op, _, _ in self.nodes)
+        n = Counter(map(operator.itemgetter(0), self.nodes))
         return SizeReport(n[ADD], n[MUL], n[VAR], n[CONST])
 
     def degree_bound(self) -> int:
@@ -125,11 +110,51 @@ class Circuit:
         return {a for op, a, _ in self.nodes if op == VAR}
 
 
+def _check_output(output, count: int) -> None:
+    """Refuse a circuit of count nodes, none of them bad, that has no
+    nodes or whose output is not one of its node ids."""
+    if not count:
+        raise ValueError("circuit has no nodes")
+    if type(output) is not int or not 0 <= output < count:
+        raise ValueError(f"output {output!r} is not a node id")
+
+
+def _node_fault(i: int, node, n: int, p: int) -> str | None:
+    """Why node i breaks the node rules of a circuit over n letters
+    mod p, or None when it keeps them."""
+    if type(node) is not tuple or len(node) != 3:
+        return f"node {i}: {node!r} is not an (op, a, b) triple"
+    op, a, b = node
+    if type(a) is not int or type(b) is not int:
+        field = b if type(a) is int else a
+        return f"node {i}: field {field!r} is not an int"
+    if op == ADD or op == MUL:
+        if not (0 <= a < i and 0 <= b < i):
+            child = b if 0 <= a < i else a
+            return f"node {i}: child {child} is not strictly below its parent"
+        return None
+    if op == VAR:
+        if not 0 <= a < n:
+            return f"node {i}: variable x{a} outside alphabet of size {n}"
+    elif op == CONST:
+        if not 0 <= a < p:
+            return f"node {i}: constant {a} not a reduced residue mod {p}"
+    else:
+        return f"node {i}: unknown node kind {op!r}"
+    if b != 0:
+        return f"node {i}: {op} leaf has third field {b}, not 0"
+    return None
+
+
 class CircuitBuilder:
     """Mutable construction buffer; finish() freezes to a Circuit.
 
     Constants and input nodes are deduplicated so synthesized circuits
-    share leaves.  Gate nodes are appended verbatim.
+    share leaves.  Gate nodes are appended as given, once their
+    children are checked: add and mul refuse a child that is not an
+    int id of an earlier node, with the message Circuit gives.  So
+    every node in the buffer is good when it lands, and finish checks
+    only the name and the output.
     """
 
     def __init__(self, alphabet: Alphabet, modulus: int, name: str = "c"):
@@ -167,27 +192,42 @@ class CircuitBuilder:
             self._var_ids[i] = nid
         return nid
 
+    def _gate(self, node: Node) -> int:
+        nodes = self.nodes
+        i = len(nodes)
+        _, lhs, rhs = node
+        if not (type(lhs) is int and type(rhs) is int and 0 <= lhs < i
+                and 0 <= rhs < i):
+            raise ValueError(_node_fault(i, node, self.alphabet.size,
+                                         self.modulus))
+        nodes.append(node)
+        return i
+
     def add(self, lhs: int, rhs: int) -> int:
-        return self._push((ADD, lhs, rhs))
+        return self._gate((ADD, lhs, rhs))
 
     def mul(self, lhs: int, rhs: int) -> int:
-        return self._push((MUL, lhs, rhs))
+        return self._gate((MUL, lhs, rhs))
 
     def const_value(self, nid: int) -> int | None:
         """The residue a node is a constant for, else None."""
         return self._const_vals.get(nid)
 
     def finish(self, output: int, *, prune: bool = False) -> Circuit:
-        """Freeze the nodes into a Circuit, which checks them.
+        """Freeze the nodes into a Circuit.
 
-        With prune, nodes the output does not reach are dropped first,
+        The nodes were checked as they were appended, so only the name
+        and the output are checked here, with Circuit's messages.  With
+        prune, nodes the output does not reach are dropped first,
         keeping the others in order, so one Circuit is built either way.
         """
+        check_name(self.name)
         nodes = self.nodes
+        _check_output(output, len(nodes))
         if prune:
             nodes, output = _reachable(nodes, output)
         return Circuit(self.name, self.alphabet, self.modulus, tuple(nodes),
-                       output)
+                       output, _trusted=True)
 
 
 def _reachable(nodes: list[Node], output: int) -> tuple[list[Node], int]:
@@ -196,8 +236,9 @@ def _reachable(nodes: list[Node], output: int) -> tuple[list[Node], int]:
 
     Children sit below their parents, so one sweep down from output
     marks every node it reaches before visiting it.  A sweep that meets
-    an id breaking the node rules returns the list as given, for the
-    Circuit to refuse by name.
+    an id breaking the node rules returns the list as given.  finish
+    never hands it one: the builder checks each gate as it is appended,
+    and finish checks the output first.
     """
     if type(output) is not int or not 0 <= output < len(nodes):
         return nodes, output
@@ -538,6 +579,14 @@ _NODE_LINES = {ADD: (ADD, 5), MUL: (MUL, 5), VAR: (VAR, 4), CONST: (CONST, 4)}
 
 
 def parse_circuit(text: str) -> Circuit:
+    """The circuit a text describes, checked as it is read.
+
+    Each node is checked on its line, but a fault found there is
+    reported only once the text has parsed, in Circuit's order: a line
+    that does not parse, a missing output line, the name, no nodes, the
+    first bad node, then the output.  Every refusal is a FormatError
+    with Circuit's message.
+    """
     (name, aname, size, modulus), body = read_text(
         text, ("circuit", str, "over", str, "vars", int, "modulus", int))
     try:
@@ -552,6 +601,7 @@ def parse_circuit(text: str) -> Circuit:
     nodes: list[Node] = []
     push = nodes.append
     output: int | None = None
+    bad: str | None = None    # why the first bad node is bad
     # Only int() raises ValueError here, for a number past its digit limit.
     try:
         for lineno, toks, _ in body:
@@ -582,11 +632,17 @@ def parse_circuit(text: str) -> Circuit:
             if width == 5:
                 b = toks[4]
                 if digits(a) and digits(b):
-                    push((op, int(a), int(b)))
+                    a, b = int(a), int(b)
+                    if (a >= nid or b >= nid) and bad is None:
+                        bad = _node_fault(nid, (op, a, b), size, modulus)
+                    push((op, a, b))
                     continue
             elif op == VAR:
                 if digits(a):
-                    push((VAR, int(a), 0))
+                    a = int(a)
+                    if a >= size and bad is None:
+                        bad = _node_fault(nid, (VAR, a, 0), size, modulus)
+                    push((VAR, a, 0))
                     continue
             elif digits(a.removeprefix("-")):
                 push((CONST, int(a) % modulus, 0))
@@ -597,6 +653,11 @@ def parse_circuit(text: str) -> Circuit:
     if output is None:
         raise FormatError("missing output line")
     try:
-        return Circuit(name, alphabet, modulus, tuple(nodes), output)
+        check_name(name)
+        if bad is not None:
+            raise ValueError(bad)
+        _check_output(output, len(nodes))
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
+    return Circuit(name, alphabet, modulus, tuple(nodes), output,
+                   _trusted=True)

@@ -288,7 +288,13 @@ def _block_add(b: CircuitBuilder, x: dict, y: dict, want: dict,
 def _block_mul(b: CircuitBuilder, x: dict, y: dict, cache: dict,
                want: dict, s: int) -> dict:
     """The cells of x y that `want` asks for: {row: column bitmask},
-    an absent row asking for nothing.  Cells are keyed i << s | j.
+    an absent row asking for nothing (want holds no zero row).  Cells
+    are keyed i << s | j.
+
+    Only the rows of y that x's asked-for cells reach are grouped, in
+    one pass over x and one over y, so the cost stays linear in
+    len(x) + len(y).  The cells are then visited x in order and, for
+    each, its row of y in order.
 
     Identical operand pairs recur across block cells (shared path
     segments), so products are memoised per synthesis in `cache`,
@@ -298,18 +304,24 @@ def _block_mul(b: CircuitBuilder, x: dict, y: dict, cache: dict,
     """
     mask = (1 << s) - 1
     rows: dict[int, list[tuple[int, int]]] = {}
+    for key in x:
+        if key >> s in want:
+            rows[key & mask] = []
+    if not rows:
+        return {}
     for key, nid in y.items():
-        rows.setdefault(key >> s, []).append((key & mask, nid))
+        row = rows.get(key >> s)
+        if row is not None:
+            row.append((key & mask, nid))
     out: dict = {}
     for key, left in x.items():
-        i = key >> s
-        row = rows.get(key & mask)
-        cols = want.get(i, 0)
-        if not row or not cols:
+        cols = want.get(key >> s)
+        if not cols:
             continue
-        base = i << s
+        k = key & mask
+        base = key ^ k      # i << s
         high = left << 32
-        for j, right in row:
+        for j, right in rows[k]:
             if not cols >> j & 1:
                 continue
             pair = high | right
@@ -418,12 +430,15 @@ def _supports(circuit: Circuit,
     table, intern = memo.table, memo.intern
     letters, ident, zero = memo.letters, memo.ident, memo.zero
     sums, products = memo.sums, memo.products
+    sups: list[int] = []
+    keep = sups.append
 
     def add(a: int, b: int) -> int:
         out = sums.get((a, b))
         if out is None:
             out = sums[a, b] = intern(tuple(
                 x | y for x, y in zip(table[a], table[b])))
+        keep(out)
         return out
 
     def mul(a: int, b: int) -> int:
@@ -447,17 +462,20 @@ def _supports(circuit: Circuit,
                         shared[ks] = row
                 acc.append(row)
             out = products[a, b] = intern(tuple(acc))
+        keep(out)
         return out
 
-    sups: list[int] = []
+    def var(v: int) -> int:
+        out = letters[v]
+        keep(out)
+        return out
 
-    def keep(k: int) -> int:
-        sups.append(k)
-        return k
+    def const(c: int) -> int:
+        out = ident if c % p else zero
+        keep(out)
+        return out
 
-    replay(circuit, lambda v: keep(letters[v]),
-           lambda c: keep(ident if c % p else zero),
-           lambda a, b: keep(add(a, b)), lambda a, b: keep(mul(a, b)))
+    replay(circuit, var, const, add, mul)
     return table, sups
 
 
@@ -471,24 +489,15 @@ def _demands(circuit: Circuit, table: list, sups: list,
     passes its demand to both children within their supports (`table`
     and `sups` as _supports returns them); a mul that wants (i, j)
     wants (i, k) of its left child and (k, j) of its right child for
-    every k their supports connect.  Each child gets a dict of its
-    own, which later parents OR their rows into, so the work per node
-    follows its demanded rows, not q.
+    every k their supports connect.  Each child owns one dict, made by
+    the first parent that demands a cell of it, and every later parent
+    ORs its rows into that dict in place, so the work per node follows
+    its demanded rows, not q.
     """
     nodes = circuit.nodes
     q = len(table[0])
     dem: list = [None] * len(nodes)
     read = [[0] * q for _ in range(circuit.alphabet.size)]
-
-    def merge(child: int, rows: dict) -> None:
-        if rows:
-            cur = dem[child]
-            if cur is None:
-                dem[child] = rows
-            else:
-                for r, cols in rows.items():
-                    cur[r] = cur.get(r, 0) | cols
-
     i, j = cell
     root = table[sups[circuit.output]][i] & 1 << j
     if root:
@@ -501,16 +510,24 @@ def _demands(circuit: Circuit, table: list, sups: list,
         if op == ADD:
             for child in (a, b):
                 sup = table[sups[child]]
-                rows = {}
+                rows = dem[child]
                 for r, cols in want.items():
                     hit = cols & sup[r]
                     if hit:
-                        rows[r] = hit
-                merge(child, rows)
+                        if rows is None:
+                            rows = dem[child] = {r: hit}
+                        else:
+                            rows[r] = rows.get(r, 0) | hit
         elif op == MUL:
+            # A mul's demand lies in its support, so each demanded row
+            # has hits in both children: neither dict stays empty.
             left, right = table[sups[a]], table[sups[b]]
-            lwant: dict = {}
-            rwant: dict = {}
+            lrows = dem[a]
+            if lrows is None:
+                lrows = dem[a] = {}
+            rrows = dem[b]
+            if rrows is None:
+                rrows = dem[b] = {}
             for r, cols in want.items():
                 ks = left[r]
                 lrow = 0
@@ -521,10 +538,8 @@ def _demands(circuit: Circuit, table: list, sups: list,
                     hit = right[k] & cols
                     if hit:
                         lrow |= low
-                        rwant[k] = rwant.get(k, 0) | hit
-                lwant[r] = lrow     # nonzero: demand lies in the support
-            merge(a, lwant)
-            merge(b, rwant)
+                        rrows[k] = rrows.get(k, 0) | hit
+                lrows[r] = lrows.get(r, 0) | lrow
         elif op == VAR:
             rows = read[a]
             for r, cols in want.items():
@@ -650,7 +665,9 @@ def hadamard_circuit(circuit: Circuit, automaton: WeightedAutomaton, *,
         if not want:
             return {}
         rows = letter_rows[letter]
-        return {i << s | j: nid for i, cols in sorted(want.items())
+        # Cells load by ascending row; one row needs no sort.
+        cells = sorted(want.items()) if len(want) > 1 else want.items()
+        return {i << s | j: nid for i, cols in cells
                 for j, nid in rows[i] if cols >> j & 1}
 
     def const(c: int) -> dict:

@@ -54,7 +54,9 @@ def encode_circuit(c: Circuit, m: int, *, y_name: str = "Y") -> Circuit:
 
     One pass over the nodes: the input x_i becomes the chain
     (y_a * y_b) * y_c of its digits a, b, c, with one leaf per distinct
-    digit, and every other node is kept with renumbered children.
+    digit, and every other node is kept with renumbered children.  Each
+    distinct letter's digits are worked out once.  The nodes of c were
+    checked, so the result is built without checking them again.
     """
     if c.alphabet.size != m ** 3:
         raise ValueError(f"encoder with m={m} needs {m ** 3} variables, "
@@ -62,11 +64,15 @@ def encode_circuit(c: Circuit, m: int, *, y_name: str = "Y") -> Circuit:
     nodes: list[Node] = []
     push = nodes.append
     new_id: list[int] = []    # where each node of c landed
+    words: dict[int, Letters] = {}
     for op, a, b in c.nodes:
         if op == VAR:
+            word = words.get(a)
+            if word is None:
+                word = words[a] = encode_word(a, m)
             leaves: dict[int, int] = {}
             chain = -1
-            for digit in encode_word(a, m):
+            for digit in word:
                 leaf = leaves.get(digit)
                 if leaf is None:
                     leaf = leaves[digit] = len(nodes)
@@ -83,7 +89,7 @@ def encode_circuit(c: Circuit, m: int, *, y_name: str = "Y") -> Circuit:
         new_id.append(len(nodes))
         push((op, a, b))
     return Circuit(c.name, Alphabet(y_name, m), c.modulus, tuple(nodes),
-                   new_id[c.output])
+                   new_id[c.output], _trusted=True)
 
 
 # The most nodes (circuits) or word letters (polynomials) one chain of

@@ -121,8 +121,11 @@ def difference_circuit(c1: Circuit, c2: Circuit) -> Circuit:
     children's merged ids, so a node the two share, or a circuit's own
     repeated node, appears once.  Three nodes follow, for
     o1 + (p - 1) * o2; eval_matrix_residues evaluates the product by a
-    constant as a scaling.
+    constant as a scaling.  The pair must read one alphabet size under
+    one modulus; both were checked when built, so their merged nodes
+    are not checked again.
     """
+    _check_comparable(c1, c2)
     nodes: list[Node] = []
     ids: dict[Node, int] = {}
 
@@ -143,7 +146,7 @@ def difference_circuit(c1: Circuit, c2: Circuit) -> Circuit:
     k = len(nodes)
     nodes += [(CONST, c1.modulus - 1, 0), (MUL, k, o2), (ADD, o1, k + 1)]
     return Circuit("difference", c1.alphabet, c1.modulus, tuple(nodes),
-                   k + 2)
+                   k + 2, _trusted=True)
 
 
 def circuit_equiv_random(c1: Circuit, c2: Circuit, trials: int = 10,

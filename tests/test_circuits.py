@@ -4,15 +4,16 @@ import pytest
 
 import nclift
 from nclift import (DEFAULT_MODULUS, Alphabet, BudgetError, Circuit,
-                    CircuitBuilder, NCPolynomial, circuit_from_poly,
-                    eval_scalar, expand, format_circuit, parse_circuit)
+                    CircuitBuilder, NCPolynomial, build_decoder,
+                    circuit_from_poly, encode_circuit, eval_scalar, expand,
+                    format_circuit, hadamard_circuit, parse_circuit)
 from nclift import circuits
 from nclift.circuits import (ADD, CONST, MUL, VAR, decode_word,
                              eval_matrix_residues, expand_codes, letter_bits,
                              replay, slot_width)
 from nclift.polynomials import length_lex_key
 from nclift.randcircuits import random_circuit
-from nclift.verify import MAX_CHUNK_POINTS
+from nclift.verify import MAX_CHUNK_POINTS, difference_circuit
 
 from helpers import (fourth_power_of_sum, matrix_value_of_poly, random_poly,
                      reference_eval_matrix_residues, reference_expand,
@@ -115,9 +116,10 @@ def test_invalid_circuit_is_refused_at_construction(nodes, output, message):
 
 
 def test_pruning_refuses_what_a_circuit_refuses():
-    """Pruning walks the nodes before the Circuit checks them; a bad id
-    met on the way must still be refused by name, not read modulo the
-    list length or left to raise IndexError."""
+    """The builder refuses a bad child when the gate is appended, and a
+    bad output at finish, pruning or not, with the messages a Circuit
+    gives; a bad id is never read modulo the list length or left to
+    raise IndexError."""
     b = CircuitBuilder(X3, P)
     b.var(0)
     b.var(2)
@@ -125,16 +127,63 @@ def test_pruning_refuses_what_a_circuit_refuses():
         b.finish(-1, prune=True)
     with pytest.raises(ValueError, match=r"^output 0\.0 is not a node id$"):
         b.finish(0.0, prune=True)
-    b.add(0, 5)
     with pytest.raises(ValueError, match="^node 2: child 5 is not strictly "
                                          "below its parent$"):
-        b.finish(2, prune=True)
+        b.add(0, 5)
     b = CircuitBuilder(X3, P)
     b.add(b.var(0), b.var(1))
-    b.add(1, 0.0)
     with pytest.raises(ValueError, match=r"^node 3: field 0\.0 is not an "
                                          r"int$"):
-        b.finish(3, prune=True)
+        b.add(1, 0.0)
+    with pytest.raises(ValueError, match="^node 3: field True is not an "
+                                         "int$"):
+        b.mul(True, 1)
+    with pytest.raises(ValueError, match="^node 3: child -1 is not "
+                                         "strictly below its parent$"):
+        b.mul(-1, 1)
+    with pytest.raises(ValueError, match="^node 3: child 3 is not "
+                                         "strictly below its parent$"):
+        b.mul(0, 3)
+    # A refused gate is not appended.
+    assert len(b.nodes) == 3
+    assert b.finish(2, prune=True).nodes == ((VAR, 0, 0), (VAR, 1, 0),
+                                             (ADD, 0, 1))
+    with pytest.raises(ValueError, match="^circuit has no nodes$"):
+        CircuitBuilder(X3, P).finish(0)
+    with pytest.raises(ValueError, match="^bad identifier 'a b': single "
+                                         "token required$"):
+        CircuitBuilder(X3, P, name="a b").finish(0)
+
+
+def checked_copy(c):
+    """c built again through Circuit's full check."""
+    return Circuit(c.name, c.alphabet, c.modulus, c.nodes, c.output)
+
+
+def test_trusted_builds_pass_the_full_check(rng):
+    """Every path that builds a Circuit without checking it again (the
+    parser, the builder, the encoder, the difference and the synthesis)
+    makes only circuits the full check accepts, with tuple nodes."""
+    X8 = Alphabet("X", 8)
+    decoder = build_decoder(2, modulus=97)
+    for _ in range(40):
+        c1 = random_circuit(X8, 97, rng, max_gates=12, max_degree=4)
+        c2 = random_circuit(X8, 97, rng, max_gates=12, max_degree=4)
+        enc = encode_circuit(c1, 2)
+        built = [c1, parse_circuit(format_circuit(c1)), enc,
+                 difference_circuit(c1, c2), hadamard_circuit(enc, decoder)]
+        for c in built:
+            assert type(c.nodes) is tuple
+            assert checked_copy(c) == c
+
+
+def test_trusted_circuit_skips_the_check():
+    """_trusted=True is the package's own fast path: it checks nothing,
+    so only code that has checked its nodes may pass it."""
+    bad = Circuit("not a name", X3, P, ((ADD, 0, 0),), 5, _trusted=True)
+    assert bad.nodes == ((ADD, 0, 0),)
+    with pytest.raises(ValueError, match="^bad identifier"):
+        checked_copy(bad)
 
 
 def reachable_by_walk(nodes, output):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from nclift import (Alphabet, CircuitBuilder, build_decoder, cli,
                     format_automaton, format_circuit, hadamard, is_prime,
                     iterate_decoder, iterate_encoder, one_shot_decode_circuit,
-                    parse_poly)
+                    parse_poly, sample_family)
 from nclift.randcircuits import (perturb_mul_order, random_circuit,
                                  swap_add_children)
 
@@ -126,6 +126,42 @@ def test_decode_output_ignores_hash_seed(tmp_path, flags):
         assert r.returncode == 0
         texts.append(out.read_bytes())
     assert texts[0] == texts[1]
+
+
+# (command, sha256 of its stdout, sha256 of the file it writes)
+LARGEST_CHAIN_PINS = [
+    ("encode",
+     "15f634e717460779a4028360a37dcc6c4ec6d106c86b05f7eb1f58ada2017c66",
+     "99cdb5f211cae862e6ea8266f83a71df176dd0e1e1809f7d591fd8c6b441a44d"),
+    ("decode",
+     "211a605ec799825a55968104cc7266ae12f976ca4233e266c4857d7f739155a9",
+     "324d2ad0c62b2294fa0f6a1a15a7889086575b9213f0ca9e3c7579fa9893e14e"),
+    ("decode --one-shot",
+     "f3e8e5798b4f18af9f740fc69c340386523fbb322a9cc2d8f2feb22a7a32c9f8",
+     "1d9dc0413c0a416ea3021db9ac96d4d801f8399020789a770a32e016c1335bd2"),
+]
+
+
+def test_largest_benchmark_chain_is_pinned(tmp_path, capsys):
+    """The bytes encode, decode and decode --one-shot print and write
+    for a random-sparse circuit over 512 letters of degree 4 with 400
+    terms, the largest of the benchmark's chain-large shapes: thousands
+    of nodes through the parser, the encoder and the synthesis."""
+    fam = sample_family("random-sparse", 512, 4, 1729, terms=400)
+    src, enc = tmp_path / "src.circ", tmp_path / "enc.circ"
+    src.write_text(format_circuit(fam.circuit))
+    chain = ["--n", "2", "--d", "2"]
+    for k, (command, out_sha, file_sha) in enumerate(LARGEST_CHAIN_PINS):
+        dest = tmp_path / f"out{k}.circ"
+        source = src if command == "encode" else enc
+        assert cli.main([*command.split(), "--in", str(source), "--out",
+                         str(dest), *chain]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == out_sha, command
+        assert hashlib.sha256(dest.read_bytes()).hexdigest() == file_sha, \
+            command
+        if command == "encode":
+            dest.rename(enc)
 
 
 def test_main_twice_in_one_process(tmp_path, capsys):

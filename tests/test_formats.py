@@ -212,6 +212,46 @@ def test_parse_circuit_rejects(text):
         parse_circuit(text)
 
 
+HEAD2 = "circuit g over X vars 2 modulus 7\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (HEAD2 + "node 0 var 0\nnode 1 add 0 1\noutput 1\n",
+     "node 1: child 1 is not strictly below its parent"),
+    (HEAD2 + "node 0 var 0\nnode 1 mul 3 0\noutput 1\n",
+     "node 1: child 3 is not strictly below its parent"),
+    (HEAD2 + "node 0 var 2\noutput 0\n",
+     "node 0: variable x2 outside alphabet of size 2"),
+    (HEAD2 + "output 0\n", "circuit has no nodes"),
+    (HEAD2 + "node 0 var 0\noutput 1\n", "output 1 is not a node id"),
+    ("circuit g! over X vars 2 modulus 7\nnode 0 var 0\noutput 0\n",
+     "bad identifier 'g!': single token required"),
+    ("circuit " + "g" * 50 + "! over X vars 2 modulus 7\nnode 0 var 0\n"
+     "output 0\n", "bad identifier 'gggggggggggggggggggggggggggggggggggggggg'"
+     "... (51 characters): single token required"),
+    # When a text breaks several rules, the one reported is fixed: a line
+    # that does not parse, then a missing output, then the name, then
+    # no nodes, then the first bad node, then the output.
+    ("circuit g! over X vars 2 modulus 7\nnode 0 add 0 0\noutput 0\n",
+     "bad identifier 'g!': single token required"),
+    ("circuit g! over X vars 2 modulus 7\noutput 0\n",
+     "bad identifier 'g!': single token required"),
+    (HEAD2 + "node 0 add 0 0\nnode 1 frob\noutput 0\n",
+     "line 3: expected a node line"),
+    (HEAD2 + "node 0 add 0 0\n", "missing output line"),
+    (HEAD2 + "node 0 var 0\nnode 1 var 5\nnode 2 add 0 9\noutput 2\n",
+     "node 1: variable x5 outside alphabet of size 2"),
+    (HEAD2 + "node 0 var 5\noutput 4\n",
+     "node 0: variable x5 outside alphabet of size 2"),
+    (HEAD2 + "node 0 var 0\nnode 1 add 1 0\noutput 1\noutput 1\n",
+     "line 5: duplicate output line"),
+])
+def test_parse_circuit_refuses_nodes_by_exact_message(text, message):
+    with pytest.raises(FormatError) as err:
+        parse_circuit(text)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("text", [
     "automaton over Y letters 2 states 2 start 0 accept 5 xvars 2 modulus 7\n",
     ("automaton over Y letters 2 states 2 start 0 accept 1 xvars 2 modulus 7\n"

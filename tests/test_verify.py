@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import chain
 
@@ -299,19 +300,34 @@ def test_brute_is_inconclusive_at_each_budget(k, budgets):
 DRAW_MODULI = (2, 3, 5, 2 ** 31 - 1, 1_000_000_007, 2 ** 61 - 1)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 99, 1729])
+# sha256 over every case's point and the generator state it leaves, per
+# seed, as drawn when these digests were taken.
+DRAW_SHA256 = {
+    0: "53bd055b305e144a61fe6b8c604d533b0ee0b5f2ca4014ac442a56de1cf77fba",
+    1: "a5849bdb6a146c3d6c209f7645808106227f8bf4a4da6307307f1a7a532afea6",
+    99: "122ad0adaaba6a8ea5f868b16307646cc1df1985756d01667425f25c91a37808",
+    1729: "d0714c01067b707f6c4739727ecdaa49767f11ac4f218e83d737284c7db5d546",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(DRAW_SHA256))
 def test_random_matrix_point_draws_as_the_nested_form(seed):
-    """Rejection from getrandbits draws what rng.randrange draws, and
-    leaves the generator where it leaves it."""
+    """The points drawn, in variable, row and column order, and the
+    generator state left behind, are pinned by value: a seed names the
+    same trials whatever random.randrange does on this Python."""
     cases = [(PIT_P, dim) for dim in range(5, 8)]
     cases += [(p, dim) for p in DRAW_MODULI for dim in range(1, 5)]
+    digest = hashlib.sha256()
     for p, dim in cases:
         for vars_used in ([], [0], [4, 1], [0, 2, 5, 7]):
-            ours, theirs = random.Random(seed), random.Random(seed)
-            assert (random_matrix_point(vars_used, dim, p, ours)
-                    == reference_random_matrix_point(vars_used, dim, p,
-                                                     theirs))
-            assert ours.getstate() == theirs.getstate()
+            rng = random.Random(seed)
+            point = random_matrix_point(vars_used, dim, p, rng)
+            assert point.dim == dim
+            assert [v for v, _ in point.mats] == vars_used
+            assert all(0 <= x < p for _, m in point.mats for row in m
+                       for x in row)
+            digest.update(repr((point, rng.getstate())).encode())
+    assert digest.hexdigest() == DRAW_SHA256[seed]
 
 
 def _pairs(rng, alphabet, p=PIT_P):
@@ -473,6 +489,23 @@ def test_difference_circuit_evaluates_to_c1_minus_c2(rng):
         want = [[(x - y) % PIT_P for x, y in zip(ra, rb)]
                 for ra, rb in zip(a, b)]
         assert eval_matrix_residues(d, [mats], dim) == [want]
+
+
+def test_difference_circuit_refuses_a_mismatched_pair():
+    """The merged nodes are not checked again, so the pair's alphabet
+    size and modulus are compared first, by exact message."""
+    b1 = CircuitBuilder(Alphabet("X", 8), 5)
+    b2 = CircuitBuilder(Alphabet("X", 3), 5)
+    b3 = CircuitBuilder(Alphabet("X", 8), 7)
+    c1 = b1.finish(b1.var(7))
+    c2 = b2.finish(b2.var(2))
+    c3 = b3.finish(b3.var(7))
+    with pytest.raises(ValueError) as err:
+        difference_circuit(c1, c2)
+    assert str(err.value) == "circuits read different alphabets: 8 vs 3"
+    with pytest.raises(ValueError) as err:
+        difference_circuit(c1, c3)
+    assert str(err.value) == "modulus mismatch: 5 vs 7"
 
 
 def test_difference_circuit_shares_the_nodes_of_the_pair(rng):
