@@ -21,7 +21,7 @@ from __future__ import annotations
 import operator
 import struct
 from collections import Counter
-from dataclasses import InitVar, dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass
 from itertools import compress
 from typing import Callable, Mapping, Sequence
 
@@ -69,11 +69,11 @@ class Circuit:
     """A checked circuit.  Circuit(...) checks the name, the modulus and
     every node, and raises ValueError naming the first fault.
 
-    _trusted=True skips every check.  It is for the package's own
-    builders whose nodes are already known to be good: parse_circuit
-    and CircuitBuilder check each node as it is read or appended,
-    encode_circuit and difference_circuit rebuild checked circuits, and
-    each passes the nodes as a tuple.
+    _trusted=True, by keyword only, skips every check.  It is for the
+    package's own builders whose nodes are already known to be good:
+    parse_circuit and CircuitBuilder check each node as it is read or
+    appended, encode_circuit and difference_circuit rebuild checked
+    circuits, and each passes the nodes as a tuple.
     """
 
     name: str
@@ -81,6 +81,7 @@ class Circuit:
     modulus: int
     nodes: tuple[Node, ...]
     output: int
+    _: KW_ONLY
     _trusted: InitVar[bool] = False
 
     def __post_init__(self, _trusted: bool) -> None:

@@ -665,9 +665,7 @@ def hadamard_circuit(circuit: Circuit, automaton: WeightedAutomaton, *,
         if not want:
             return {}
         rows = letter_rows[letter]
-        # Cells load by ascending row; one row needs no sort.
-        cells = sorted(want.items()) if len(want) > 1 else want.items()
-        return {i << s | j: nid for i, cols in cells
+        return {i << s | j: nid for i, cols in sorted(want.items())
                 for j, nid in rows[i] if cols >> j & 1}
 
     def const(c: int) -> dict:

@@ -171,10 +171,9 @@ def circuit_equiv_random(c1: Circuit, c2: Circuit, trials: int = 10,
     call per chunk.  The witness is the first point, in draw order,
     whose value is nonzero.
     """
-    _check_comparable(c1, c2)
+    difference = difference_circuit(c1, c2)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    difference = difference_circuit(c1, c2)
     needed = difference.degree_bound() // 2 + 1
     if dim is None:
         dim = needed

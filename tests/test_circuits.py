@@ -184,6 +184,9 @@ def test_trusted_circuit_skips_the_check():
     assert bad.nodes == ((ADD, 0, 0),)
     with pytest.raises(ValueError, match="^bad identifier"):
         checked_copy(bad)
+    # Only by keyword: a sixth positional argument is refused.
+    with pytest.raises(TypeError):
+        Circuit("not a name", X3, P, ((ADD, 0, 0),), 5, True)
 
 
 def reachable_by_walk(nodes, output):

@@ -167,6 +167,9 @@ def test_modulus_mismatch_rejected():
     for mode in (circuit_equiv_brute, circuit_equiv_random):
         with pytest.raises(ValueError, match="^modulus mismatch: 5 vs 7$"):
             mode(c1, c2)
+    # A mismatch is reported before the trial count is looked at.
+    with pytest.raises(ValueError, match="^modulus mismatch: 5 vs 7$"):
+        circuit_equiv_random(c1, c2, trials=0)
 
 
 def test_alphabet_mismatch_rejected():
